@@ -45,7 +45,7 @@ void AppendJsonEscaped(std::string* out, const char* s) {
 
 Tracer& Tracer::Global() {
   static Tracer* tracer = [] {
-    auto* t = new Tracer();
+    auto* t = new Tracer("orchestra");
     if (const char* path = std::getenv("ORCH_TRACE");
         path != nullptr && path[0] != '\0') {
       t->Enable(path);
@@ -92,16 +92,16 @@ std::string Tracer::path() const {
 
 void Tracer::NameCurrentThread(std::string label) {
   std::lock_guard<std::mutex> lock(mu_);
-  thread_names_[ThreadIndexLocked()] = std::move(label);
+  track_names_[ThreadIndexLocked()] = std::move(label);
 }
 
 uint32_t Tracer::ThreadIndexLocked() {
-  // One dense index per thread for the (singleton) tracer. Assigned
-  // under mu_ on first use; reads afterwards are thread-local.
+  // One dense index per thread for the (singleton) wall session.
+  // Assigned under mu_ on first use; reads afterwards are thread-local.
   thread_local uint32_t index = UINT32_MAX;
   if (index == UINT32_MAX) {
-    index = static_cast<uint32_t>(thread_names_.size());
-    thread_names_.push_back("thread-" + std::to_string(index));
+    index = static_cast<uint32_t>(track_names_.size());
+    track_names_[index] = "thread-" + std::to_string(index);
   }
   return index;
 }
@@ -110,12 +110,27 @@ void Tracer::RecordEvent(const char* name, char phase) {
   if (!enabled()) return;
   const int64_t now = SteadyNowMicros();
   std::lock_guard<std::mutex> lock(mu_);
-  Event event;
-  event.name = name;
-  event.phase = phase;
-  event.ts_micros = now - epoch_micros_;
-  event.tid = ThreadIndexLocked();
-  events_.push_back(event);
+  events_.push_back(
+      Event{name, phase, now - epoch_micros_, ThreadIndexLocked(), -1});
+}
+
+Status Tracer::Flush() {
+  const std::string path = this->path();
+  if (path.empty()) {
+    return Status::InvalidArgument("tracer has no output path");
+  }
+  return WriteTo(path);
+}
+
+void Tracer::SetTrackName(uint32_t tid, std::string name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  track_names_[tid] = std::move(name);
+}
+
+void Tracer::Record(uint32_t tid, const char* name, char phase,
+                    int64_t ts_micros, int64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.push_back(Event{name, phase, ts_micros, tid, bytes});
 }
 
 size_t Tracer::event_count() const {
@@ -123,51 +138,59 @@ size_t Tracer::event_count() const {
   return events_.size();
 }
 
-Status Tracer::Flush() {
+std::string Tracer::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (path_.empty()) {
-    return Status::InvalidArgument("tracer has no output path");
-  }
   std::string json;
-  json.reserve(events_.size() * 96 + thread_names_.size() * 80 + 64);
+  json.reserve(events_.size() * 96 + track_names_.size() * 80 + 64);
   json += "{\"traceEvents\":[";
   bool first = true;
-  // Thread-name metadata first: one "M" row per registered thread, so
-  // viewers label tracks ("thread-0", "pool-worker-1") instead of
-  // showing bare tids.
-  for (size_t i = 0; i < thread_names_.size(); ++i) {
+  // Track-name metadata first, ordered by tid, so viewers label tracks
+  // ("peer-3", "pool-worker-1") instead of showing bare tids and the
+  // document layout is a pure function of the recorded state.
+  for (const auto& [tid, name] : track_names_) {
     if (!first) json += ',';
     first = false;
     json += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    json += std::to_string(i);
+    json += std::to_string(tid);
     json += ",\"args\":{\"name\":\"";
-    AppendJsonEscaped(&json, thread_names_[i].c_str());
+    AppendJsonEscaped(&json, name.c_str());
     json += "\"}}";
   }
-  for (size_t i = 0; i < events_.size(); ++i) {
-    const Event& e = events_[i];
+  for (const Event& e : events_) {
     if (!first) json += ',';
     first = false;
     json += "{\"name\":\"";
     AppendJsonEscaped(&json, e.name);
-    json += "\",\"cat\":\"orchestra\",\"ph\":\"";
+    json += "\",\"cat\":\"";
+    json += category_;
+    json += "\",\"ph\":\"";
     json.push_back(e.phase);
     json += "\",\"ts\":";
     json += std::to_string(e.ts_micros);
     json += ",\"pid\":1,\"tid\":";
     json += std::to_string(e.tid);
+    if (e.phase == 'I') json += ",\"s\":\"t\"";
+    if (e.bytes >= 0) {
+      json += ",\"args\":{\"bytes\":";
+      json += std::to_string(e.bytes);
+      json += '}';
+    }
     json += '}';
   }
   json += "],\"displayTimeUnit\":\"ms\"}\n";
+  return json;
+}
 
-  std::FILE* f = std::fopen(path_.c_str(), "w");
+Status Tracer::WriteTo(const std::string& path) const {
+  const std::string json = ToJson();
+  std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    return Status::Internal("cannot open trace file: " + path_);
+    return Status::Internal("cannot open trace file: " + path);
   }
   const size_t written = std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   if (written != json.size()) {
-    return Status::Internal("short write to trace file: " + path_);
+    return Status::Internal("short write to trace file: " + path);
   }
   return Status::OK();
 }

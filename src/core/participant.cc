@@ -185,8 +185,7 @@ Result<TransactionId> Participant::ExecuteTransaction(
 
 Result<Epoch> Participant::Publish(UpdateStore* store) {
   if (publish_queue_.empty()) return kNoEpoch;
-  TraceSpan span("participant.publish");
-  SimSpan sim_span(&sim_trace_, "participant.publish");
+  TraceSpan span("participant.publish", sim_trace_.get());
   static Counter& publishes =
       MetricsRegistry::Global().GetCounter("reconcile.publishes");
   static Counter& published_txns =
@@ -216,20 +215,18 @@ Result<std::vector<TrustedTxn>> Participant::ReconsiderDeferred() {
 }
 
 Result<ReconcileReport> Participant::Reconcile(UpdateStore* store) {
-  TraceSpan span("participant.reconcile");
-  SimSpan sim_span(&sim_trace_, "participant.reconcile");
+  TraceSpan span("participant.reconcile", sim_trace_.get());
   const StoreStats before = store->StatsFor(id_);
   ReconcileFetch fetch;
   {
-    TraceSpan fetch_span("reconcile.fetch");
-    SimSpan sim_fetch(&sim_trace_, "reconcile.fetch");
+    TraceSpan fetch_span("reconcile.fetch", sim_trace_.get());
     ORCH_ASSIGN_OR_RETURN(fetch, store->BeginReconciliation(id_));
   }
 
   Stopwatch local;
   // Fold the fetched bundle into the local transaction cache.
   {
-    TraceSpan fold_span("reconcile.fold_cache");
+    TraceSpan fold_span("reconcile.fold_cache", sim_trace_.get());
     for (Transaction& txn : fetch.transactions) {
       txn_cache_.Put(std::move(txn));
     }
@@ -334,11 +331,11 @@ Result<ReconcileReport> Participant::RunAndCommit(
   input.rejected = &rejected_;
   input.dirty = &dirty_;
   input.collect_provenance = reconciler_.options().record_provenance;
-  if (sim_trace_.active()) input.sim_trace = &sim_trace_;
+  input.trace = sim_trace_.get();
 
   ReconcileOutcome outcome;
   {
-    TraceSpan run_span("reconcile.run");
+    TraceSpan run_span("reconcile.run", sim_trace_.get());
     ORCH_ASSIGN_OR_RETURN(outcome, reconciler_.Run(input, &instance_));
   }
   // Stamp the decision context the reconciler does not know.
@@ -411,8 +408,7 @@ Result<ReconcileReport> Participant::RunAndCommit(
   }
   Status recorded;
   {
-    TraceSpan record_span("reconcile.record_decisions");
-    SimSpan sim_record(&sim_trace_, "reconcile.record_decisions");
+    TraceSpan record_span("reconcile.record_decisions", sim_trace_.get());
     recorded = store->RecordDecisions(id_, recno, *to_apply, *to_reject);
   }
   if (recorded.ok()) {
@@ -531,19 +527,17 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
                                 " store does not support network-centric "
                                 "reconciliation");
   }
-  TraceSpan span("participant.reconcile_network_centric");
-  SimSpan sim_span(&sim_trace_, "participant.reconcile");
+  TraceSpan span("participant.reconcile_network_centric", sim_trace_.get());
   const StoreStats before = store->StatsFor(id_);
   NetworkCentricFetch fetch;
   {
-    TraceSpan fetch_span("reconcile.fetch");
-    SimSpan sim_fetch(&sim_trace_, "reconcile.fetch");
+    TraceSpan fetch_span("reconcile.fetch", sim_trace_.get());
     ORCH_ASSIGN_OR_RETURN(fetch, nc->BeginNetworkCentricReconciliation(id_));
   }
 
   Stopwatch local;
   {
-    TraceSpan fold_span("reconcile.fold_cache");
+    TraceSpan fold_span("reconcile.fold_cache", sim_trace_.get());
     for (Transaction& txn : fetch.base.transactions) {
       txn_cache_.Put(std::move(txn));
     }

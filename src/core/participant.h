@@ -2,6 +2,7 @@
 #define ORCHESTRA_CORE_PARTICIPANT_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -10,7 +11,7 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "common/sim_trace.h"
+#include "common/trace.h"
 #include "db/instance.h"
 #include "core/decision.h"
 #include "core/flatten_cache.h"
@@ -185,11 +186,12 @@ class Participant {
   /// publish / fetch / reconcile phases / decision recording are
   /// emitted at `now()`'s reading (the peer's simulated clock) onto
   /// track `tid`. Null tracer unbinds. Never affects decisions.
-  void BindSimTrace(SimTracer* tracer, uint32_t tid,
+  void BindSimTrace(Tracer* tracer, uint32_t tid,
                     std::function<int64_t()> now) {
-    sim_trace_.tracer = tracer;
-    sim_trace_.tid = tid;
-    sim_trace_.now = std::move(now);
+    sim_trace_ = nullptr;
+    if (tracer != nullptr) {
+      sim_trace_ = std::make_unique<TraceContext>(tracer, tid, std::move(now));
+    }
   }
 
   /// Every provenance record this participant has produced, in decision
@@ -274,9 +276,9 @@ class Participant {
   FlattenCache flatten_cache_;
   int64_t last_recno_ = 0;
   /// In-memory decision-provenance log (append-only soft state) and the
-  /// sim-trace binding (inactive unless BindSimTrace was called).
+  /// simulated-time trace context (null unless BindSimTrace was called).
   std::vector<ProvenanceRecord> provenance_log_;
-  SimTraceBinding sim_trace_;
+  std::unique_ptr<TraceContext> sim_trace_;
   /// Decisions already folded into local state whose store recording
   /// failed transiently. They ride along with the next RecordDecisions
   /// call — recording is idempotent and keyed by transaction, so the

@@ -155,11 +155,8 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
 
   // Phases share variables, so per-phase spans roll over via optional
   // instead of lexical scopes; emplace() ends the previous span before
-  // beginning the next. The wall-clock span feeds ORCH_TRACE; the
-  // simulated-time span (no-op without a binding) feeds ORCH_SIM_TRACE.
+  // beginning the next.
   std::optional<TraceSpan> phase_span;
-  std::optional<SimSpan> sim_span;
-  const SimTraceBinding* sim = input.sim_trace;
 
   const bool prov_on = input.collect_provenance;
   std::vector<ProvNote> notes(prov_on ? n : 0);
@@ -171,8 +168,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   // Phases 1-2 (Fig. 4 lines 5-9): flatten extensions and find the
   // direct, non-subsumed conflicts — either precomputed by the network
   // (network-centric mode) or computed here (client-centric, §5.1).
-  phase_span.emplace("reconcile.phase.analysis");
-  sim_span.emplace(sim, "reconcile.analyze");
+  phase_span.emplace("reconcile.phase.analysis", input.trace);
   ReconcileAnalysis local_analysis;
   const ReconcileAnalysis* analysis = input.analysis;
   if (analysis == nullptr) {
@@ -198,8 +194,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   // reads only the immutable instance, the input sets, and its own
   // flattened extension) and writes its own decision slot, so the loop
   // parallelizes with bit-identical results.
-  phase_span.emplace("reconcile.phase.check_state");
-  sim_span.emplace(sim, "reconcile.check_state");
+  phase_span.emplace("reconcile.phase.check_state", input.trace);
   std::vector<Decision> decision(n, Decision::kUndecided);
   ParallelFor(pool_.get(), n, [&](size_t i) {
     if (!analysis->flatten_ok[i]) {
@@ -221,8 +216,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   }
 
   // --- Phase 3 (Fig. 4 lines 10-12): DoGroup by decreasing priority. ---
-  phase_span.emplace("reconcile.phase.priority_groups");
-  sim_span.emplace(sim, "reconcile.priority_groups");
+  phase_span.emplace("reconcile.phase.priority_groups", input.trace);
   // Provenance hooks: called *before* the decision slot is mutated so
   // an earlier defer cause (dirty value) is not overwritten by a later
   // mechanical defer; a reject always takes the losing comparison.
@@ -294,8 +288,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   // chain's net effect supersedes the intermediate state ("least
   // interaction", §3.1), and the antecedent is then transitively
   // accepted through the chain (reclassified below).
-  phase_span.emplace("reconcile.phase.propagate_deferral");
-  sim_span.emplace(sim, "reconcile.propagate_deferral");
+  phase_span.emplace("reconcile.phase.propagate_deferral", input.trace);
   std::unordered_map<TransactionId, size_t, TransactionIdHash> index_of;
   for (size_t i = 0; i < n; ++i) index_of[input.txns[i].id] = i;
   bool changed = true;
@@ -323,8 +316,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   // --- Phase 5 (Fig. 4 lines 14-19): apply accepted extensions in
   // publication order, sharing a Used set so overlapping antecedents are
   // applied exactly once (Definition 5).
-  phase_span.emplace("reconcile.phase.apply");
-  sim_span.emplace(sim, "reconcile.apply");
+  phase_span.emplace("reconcile.phase.apply", input.trace);
   std::vector<size_t> accepted;
   for (size_t i = 0; i < n; ++i) {
     if (decision[i] == Decision::kAccept) accepted.push_back(i);
@@ -442,8 +434,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
 
   // --- Phase 6 (Fig. 5 UpdateSoftState): rebuild dirty values and
   // conflict groups from this run's deferred set. ---
-  phase_span.emplace("reconcile.phase.soft_state");
-  sim_span.emplace(sim, "reconcile.soft_state");
+  phase_span.emplace("reconcile.phase.soft_state", input.trace);
   std::map<ConflictPoint, std::vector<size_t>> group_members;
   for (size_t i = 0; i < n; ++i) {
     switch (decision[i]) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/sim_trace.h"
+#include "common/trace.h"
 #include "db/instance.h"
 #include "core/decision.h"
 #include "core/extension.h"
@@ -74,11 +74,10 @@ struct ReconcileInput {
   /// ReconcileOutcome::provenance. Decisions are identical either way;
   /// this only adds the explanation records.
   bool collect_provenance = false;
-  /// Optional simulated-time trace binding: when set, Run emits
-  /// per-phase spans (analyze / check_state / priority_groups /
-  /// propagate / apply / soft_state) onto the caller's track at the
+  /// Optional simulated-time trace context: when set, Run's per-phase
+  /// spans (reconcile.phase.*) also land on the caller's track at the
   /// caller's simulated clock. Never feeds back into decisions.
-  const SimTraceBinding* sim_trace = nullptr;
+  const TraceContext* trace = nullptr;
 };
 
 /// Outcome of one ReconcileUpdates run.

@@ -13,9 +13,9 @@ int64_t SimNetwork::Charge(uint32_t endpoint, int64_t hops, int64_t bytes) {
   const int64_t micros = hops * MessageCostMicros(bytes);
   NetStats& stats = per_endpoint_[endpoint];
   if (sim_tracer_ != nullptr) {
-    sim_tracer_->Instant(endpoint, "net.send", stats.micros, hops * bytes);
-    sim_tracer_->Instant(endpoint, "net.recv", stats.micros + micros,
-                         hops * bytes);
+    sim_tracer_->Record(endpoint, "net.send", 'I', stats.micros, hops * bytes);
+    sim_tracer_->Record(endpoint, "net.recv", 'I', stats.micros + micros,
+                        hops * bytes);
   }
   stats.micros += micros;
   stats.messages += hops;

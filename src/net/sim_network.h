@@ -8,8 +8,8 @@
 
 #include "common/fault_injector.h"
 #include "common/result.h"
-#include "common/sim_trace.h"
 #include "common/status.h"
+#include "common/trace.h"
 
 namespace orchestra::net {
 
@@ -84,7 +84,7 @@ class SimNetwork {
   /// come from the deterministic per-endpoint accumulated micros, so
   /// traces are bit-identical across same-seed runs. Must outlive the
   /// network or be cleared first.
-  void set_sim_tracer(SimTracer* tracer) { sim_tracer_ = tracer; }
+  void set_sim_tracer(Tracer* tracer) { sim_tracer_ = tracer; }
 
   NetStats StatsFor(uint32_t endpoint) const;
   const NetStats& global() const { return global_; }
@@ -99,7 +99,7 @@ class SimNetwork {
   std::unordered_map<uint32_t, NetStats> per_endpoint_;
   NetStats global_;
   FaultInjector* injector_ = nullptr;
-  SimTracer* sim_tracer_ = nullptr;
+  Tracer* sim_tracer_ = nullptr;
 };
 
 }  // namespace orchestra::net

@@ -1,7 +1,6 @@
 #include "sim/cdss.h"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -23,12 +22,12 @@ Result<std::unique_ptr<Cdss>> Cdss::Make(CdssConfig config) {
   ORCH_RETURN_IF_ERROR(FaultInjector::ValidateConfig(config.fault));
   auto cdss = std::unique_ptr<Cdss>(new Cdss(std::move(config)));
   // ORCH_SIM_TRACE=<path> switches the deterministic sim trace on from
-  // the outside (bench_runner's traced leg); ORCH_SIM_TRACE=1 enables
-  // it without writing a file. An explicit config wins over the env.
+  // the outside (tools/provenance_dump, as bench_runner's provenance leg
+  // runs it). An explicit config wins over the env.
   if (const char* env = std::getenv("ORCH_SIM_TRACE");
       env != nullptr && env[0] != '\0' && !cdss->config_.sim_trace) {
     cdss->config_.sim_trace = true;
-    if (std::strcmp(env, "1") != 0) cdss->config_.sim_trace_path = env;
+    cdss->config_.sim_trace_path = env;
   }
   const CdssConfig& cfg = cdss->config_;
 

@@ -8,7 +8,7 @@
 
 #include "common/fault_injector.h"
 #include "common/result.h"
-#include "common/sim_trace.h"
+#include "common/trace.h"
 #include "core/participant.h"
 #include "core/update_store.h"
 #include "net/sim_network.h"
@@ -123,11 +123,11 @@ struct CdssConfig {
   /// it store-side (core/provenance.h). On by default; the overhead
   /// sweep's control arm turns it off.
   bool record_provenance = true;
-  /// Emit the deterministic simulated-time trace (common/sim_trace.h):
+  /// Emit the deterministic simulated-time trace (common/trace.h):
   /// one track per peer plus per-message net.send/net.recv instants,
   /// timestamps taken from the per-endpoint simulated clocks — so the
   /// trace is bit-identical across same-seed runs. Also switched on by
-  /// the ORCH_SIM_TRACE environment variable (see Make).
+  /// ORCH_SIM_TRACE=<path>, which sets sim_trace_path too (see Make).
   bool sim_trace = false;
   /// Where Run() writes the sim trace; empty keeps it in memory only
   /// (tests read sim_tracer() directly).
@@ -214,7 +214,7 @@ class Cdss {
   /// durable tables ("prov:<peer>", "declog:<peer>") directly.
   storage::StorageEngine* engine() { return engine_.get(); }
   /// The simulated-time tracer when sim_trace is on, else nullptr.
-  SimTracer* sim_tracer() {
+  Tracer* sim_tracer() {
     return config_.sim_trace ? &sim_tracer_ : nullptr;
   }
 
@@ -234,7 +234,7 @@ class Cdss {
   db::Catalog catalog_;
   net::SimNetwork network_;
   /// Simulated-time event stream; populated only when config_.sim_trace.
-  SimTracer sim_tracer_;
+  Tracer sim_tracer_{"sim"};
   FaultInjector fault_injector_;
   /// Dedicated injector for the churn schedule's crash draws; kept apart
   /// from fault_injector_ so message-loss faults and membership churn

@@ -7,165 +7,24 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/trace_check.h"
+
 namespace orchestra {
 namespace {
 
+using testing::JsonScanner;
+using testing::ParseEvents;
+using testing::ParsedEvent;
+using testing::ReadFile;
+using testing::SpansNestPerTrack;
+
 std::string TempTracePath(const char* name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// Minimal structural JSON validator (objects, arrays, strings with
-// escapes, numbers, true/false/null). Returns true when the whole input
-// is exactly one well-formed value.
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return Object();
-      case '[': return Array();
-      case '"': return String();
-      case 't': return Literal("true");
-      case 'f': return Literal("false");
-      case 'n': return Literal("null");
-      default: return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') { ++pos_; return true; }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') { ++pos_; continue; }
-      if (Peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') { ++pos_; return true; }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') { ++pos_; continue; }
-      if (Peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;  // skip the escaped character
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool Number() {
-    const size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Literal(const char* word) {
-    const size_t len = std::string(word).size();
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-struct ParsedEvent {
-  std::string name;
-  char phase = '?';
-  long tid = -1;
-};
-
-// Pulls name/ph/tid out of each {"name":...} element; the JSON is
-// machine-written, so field order is fixed. Top-level events follow '['
-// or ','; a metadata row's args payload ({"name":"thread-0"}) follows
-// ':' and is skipped.
-std::vector<ParsedEvent> ParseEvents(const std::string& json) {
-  std::vector<ParsedEvent> events;
-  size_t pos = 0;
-  while ((pos = json.find("{\"name\":\"", pos)) != std::string::npos) {
-    if (pos > 0 && json[pos - 1] != '[' && json[pos - 1] != ',') {
-      pos += 9;
-      continue;
-    }
-    ParsedEvent event;
-    pos += 9;
-    const size_t name_end = json.find('"', pos);
-    event.name = json.substr(pos, name_end - pos);
-    const size_t ph = json.find("\"ph\":\"", name_end);
-    event.phase = json[ph + 6];
-    const size_t tid = json.find("\"tid\":", ph);
-    event.tid = std::strtol(json.c_str() + tid + 6, nullptr, 10);
-    events.push_back(std::move(event));
-    pos = name_end;
-  }
-  return events;
 }
 
 TEST(TraceTest, DisabledSpansRecordNothing) {
@@ -216,21 +75,10 @@ TEST(TraceTest, FlushedTraceIsValidJsonWithBalancedSpans) {
   events.erase(events.begin(), events.begin() + metadata);
   // outer + inner + 3 threads * 2 spans, each a B/E pair.
   ASSERT_EQ(events.size(), 16u);
-  std::map<long, std::vector<std::string>> open_per_tid;
   for (const ParsedEvent& event : events) {
     ASSERT_TRUE(event.phase == 'B' || event.phase == 'E') << event.phase;
-    auto& stack = open_per_tid[event.tid];
-    if (event.phase == 'B') {
-      stack.push_back(event.name);
-    } else {
-      ASSERT_FALSE(stack.empty()) << "E without B on tid " << event.tid;
-      EXPECT_EQ(stack.back(), event.name) << "interleaved spans on one tid";
-      stack.pop_back();
-    }
   }
-  for (const auto& [tid, stack] : open_per_tid) {
-    EXPECT_TRUE(stack.empty()) << "unclosed span on tid " << tid;
-  }
+  EXPECT_TRUE(SpansNestPerTrack(events));
   std::remove(path.c_str());
 }
 
@@ -300,6 +148,54 @@ TEST(TraceTest, ReEnableStartsAFreshBuffer) {
   EXPECT_EQ(json.find("fresh.first"), std::string::npos);
   EXPECT_NE(json.find("fresh.second"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// A span given a context lands on the context's track at the context's
+// clock, whether or not the wall session is on; the wall session sees
+// the same name on its own clock.
+TEST(TraceTest, SpanWithContextLandsOnBothTimelines) {
+  Tracer sim("sim");
+  sim.SetTrackName(3, "peer-3");
+  int64_t now = 100;
+  const TraceContext context{&sim, 3, [&now] { return now; }};
+
+  if (Tracer::Global().enabled()) Tracer::Global().Disable();
+  {
+    TraceSpan span("ctx.quiet_wall", &context);
+    now = 250;
+  }
+  EXPECT_EQ(Tracer::Global().event_count(), 0u);
+
+  const std::string path = TempTracePath("trace_context.json");
+  Tracer::Global().Enable(path);
+  {
+    TraceSpan span("ctx.both", &context);
+    sim.Record(3, "net.send", 'I', now, 64);
+    now = 400;
+  }
+  EXPECT_EQ(Tracer::Global().event_count(), 2u);
+  Tracer::Global().Disable();
+  const std::string wall = ReadFile(path);
+  EXPECT_NE(wall.find("\"name\":\"ctx.both\""), std::string::npos);
+  EXPECT_EQ(wall.find("ctx.quiet_wall"), std::string::npos);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(sim.ToJson(),
+            "{\"traceEvents\":["
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":3,"
+            "\"args\":{\"name\":\"peer-3\"}},"
+            "{\"name\":\"ctx.quiet_wall\",\"cat\":\"sim\",\"ph\":\"B\","
+            "\"ts\":100,\"pid\":1,\"tid\":3},"
+            "{\"name\":\"ctx.quiet_wall\",\"cat\":\"sim\",\"ph\":\"E\","
+            "\"ts\":250,\"pid\":1,\"tid\":3},"
+            "{\"name\":\"ctx.both\",\"cat\":\"sim\",\"ph\":\"B\","
+            "\"ts\":250,\"pid\":1,\"tid\":3},"
+            "{\"name\":\"net.send\",\"cat\":\"sim\",\"ph\":\"I\","
+            "\"ts\":250,\"pid\":1,\"tid\":3,\"s\":\"t\",\"args\":{\"bytes\":64}},"
+            "{\"name\":\"ctx.both\",\"cat\":\"sim\",\"ph\":\"E\","
+            "\"ts\":400,\"pid\":1,\"tid\":3}"
+            "],\"displayTimeUnit\":\"ms\"}\n");
+  EXPECT_TRUE(JsonScanner(sim.ToJson()).Valid());
 }
 
 }  // namespace

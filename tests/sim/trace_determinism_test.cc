@@ -2,18 +2,22 @@
 // confederation with tracing enabled produces bit-identical per-peer
 // decisions to a run with tracing off, and Cdss::Run exposes the
 // registry's movement as per-round counter deltas that sum to the
-// whole-run block.
+// whole-run block. The simulated-time trace is well-formed: valid
+// JSON, spans nested per peer track, and every participant/reconciler
+// span named as on the wall timeline of the same run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "common/trace_check.h"
 #include "sim/cdss.h"
 
 namespace orchestra::sim {
@@ -85,6 +89,70 @@ TEST(TraceDeterminismTest, RoundMetricsSumToWholeRunBlock) {
   // per round, and the store saw this run's publishes.
   EXPECT_EQ(result->metrics.at("reconcile.rounds"), 8 * 3);
   EXPECT_GT(result->metrics.at("store.central.fetches"), 0);
+}
+
+// Span names from the participant and reconciler layers; store spans
+// and cdss.round have no peer context and stay on the wall clock only.
+std::set<std::string> PeerSpanNames(
+    const std::vector<testing::ParsedEvent>& events) {
+  std::set<std::string> names;
+  for (const testing::ParsedEvent& e : events) {
+    if (e.phase != 'B') continue;
+    if (e.name.rfind("participant.", 0) == 0 ||
+        e.name.rfind("reconcile.", 0) == 0) {
+      names.insert(e.name);
+    }
+  }
+  return names;
+}
+
+void CheckSimTimeline(CdssConfig cfg) {
+  cfg.sim_trace = true;
+  if (Tracer::Global().enabled()) Tracer::Global().Disable();
+  const std::string path = ::testing::TempDir() + "/sim_timeline_wall.json";
+  Tracer::Global().Enable(path);
+  auto cdss = Cdss::Make(cfg);
+  ASSERT_TRUE(cdss.ok()) << cdss.status().ToString();
+  auto result = (*cdss)->Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  if (cfg.fault.failure_probability > 0) {
+    EXPECT_GT(result->faults_injected, 0u);
+  }
+  Tracer::Global().Disable();
+  const std::string wall_json = testing::ReadFile(path);
+  std::remove(path.c_str());
+  const std::string sim_json = (*cdss)->sim_tracer()->ToJson();
+
+  ASSERT_TRUE(testing::JsonScanner(sim_json).Valid());
+  const std::vector<testing::ParsedEvent> sim =
+      testing::ParseEvents(sim_json);
+  EXPECT_TRUE(testing::SpansNestPerTrack(sim));
+  const std::set<std::string> sim_names = PeerSpanNames(sim);
+  EXPECT_EQ(sim_names.count("reconcile.phase.analysis"), 1u);
+  EXPECT_EQ(sim_names.count("reconcile.record_decisions"), 1u);
+
+  ASSERT_TRUE(testing::JsonScanner(wall_json).Valid());
+  const std::set<std::string> wall_names =
+      PeerSpanNames(testing::ParseEvents(wall_json));
+  for (const std::string& name : sim_names) {
+    EXPECT_EQ(wall_names.count(name), 1u)
+        << name << " is on the simulated timeline only";
+  }
+}
+
+TEST(TraceDeterminismTest, SimTimelineNestsCentral) {
+  CheckSimTimeline(SmallConfig(StoreKind::kCentral));
+}
+
+TEST(TraceDeterminismTest, SimTimelineNestsDht) {
+  CheckSimTimeline(SmallConfig(StoreKind::kDht));
+}
+
+TEST(TraceDeterminismTest, SimTimelineNestsUnderFaults) {
+  CdssConfig cfg = SmallConfig(StoreKind::kDht);
+  cfg.fault.failure_probability = 0.05;
+  cfg.fault.seed = 11;
+  CheckSimTimeline(cfg);
 }
 
 }  // namespace

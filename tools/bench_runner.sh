@@ -25,6 +25,18 @@ cmake --build "$build" -j"$(nproc)" --target micro_reconcile provenance_dump
 bench="$build/bench/micro_reconcile"
 prov_dump="$build/tools/provenance_dump"
 
+# Chrome trace check shared by both traces below: at least one event,
+# and every 'B' closed by a same-named 'E' in LIFO order on its track
+# (tid); no span left open.
+spans_nest='(.traceEvents | length > 0) and
+  (reduce (.traceEvents[] | select(.ph == "B" or .ph == "E")) as $e
+     ({ok: true, open: {}};
+      ($e.tid | tostring) as $t
+      | if $e.ph == "B" then .open[$t] += [$e.name]
+        elif ((.open[$t] // []) | last) == $e.name then .open[$t] |= .[:-1]
+        else .ok = false end)
+   | .ok and all(.open[]; length == 0))'
+
 echo "== reconcile study =="
 ORCH_BENCH_JSON="$out/BENCH_micro_reconcile.json" \
     "$bench" --benchmark_filter=NONE
@@ -54,17 +66,19 @@ fi
 
 # One traced sweep: rerun the fault sweep with ORCH_TRACE set, writing
 # its JSON to a scratch path (the traced rerun is exercised, not
-# diffed) and fail hard if the trace file is missing, empty, or not
-# the Chrome trace_event shape. Tracing must not perturb decisions, so
-# reusing the fault sweep doubles as a cheap end-to-end check.
+# diffed) and fail hard if the trace file is missing, empty, not the
+# Chrome trace_event shape, or has unbalanced spans. Tracing must not
+# perturb decisions, so reusing the fault sweep doubles as a cheap
+# end-to-end check.
 echo "== traced fault sweep =="
 trace="$out/trace_fault_sweep.json"
 rm -f "$trace"
 ORCH_TRACE="$trace" ORCH_FAULT_SWEEP=1 \
     ORCH_FAULT_SWEEP_JSON="$out/BENCH_fault_sweep_traced.json" \
     "$bench"
-if ! jq -e '.traceEvents | length > 0' "$trace" >/dev/null; then
-  echo "trace output $trace is missing, empty, or invalid JSON" >&2
+if ! jq -e "$spans_nest" "$trace" >/dev/null; then
+  echo "trace output $trace is missing, empty, invalid JSON, or has" \
+       "unbalanced spans" >&2
   exit 1
 fi
 echo "trace OK: $(jq '.traceEvents | length' "$trace") events in $trace"
@@ -72,7 +86,8 @@ echo "trace OK: $(jq '.traceEvents | length' "$trace") events in $trace"
 # Provenance + simulated-time trace determinism: run the seeded
 # provenance_dump confederation twice with ORCH_SIM_TRACE armed. Both
 # the provenance JSONL and the sim trace must be byte-identical across
-# the runs, the trace must be well-formed Chrome trace_event JSON, and
+# the runs, the trace must be well-formed Chrome trace_event JSON with
+# balanced spans on every peer track, and
 # a verdict/cause summary of the provenance stream must match the
 # committed baseline at the repo root.
 echo "== provenance determinism =="
@@ -84,8 +99,9 @@ cmp "$out/provenance_a.jsonl" "$out/provenance_b.jsonl" \
   || { echo "provenance JSONL diverged between same-seed runs" >&2; exit 1; }
 cmp "$out/sim_trace_a.json" "$out/sim_trace_b.json" \
   || { echo "sim trace diverged between same-seed runs" >&2; exit 1; }
-if ! jq -e '.traceEvents | length > 0' "$out/sim_trace_a.json" >/dev/null; then
-  echo "sim trace is missing, empty, or invalid JSON" >&2
+if ! jq -e "$spans_nest" "$out/sim_trace_a.json" >/dev/null; then
+  echo "sim trace is missing, empty, invalid JSON, or has unbalanced" \
+       "spans" >&2
   exit 1
 fi
 echo "sim trace OK: $(jq '.traceEvents | length' "$out/sim_trace_a.json")" \

@@ -8,7 +8,6 @@
 //   directory (or the ORCH_TRACE env var when set). Load the file at
 //   chrome://tracing or https://ui.perfetto.dev.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -62,13 +61,14 @@ int RunConfederation(sim::StoreKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_path = "metrics_dump_trace.json";
-  if (const char* env = std::getenv("ORCH_TRACE");
-      env != nullptr && env[0] != '\0') {
-    trace_path = env;
+  // Tracer::Global() has already enabled itself when ORCH_TRACE is set;
+  // an explicit argument still wins.
+  if (argc > 1) {
+    Tracer::Global().Enable(argv[1]);
+  } else if (!Tracer::Global().enabled()) {
+    Tracer::Global().Enable("metrics_dump_trace.json");
   }
-  if (argc > 1) trace_path = argv[1];
-  Tracer::Global().Enable(trace_path);
+  const std::string trace_path = Tracer::Global().path();
 
   if (RunConfederation(sim::StoreKind::kCentral) != 0) return 1;
   if (RunConfederation(sim::StoreKind::kDht) != 0) return 1;
