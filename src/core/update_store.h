@@ -50,23 +50,24 @@ struct StoreStats {
   }
 };
 
-/// How a store assembles each reconciliation's fetch.
+/// How a store assembles each reconciliation's fetch. Both modes run
+/// the same pipeline — the central store's window scan and antecedent
+/// walk, the DHT's per-owner multi-gets and batched decision writes —
+/// and ship identical decisions; they differ only in what they read.
 enum class FetchMode {
-  /// Re-scan and re-filter the entire published history every round
-  /// (ignores the peer's epoch watermark for the scan window). The
-  /// honest full-fetch baseline: correct — the participant's catch-up
-  /// machinery absorbs re-sent material — but its per-round cost grows
-  /// with history.
+  /// The reference: the scan window starts at epoch 0 (ignoring the
+  /// peer's watermark), and every soft-state read is bypassed — the
+  /// decoded-transaction arena, the per-peer applied overlay and the
+  /// central stable floor — so each fetch is answered from the stores'
+  /// durable state alone. Correct (the participant's catch-up machinery
+  /// absorbs re-sent material) but its per-round cost grows with
+  /// history. Tests diff the shipping mode against it, and it keeps the
+  /// central store's stored-row checksum path hot.
   kFull,
-  /// The watermark-windowed fetch: scan only epochs in (prev, stable],
-  /// one store access / DHT message per key. No caching, no batching.
-  kWindowed,
-  /// kWindowed plus the incremental pipeline: a shared decoded-
-  /// transaction arena (decode each committed transaction once across
-  /// all peers and rounds), per-peer applied-set suppression of lookups
-  /// whose answer must be "not relevant", and — on the DHT — per-owner
-  /// batched multi-get messages instead of one message per key. Fetch
-  /// contents are bit-identical to kWindowed by construction.
+  /// The shipping default: scan only epochs in (watermark, stable],
+  /// serve decoded transactions from the shared arena (each committed
+  /// transaction is decoded once across all peers and rounds), and
+  /// suppress lookups whose answer the applied overlay already knows.
   kDelta,
 };
 
@@ -74,16 +75,15 @@ inline std::string_view FetchModeName(FetchMode mode) {
   switch (mode) {
     case FetchMode::kFull:
       return "full";
-    case FetchMode::kWindowed:
-      return "windowed";
     case FetchMode::kDelta:
       return "delta";
   }
   return "unknown";
 }
 
-/// Per-fetch accounting for the incremental pipeline (all zero under
-/// kFull/kWindowed except `decoded`).
+/// Per-fetch accounting. Under kFull the soft state is bypassed, so
+/// `cache_hits` and `suppressed_lookups` stay zero and the central
+/// store's `decoded` counts the window scan's decodes only.
 struct FetchStats {
   int64_t decoded = 0;              // transactions decoded this fetch
   int64_t cache_hits = 0;           // decodes avoided via the arena

@@ -102,8 +102,9 @@ struct CdssConfig {
   /// CentralStoreOptions / DhtStoreOptions).
   int stuck_epoch_reap_threshold = 3;
   /// How the store assembles reconciliation fetches (see core::FetchMode).
-  /// kDelta is the shipping default; kWindowed/kFull exist for the
-  /// equivalence tests and the delta-sweep baseline.
+  /// kDelta is the shipping default; kFull is the reference it is diffed
+  /// against (equivalence tests, the delta-sweep baseline) and the mode
+  /// that keeps the central store's stored-row checksum path hot.
   core::FetchMode fetch_mode = core::FetchMode::kDelta;
   /// Replicas per DHT key (DhtStoreOptions::replication_factor); 1
   /// disables replication, so a node crash loses data.

@@ -126,16 +126,14 @@ Result<Transaction> CentralStore::LoadTxn(const TransactionId& id) const {
 }
 
 Result<Transaction> CentralStore::LoadTxnCached(const TransactionId& id) const {
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
+  if (!reference()) {
     if (const Transaction* hit = cache_.Lookup(id)) return *hit;
   }
   ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxn(id));
   // Only committed transactions are immutable (a committed id can never
   // be republished); residue of an aborted publish must not be cached.
-  if (options_.fetch_mode == core::FetchMode::kDelta &&
-      EpochCommitted(EpochKey(txn.epoch))) {
-    cache_.Admit(txn);
-  }
+  // The reference skips the admit too: it would only cost it a copy.
+  if (!reference() && EpochCommitted(EpochKey(txn.epoch))) cache_.Admit(txn);
   return txn;
 }
 
@@ -250,13 +248,11 @@ Result<Epoch> CentralStore::Publish(ParticipantId peer,
     return commit;
   }
 
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // The batch just committed: its transactions are immutable and the
-    // publisher has accepted them durably (the staged "A" rows).
-    for (const Transaction& txn : txns) {
-      cache_.Admit(txn);
-      cache_.MarkApplied(peer, txn.id);
-    }
+  // The batch just committed: its transactions are immutable and the
+  // publisher has accepted them durably (the staged "A" rows).
+  for (const Transaction& txn : txns) {
+    cache_.Admit(txn);
+    cache_.MarkApplied(peer, txn.id);
   }
 
   // One begin-publish round trip, the batch upload, one finish round
@@ -282,7 +278,6 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
                             " is not registered");
   }
   const core::TrustPolicy& policy = *policy_it->second;
-  const bool delta = options_.fetch_mode == core::FetchMode::kDelta;
   const core::FetchCache::Stats cache_before = cache_.stats();
   int64_t decoded = 0;
   // Integrity counter snapshots for the per-round FetchStats: detected
@@ -305,16 +300,17 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
   // `stuck_epoch_reap_threshold` scans belongs to a crashed publisher:
   // reap it to "aborted" rather than blocking every peer forever.
   //
-  // Under kDelta the scan starts past the stable floor — the largest
-  // epoch with everything at or below it terminal. Epoch numbers are
-  // allocated monotonically, so no row can ever appear at or below the
-  // floor again and skipping that prefix cannot change the result.
+  // The scan starts past the stable floor — the largest epoch with
+  // everything at or below it terminal. Epoch numbers are allocated
+  // monotonically, so no row can ever appear at or below the floor again
+  // and skipping that prefix cannot change the result. The reference
+  // scans from epoch 0.
   ORCH_ASSIGN_OR_RETURN(std::string last_epoch_key,
                         engine_->Get("peers", std::to_string(peer)));
-  Epoch stable = delta ? floor_stable_ : 0;
-  Epoch floor = delta ? stable_floor_ : 0;
-  const std::string scan_from = delta ? EpochKey(stable_floor_ + 1) : "";
-  for (const auto& [key, state] : engine_->ScanRange("epochs", scan_from, "")) {
+  Epoch stable = reference() ? 0 : floor_stable_;
+  Epoch floor = reference() ? 0 : stable_floor_;
+  for (const auto& [key, state] :
+       engine_->ScanRange("epochs", EpochKey(floor + 1), "")) {
     const Epoch e = std::strtoll(key.c_str(), nullptr, 10);
     if (state == "done") {
       stable = e;
@@ -335,22 +331,20 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
     break;  // still open: the stable window ends just before it
   }
   fetch.epoch = stable;
-  if (delta && floor > stable_floor_) {
+  if (floor > stable_floor_) {
     stable_floor_ = floor;
     floor_stable_ = stable;
   }
-  // kFull ignores the watermark and re-scans the whole history; the
-  // participant's catch-up path absorbs the resent material.
+  // The reference ignores the watermark and re-scans the whole history;
+  // the participant's catch-up path absorbs the resent material.
   const Epoch prev =
-      options_.fetch_mode == core::FetchMode::kFull
-          ? 0
-          : std::strtoll(last_epoch_key.c_str(), nullptr, 10);
+      reference() ? 0 : std::strtoll(last_epoch_key.c_str(), nullptr, 10);
 
   // Relevant transactions: everything published in (prev, stable] whose
   // epoch committed. Rows under open/aborted epochs in the window are
-  // residue of unfinished publishes and must stay invisible. Under
-  // kDelta each transaction is decoded at most once across all peers
-  // and rounds: an arena hit skips the engine read and the decode.
+  // residue of unfinished publishes and must stay invisible. Each
+  // transaction is decoded at most once across all peers and rounds: an
+  // arena hit skips the engine read and the decode.
   std::unordered_map<std::string, bool> committed_cache;
   auto epoch_committed = [&](const std::string& epoch_key) {
     auto it = committed_cache.find(epoch_key);
@@ -367,7 +361,7 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
     const size_t sep = key.find(':');
     if (!epoch_committed(key.substr(0, sep))) continue;
     const std::string txn_key = key.substr(sep + 1);
-    if (delta) {
+    if (!reference()) {
       if (const Transaction* hit = cache_.Lookup(ParseTxnKey(txn_key))) {
         relevant.push_back(*hit);
         continue;
@@ -378,8 +372,9 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
     ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
     ++decoded;
     // The window filter above established the epoch committed, so the
-    // decoded transaction is immutable and admissible.
-    if (delta) cache_.Admit(txn);
+    // decoded transaction is immutable and admissible. The reference,
+    // which never reads the arena, skips the admit's copy.
+    if (!reference()) cache_.Admit(txn);
     relevant.push_back(std::move(txn));
   }
 
@@ -391,7 +386,7 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
   TxnIdSet shipped;
   std::deque<TransactionId> pending;
   for (const Transaction& txn : relevant) {
-    if (delta && cache_.KnownApplied(peer, txn.id)) continue;
+    if (!reference() && cache_.KnownApplied(peer, txn.id)) continue;
     if (HasDecision(peer, txn.id)) continue;  // own or already decided
     const int priority = policy.PriorityOfTransaction(txn);
     if (priority <= 0) continue;
@@ -409,21 +404,20 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
     const TransactionId id = pending.front();
     pending.pop_front();
     if (shipped.count(id) != 0) continue;
-    if (delta && cache_.KnownApplied(peer, id)) continue;
+    if (!reference() && cache_.KnownApplied(peer, id)) continue;
     if (IsApplied(peer, id)) continue;
     ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));
     shipped.insert(id);
     for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
     fetch.transactions.push_back(std::move(txn));
   }
-  if (delta) {
-    const core::FetchCache::Stats& after = cache_.stats();
-    fetch.stats.cache_hits = after.hits - cache_before.hits;
-    fetch.stats.decoded = after.misses - cache_before.misses;
-    fetch.stats.suppressed_lookups = after.suppressed - cache_before.suppressed;
-  } else {
-    fetch.stats.decoded = decoded;
-  }
+  const core::FetchCache::Stats& after = cache_.stats();
+  fetch.stats.cache_hits = after.hits - cache_before.hits;
+  fetch.stats.suppressed_lookups = after.suppressed - cache_before.suppressed;
+  // The reference never consults the arena, so it counts its scan's
+  // decodes itself.
+  fetch.stats.decoded =
+      reference() ? decoded : after.misses - cache_before.misses;
 
   // Record the reconciliation and advance the peer's epoch watermark
   // only now that the fetch is assembled: a failure anywhere above must
@@ -498,12 +492,10 @@ Status CentralStore::RecordDecisions(
       EpochKey(recno) + ":" +
           std::to_string(applied.size() + rejected.size())));
   ORCH_RETURN_IF_ERROR(engine_->Sync());
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // Only now — past the sync — are the accepts durable enough for the
-    // suppression overlay. A failure above leaves the overlay untouched
-    // and the next fetch falls back to the engine's decision rows.
-    for (const TransactionId& id : applied) cache_.MarkApplied(peer, id);
-  }
+  // Only now — past the sync — are the accepts durable enough for the
+  // suppression overlay. A failure above leaves the overlay untouched
+  // and the next fetch falls back to the engine's decision rows.
+  for (const TransactionId& id : applied) cache_.MarkApplied(peer, id);
   const int64_t bytes =
       static_cast<int64_t>((applied.size() + rejected.size()) * 16);
   network_->Charge(peer, 2, bytes / 2);
@@ -614,14 +606,12 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
               if (a.epoch != b.epoch) return a.epoch < b.epoch;
               return a.id < b.id;
             });
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // The scan above is the authoritative applied set; replace the
-    // conservative overlay with it so the recovered peer's first fetch
-    // suppresses everything it durably applied.
-    TxnIdSet applied_ids;
-    for (const Transaction& txn : bundle.applied) applied_ids.insert(txn.id);
-    cache_.ResetApplied(peer, std::move(applied_ids));
-  }
+  // The scan above is the authoritative applied set; replace the
+  // conservative overlay with it so the recovered peer's first fetch
+  // suppresses everything it durably applied.
+  TxnIdSet applied_ids;
+  for (const Transaction& txn : bundle.applied) applied_ids.insert(txn.id);
+  cache_.ResetApplied(peer, std::move(applied_ids));
 
   // Undecided trusted transactions within the watermark: the deferred
   // backlog, plus the antecedent closures needed to re-reconcile them.
@@ -785,11 +775,9 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
     bundle.closure.push_back(std::move(txn));
   }
   ORCH_RETURN_IF_ERROR(engine_->Sync());
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // The adopted accepts just synced under the new peer's own name.
-    for (const Transaction& txn : bundle.applied) {
-      cache_.MarkApplied(new_peer, txn.id);
-    }
+  // The adopted accepts just synced under the new peer's own name.
+  for (const Transaction& txn : bundle.applied) {
+    cache_.MarkApplied(new_peer, txn.id);
   }
 
   network_->Charge(new_peer, 2, bytes / 2);

@@ -54,10 +54,11 @@ struct CentralStoreOptions {
   /// freeze every peer forever). Committed ("done") epochs are never
   /// touched; an aborted epoch can never commit.
   int stuck_epoch_reap_threshold = 3;
-  /// How reconciliation fetches are assembled; kDelta adds the decoded-
-  /// transaction arena, applied-set lookup suppression, and the
-  /// monotone stable-floor scan bound. Decisions are identical across
-  /// modes (see core::FetchMode).
+  /// How reconciliation fetches are assembled. kFull is the reference:
+  /// it scans from epoch 0 and bypasses the decoded-transaction arena,
+  /// the applied overlay and the stable floor, so every fetch reads the
+  /// stored rows (and verifies their checksums). Decisions are identical
+  /// across modes (see core::FetchMode).
   core::FetchMode fetch_mode = core::FetchMode::kDelta;
   /// Verify the envelope checksum on every stored transaction row read
   /// (detected rot is re-read; the storage.bit_flip site draws fresh
@@ -127,11 +128,14 @@ class CentralStore : public core::UpdateStore,
   Result<std::string> ReadTxnBlob(const std::string& txn_key) const;
 
   Result<core::Transaction> LoadTxn(const core::TransactionId& id) const;
-  /// LoadTxn via the decoded-transaction arena (kDelta): an arena hit
-  /// skips both the engine read and the decode; a miss decodes and
-  /// admits the transaction when its epoch committed. Under
-  /// kFull/kWindowed this is exactly LoadTxn.
+  /// LoadTxn via the decoded-transaction arena: a hit skips both the
+  /// engine read and the decode (the reference never looks); a miss
+  /// decodes and admits the transaction when its epoch committed.
   Result<core::Transaction> LoadTxnCached(const core::TransactionId& id) const;
+  /// True for the kFull reference, which reads no soft state.
+  bool reference() const {
+    return options_.fetch_mode == core::FetchMode::kFull;
+  }
   bool HasDecision(core::ParticipantId peer,
                    const core::TransactionId& id) const;
   bool IsApplied(core::ParticipantId peer, const core::TransactionId& id) const;
@@ -156,14 +160,14 @@ class CentralStore : public core::UpdateStore,
   std::unordered_map<core::ParticipantId, const core::TrustPolicy*> policies_;
   /// Soft state: open-epoch observation counts driving the reaper.
   std::unordered_map<core::Epoch, int> epoch_strikes_;
-  /// Soft state for kDelta: the shared decoded-transaction arena and
-  /// per-peer applied overlays. Mutable because recovery reads
-  /// (FetchRecoveryState) refresh it.
+  /// Soft state: the shared decoded-transaction arena and per-peer
+  /// applied overlays, read only outside the reference. Mutable because
+  /// recovery reads (FetchRecoveryState) refresh it.
   mutable core::FetchCache cache_;
   /// Largest epoch with every epoch at or below it terminal (done or
   /// aborted). Epoch numbers are allocated monotonically, so rows never
   /// appear at or below the floor again and the stable-epoch scan can
-  /// start past it (kDelta only).
+  /// start past it (outside the reference).
   core::Epoch stable_floor_ = 0;
   /// Largest committed ("done") epoch at or below stable_floor_ — the
   /// scan's starting value for the stable watermark.

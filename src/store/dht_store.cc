@@ -301,38 +301,6 @@ Result<std::string> DhtStore::ShipPayload(ParticipantId peer,
   return delivered;
 }
 
-Result<Transaction> DhtStore::ShipTxn(ParticipantId peer,
-                                      const std::string& wire,
-                                      const Transaction& fallback) const {
-  ORCH_ASSIGN_OR_RETURN(std::string delivered, ShipPayload(peer, wire));
-  if (options_.verify_checksums) {
-    auto txn = DecodeWire(delivered);
-    if (!txn.ok()) {
-      static Counter& detected = MetricsRegistry::Global().GetCounter(
-          "integrity.corrupt_payloads_detected");
-      detected.Increment();
-      // Transient by construction: a re-sent payload draws fresh
-      // randomness, so the participant's retry loop re-fetches.
-      return Status::Corruption("transaction " + fallback.id.ToString() +
-                                " corrupted in flight");
-    }
-    return txn;
-  }
-  if (!db::UnwrapEnvelope(delivered, db::EnvelopePolicy::kRequireFrame)
-           .ok()) {
-    UnverifiedCorruptReads().Increment();
-  }
-  auto loose =
-      db::UnwrapEnvelope(delivered, db::EnvelopePolicy::kTrustUnverified);
-  if (loose.ok()) {
-    size_t pos = 0;
-    if (auto txn = core::DecodeTransaction(*loose, &pos); txn.ok()) {
-      return *std::move(txn);
-    }
-  }
-  return fallback;
-}
-
 bool DhtStore::EpochCommitted(Epoch e) const {
   for (size_t node : GroupFor("epoch:" + std::to_string(e))) {
     if (!nodes_[node].KnowsEpoch(e)) continue;
@@ -486,11 +454,9 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
         " was aborted before commit; republish"));
   }
   MutateGroup(ekey, [&](NodeState& node) { node.epoch_done.insert(epoch); });
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // The publisher's implicit self-accepts just committed with the
-    // epoch; future fetches need not ask their controllers.
-    for (const Transaction& txn : txns) cache_.MarkApplied(peer, txn.id);
-  }
+  // The publisher's implicit self-accepts just committed with the epoch;
+  // future fetches need not ask their controllers.
+  for (const Transaction& txn : txns) cache_.MarkApplied(peer, txn.id);
   DirectSend(peer, 8);  // ack to publisher (commit already durable)
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
@@ -513,7 +479,9 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   TraceSpan span("dht.fetch");
   const core::TrustPolicy& policy = *policy_it->second;
   const size_t my_node = NodeOfPeer(peer);
-  const bool delta = options_.fetch_mode == core::FetchMode::kDelta;
+  // The kFull reference scans from epoch 0 and never consults the
+  // applied overlay; everything else below is shared by both modes.
+  const bool reference = options_.fetch_mode == core::FetchMode::kFull;
   const core::FetchCache::Stats cache_before = cache_.stats();
   // Integrity counter snapshots: the deltas over this fetch become the
   // per-round FetchStats integrity fields.
@@ -537,10 +505,10 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   const std::string pkey = "peer:" + std::to_string(peer);
   ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 16));
   CoordEntry coord_entry = nodes_[CoordinatorNode(peer)].coordinated[peer];
-  // kFull ignores the durable watermark for the scan window and re-walks
-  // the whole history; the participant's catch-up path absorbs resends.
-  const Epoch prev =
-      options_.fetch_mode == core::FetchMode::kFull ? 0 : coord_entry.epoch;
+  // The reference ignores the durable watermark for the scan window and
+  // re-walks the whole history; the participant's catch-up path absorbs
+  // resends.
+  const Epoch prev = reference ? 0 : coord_entry.epoch;
   coord_entry.recno += 1;
   MutateGroup(pkey,
               [&](NodeState& node) { node.coordinated[peer] = coord_entry; });
@@ -556,51 +524,40 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   // down the replica group.
   Epoch stable = prev;
   std::vector<TransactionId> published;
-  // Per-owner coalescing (kDelta): epochs in (prev, latest] grouped by
-  // their controller's primary owner, one routed multi-get request and
-  // one accumulated direct reply per owner instead of one round trip per
-  // epoch. Keys sharing a primary share the whole replica group, so
-  // failover reads behave exactly as in the per-key path; the epochs are
-  // still *processed* strictly in order, with the same strike/reap/stop
-  // transitions, so the assembled window is identical.
+  // Per-owner coalescing: epochs in (prev, latest] grouped by their
+  // controller's primary owner, one routed multi-get request and one
+  // accumulated direct reply per owner. Keys sharing a primary share the
+  // whole replica group, so one request reaches every epoch's replicas;
+  // the epochs are still *processed* strictly in order, so the strike,
+  // reap and stop transitions see them in epoch order.
   std::vector<size_t> epoch_owner_order;
   std::unordered_map<size_t, int64_t> epoch_reply_bytes;
-  if (delta) {
-    std::unordered_map<size_t, std::pair<Epoch, int64_t>> batches;
-    for (Epoch e = prev + 1; e <= latest; ++e) {
-      const size_t owner = EpochControllerNode(e);
-      auto [it, inserted] = batches.try_emplace(owner, e, 0);
-      if (inserted) epoch_owner_order.push_back(owner);
-      it->second.second += 1;
-    }
-    for (size_t owner : epoch_owner_order) {
-      const auto& [first_epoch, count] = batches[owner];
-      // Route the batch along the first epoch's key: same primary, same
-      // route. 8 bytes per requested epoch number + header.
-      ORCH_RETURN_IF_ERROR(
-          TryRoutedSend(peer, my_node,
-                        net::KeyHash("epoch:" + std::to_string(first_epoch)),
-                        8 * count + 8)
-              .status());
-      epoch_reply_bytes[owner] = 8;
-      fetch.stats.batched_messages += 1;
-    }
+  std::unordered_map<size_t, std::pair<Epoch, int64_t>> batches;
+  for (Epoch e = prev + 1; e <= latest; ++e) {
+    const size_t owner = EpochControllerNode(e);
+    auto [it, inserted] = batches.try_emplace(owner, e, 0);
+    if (inserted) epoch_owner_order.push_back(owner);
+    it->second.second += 1;
+  }
+  for (size_t owner : epoch_owner_order) {
+    const auto& [first_epoch, count] = batches[owner];
+    // Route the batch along the first epoch's key: same primary, same
+    // route. 8 bytes per requested epoch number + header.
+    ORCH_RETURN_IF_ERROR(
+        TryRoutedSend(peer, my_node,
+                      net::KeyHash("epoch:" + std::to_string(first_epoch)),
+                      8 * count + 8)
+            .status());
+    epoch_reply_bytes[owner] = 8;
+    fetch.stats.batched_messages += 1;
   }
   for (Epoch e = prev + 1; e <= latest; ++e) {
     const std::string ekey = "epoch:" + std::to_string(e);
-    if (!delta) {
-      ORCH_RETURN_IF_ERROR(
-          TryRoutedSend(peer, my_node, net::KeyHash(ekey), 16).status());
-    }
     const auto holder = FirstHolder(
         peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
     if (holder.has_value() &&
         nodes_[*holder].epoch_aborted.count(e) != 0) {
-      if (delta) {
-        epoch_reply_bytes[EpochControllerNode(e)] += 8;
-      } else {
-        ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));
-      }
+      epoch_reply_bytes[EpochControllerNode(e)] += 8;
       stable = e;  // nothing to ship, but the watermark passes over it
       continue;
     }
@@ -612,13 +569,8 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
             ? &nodes_[*holder].epoch_contents.at(e)
             : nullptr;
     const size_t count = contents == nullptr ? 0 : contents->size();
-    if (delta) {
-      epoch_reply_bytes[EpochControllerNode(e)] +=
-          static_cast<int64_t>(16 * count + 16);
-    } else {
-      ORCH_RETURN_IF_ERROR(
-          TryDirectSend(peer, static_cast<int64_t>(16 * count + 16)));
-    }
+    epoch_reply_bytes[EpochControllerNode(e)] +=
+        static_cast<int64_t>(16 * count + 16);
     if (!done) {
       const int strikes = ++epoch_strikes_[e];
       if (strikes >= options_.stuck_epoch_reap_threshold) {
@@ -637,13 +589,11 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
       for (const TransactionId& id : *contents) published.push_back(id);
     }
   }
-  if (delta) {
-    // One accumulated reply per controller owner (the owner streams its
-    // epochs' states; the client stops consuming at the first unfinished
-    // epoch, so bytes match what the per-key path would have shipped).
-    for (size_t owner : epoch_owner_order) {
-      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, epoch_reply_bytes[owner]));
-    }
+  // One accumulated reply per controller owner (the owner streams its
+  // epochs' states; the client stops consuming at the first unfinished
+  // epoch).
+  for (size_t owner : epoch_owner_order) {
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, epoch_reply_bytes[owner]));
   }
   fetch.epoch = stable;
 
@@ -652,22 +602,63 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   // controller evaluates the peer's trust predicates and decision log:
   // decided or (top-level) untrusted transactions yield a small
   // "not relevant" reply; everything else is shipped with its priority
-  // and antecedent ids.
+  // and antecedent ids. The closure is walked level by level
+  // (breadth-first). Within a level, same-controller lookups coalesce
+  // into one multi-get request and one accumulated reply per primary
+  // owner; entries are still *processed* in arrival order, so the
+  // shipped transactions come out in breadth-first sequence. Outside the
+  // reference, lookups whose reply must be "not relevant" — the peer
+  // durably applied the transaction — are suppressed before any message
+  // is sent.
   TxnIdSet requested;
-  if (!delta) {
-    std::deque<std::pair<TransactionId, bool>> pending;  // (id, as_antecedent)
-    for (const TransactionId& id : published) pending.emplace_back(id, false);
-    while (!pending.empty()) {
-      const auto [id, as_antecedent] = pending.front();
-      pending.pop_front();
+  std::vector<std::pair<TransactionId, bool>> frontier;
+  for (const TransactionId& id : published) frontier.emplace_back(id, false);
+  while (!frontier.empty()) {
+    std::vector<std::pair<TransactionId, bool>> level;
+    for (const auto& [id, as_antecedent] : frontier) {
       if (!requested.insert(id).second) continue;
-      const std::string tkey = "txn:" + id.ToString();
+      if (!reference && cache_.KnownApplied(peer, id)) continue;  // 'A'
+      level.emplace_back(id, as_antecedent);
+    }
+    frontier.clear();
+    if (level.empty()) continue;
+    std::vector<size_t> owner_order;
+    std::unordered_map<size_t, std::pair<int64_t, int64_t>>
+        batch;  // owner -> (request count, reply bytes)
+    for (const auto& [id, as_antecedent] : level) {
+      (void)as_antecedent;
+      const size_t owner = TxnControllerNode(id);
+      auto [it, inserted] = batch.try_emplace(owner, 0, 8);
+      if (inserted) owner_order.push_back(owner);
+      it->second.first += 1;
+    }
+    for (size_t owner : owner_order) {
+      // Find the first id owned by this controller to route along.
+      const TransactionId* route_id = nullptr;
+      for (const auto& [id, unused] : level) {
+        if (TxnControllerNode(id) == owner) {
+          route_id = &id;
+          break;
+        }
+      }
       ORCH_RETURN_IF_ERROR(
-          TryRoutedSend(peer, my_node, net::KeyHash(tkey), 24).status());
+          TryRoutedSend(peer, my_node,
+                        net::KeyHash("txn:" + route_id->ToString()),
+                        24 * batch[owner].first)
+              .status());
+      fetch.stats.batched_messages += 1;
+    }
+    // Shipped transactions accumulate per owner as one concatenated
+    // payload of envelope frames; placeholders keep fetch.transactions
+    // in arrival order and are overwritten by what actually arrives.
+    std::unordered_map<size_t, std::string> ship_buf;
+    std::unordered_map<size_t, std::vector<size_t>> ship_idx;
+    for (const auto& [id, as_antecedent] : level) {
       ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
       const NodeState& node = nodes_[read.holder];
       const Transaction& txn = read.txn;
-      // Decision check at the controller.
+      const size_t owner = TxnControllerNode(id);
+      int64_t& reply_bytes = batch[owner].second;
       char decided = 0;
       auto dec_it = node.decisions.find(id);
       if (dec_it != node.decisions.end()) {
@@ -675,149 +666,64 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
         if (peer_it != dec_it->second.end()) decided = peer_it->second.verdict;
       }
       if (decided == 'A' || (!as_antecedent && decided != 0)) {
-        ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));  // "not relevant"
+        reply_bytes += 8;  // "not relevant"
         continue;
       }
       const int priority = policy.PriorityOfTransaction(txn);
       if (!as_antecedent && priority <= 0) {
-        ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));  // "untrusted"
+        reply_bytes += 8;  // "untrusted"
         continue;
       }
-      // Ship the transaction end-to-end: the reply carries the verified
-      // wire blob, and the peer unwraps and decodes what actually
-      // arrived. The priority rides in a small side message.
-      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));
-      ORCH_ASSIGN_OR_RETURN(Transaction delivered,
-                            ShipTxn(peer, read.wire, txn));
+      reply_bytes += 8;  // per-txn header; the blob rides the payload
+      ship_buf[owner].append(read.wire);
+      ship_idx[owner].push_back(fetch.transactions.size());
       if (!as_antecedent) fetch.trusted.emplace_back(id, priority);
-      for (const TransactionId& ante : delivered.antecedents) {
-        pending.emplace_back(ante, true);
+      fetch.transactions.push_back(txn);
+      for (const TransactionId& ante : txn.antecedents) {
+        frontier.emplace_back(ante, true);
       }
-      fetch.transactions.push_back(std::move(delivered));
     }
-  } else {
-    // The FIFO above drains one antecedent level completely before the
-    // next, so walking the closure level by level visits ids in the
-    // same order. Within a level, same-controller lookups coalesce into
-    // one multi-get request and one accumulated reply per primary
-    // owner; entries are still *processed* in arrival order, so the
-    // shipped transactions come out in the identical sequence. Lookups
-    // whose reply must be "not relevant" — the peer durably applied the
-    // transaction — are suppressed before any message is sent.
-    std::vector<std::pair<TransactionId, bool>> frontier;
-    for (const TransactionId& id : published) frontier.emplace_back(id, false);
-    while (!frontier.empty()) {
-      std::vector<std::pair<TransactionId, bool>> level;
-      for (const auto& [id, as_antecedent] : frontier) {
-        if (!requested.insert(id).second) continue;
-        if (cache_.KnownApplied(peer, id)) continue;  // would reply 'A'
-        level.emplace_back(id, as_antecedent);
-      }
-      frontier.clear();
-      if (level.empty()) continue;
-      std::vector<size_t> owner_order;
-      std::unordered_map<size_t, std::pair<int64_t, int64_t>>
-          batch;  // owner -> (request count, reply bytes)
-      for (const auto& [id, as_antecedent] : level) {
-        (void)as_antecedent;
-        const size_t owner = TxnControllerNode(id);
-        auto [it, inserted] = batch.try_emplace(owner, 0, 8);
-        if (inserted) owner_order.push_back(owner);
-        it->second.first += 1;
-      }
-      for (size_t owner : owner_order) {
-        // Find the first id owned by this controller to route along.
-        const TransactionId* route_id = nullptr;
-        for (const auto& [id, unused] : level) {
-          if (TxnControllerNode(id) == owner) {
-            route_id = &id;
+    for (size_t owner : owner_order) {
+      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, batch[owner].second));
+      auto buf_it = ship_buf.find(owner);
+      if (buf_it == ship_buf.end()) continue;
+      // The owner's accumulated blob payload travels as one message;
+      // the receiver walks the frames and keeps what verifies.
+      ORCH_ASSIGN_OR_RETURN(const std::string delivered,
+                            ShipPayload(peer, buf_it->second));
+      size_t pos = 0;
+      // Frames were appended in slot order, so walking the slots walks
+      // the frames; the map only buckets per owner (the slot vector
+      // itself is ordered).
+      const std::vector<size_t>& slots = ship_idx[owner];
+      for (size_t idx : slots) {
+        auto body = db::ReadEnvelope(delivered, &pos);
+        if (!body.ok()) {
+          if (!options_.verify_checksums) {
+            // Control arm: framing lost mid-batch; the remaining
+            // placeholders (the sender-side copies) stand in, the way
+            // an unchecksummed reader would never notice.
+            UnverifiedCorruptReads().Increment();
             break;
           }
+          static Counter& detected = MetricsRegistry::Global().GetCounter(
+              "integrity.corrupt_payloads_detected");
+          detected.Increment();
+          return Status::Corruption(
+              "multi-get reply corrupted in flight");
         }
-        ORCH_RETURN_IF_ERROR(
-            TryRoutedSend(peer, my_node,
-                          net::KeyHash("txn:" + route_id->ToString()),
-                          24 * batch[owner].first)
-                .status());
-        fetch.stats.batched_messages += 1;
-      }
-      // Shipped transactions accumulate per owner as one concatenated
-      // payload of envelope frames; placeholders keep fetch.transactions
-      // in arrival order and are overwritten by what actually arrives.
-      std::unordered_map<size_t, std::string> ship_buf;
-      std::unordered_map<size_t, std::vector<size_t>> ship_idx;
-      for (const auto& [id, as_antecedent] : level) {
-        ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
-        const NodeState& node = nodes_[read.holder];
-        const Transaction& txn = read.txn;
-        const size_t owner = TxnControllerNode(id);
-        int64_t& reply_bytes = batch[owner].second;
-        char decided = 0;
-        auto dec_it = node.decisions.find(id);
-        if (dec_it != node.decisions.end()) {
-          auto peer_it = dec_it->second.find(peer);
-          if (peer_it != dec_it->second.end()) decided = peer_it->second.verdict;
+        size_t bpos = 0;
+        auto txn = core::DecodeTransaction(*body, &bpos);
+        if (!txn.ok()) {
+          if (!options_.verify_checksums) continue;
+          return txn.status();
         }
-        if (decided == 'A' || (!as_antecedent && decided != 0)) {
-          reply_bytes += 8;  // "not relevant"
-          continue;
-        }
-        const int priority = policy.PriorityOfTransaction(txn);
-        if (!as_antecedent && priority <= 0) {
-          reply_bytes += 8;  // "untrusted"
-          continue;
-        }
-        reply_bytes += 8;  // per-txn header; the blob rides the payload
-        ship_buf[owner].append(read.wire);
-        ship_idx[owner].push_back(fetch.transactions.size());
-        if (!as_antecedent) fetch.trusted.emplace_back(id, priority);
-        fetch.transactions.push_back(txn);
-        for (const TransactionId& ante : txn.antecedents) {
-          frontier.emplace_back(ante, true);
-        }
-      }
-      for (size_t owner : owner_order) {
-        ORCH_RETURN_IF_ERROR(TryDirectSend(peer, batch[owner].second));
-        auto buf_it = ship_buf.find(owner);
-        if (buf_it == ship_buf.end()) continue;
-        // The owner's accumulated blob payload travels as one message;
-        // the receiver walks the frames and keeps what verifies.
-        ORCH_ASSIGN_OR_RETURN(const std::string delivered,
-                              ShipPayload(peer, buf_it->second));
-        size_t pos = 0;
-        // Frames were appended in slot order, so walking the slots walks
-        // the frames; the map only buckets per owner (the slot vector
-        // itself is ordered).
-        const std::vector<size_t>& slots = ship_idx[owner];
-        for (size_t idx : slots) {
-          auto body = db::ReadEnvelope(delivered, &pos);
-          if (!body.ok()) {
-            if (!options_.verify_checksums) {
-              // Control arm: framing lost mid-batch; the remaining
-              // placeholders (the sender-side copies) stand in, the way
-              // an unchecksummed reader would never notice.
-              UnverifiedCorruptReads().Increment();
-              break;
-            }
-            static Counter& detected = MetricsRegistry::Global().GetCounter(
-                "integrity.corrupt_payloads_detected");
-            detected.Increment();
-            return Status::Corruption(
-                "multi-get reply corrupted in flight");
-          }
-          size_t bpos = 0;
-          auto txn = core::DecodeTransaction(*body, &bpos);
-          if (!txn.ok()) {
-            if (!options_.verify_checksums) continue;
-            return txn.status();
-          }
-          fetch.transactions[idx] = *std::move(txn);
-        }
+        fetch.transactions[idx] = *std::move(txn);
       }
     }
-    fetch.stats.suppressed_lookups =
-        cache_.stats().suppressed - cache_before.suppressed;
   }
+  fetch.stats.suppressed_lookups =
+      cache_.stats().suppressed - cache_before.suppressed;
 
   // Commit the new watermark at the coordinator group only now that the
   // fetch is fully assembled: a lost message anywhere above must not
@@ -861,53 +767,34 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
   Stopwatch cpu;
   const size_t my_node = NodeOfPeer(peer);
   // Notify each transaction's controller group, tagging the decision
-  // with the reconciliation that produced it. Recording is idempotent,
-  // so a retry after a lost message simply re-sends the whole outcome.
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // Same-controller notifications coalesce into one replicated
-    // multi-put per primary owner (keys sharing a primary share the
-    // whole replica group); every id's group state mutates exactly as
-    // in the per-key path.
-    std::vector<std::pair<TransactionId, char>> outcomes;
-    outcomes.reserve(applied.size() + rejected.size());
-    for (const TransactionId& id : applied) outcomes.emplace_back(id, 'A');
-    for (const TransactionId& id : rejected) outcomes.emplace_back(id, 'R');
-    std::vector<size_t> owner_order;
-    std::unordered_map<size_t, std::vector<size_t>> batch;
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      const size_t owner = TxnControllerNode(outcomes[i].first);
-      auto [it, inserted] = batch.try_emplace(owner);
-      if (inserted) owner_order.push_back(owner);
-      it->second.push_back(i);
-    }
-    for (size_t owner : owner_order) {
-      const std::vector<size_t>& members = batch[owner];
-      const std::string route_key =
-          "txn:" + outcomes[members.front()].first.ToString();
-      ORCH_RETURN_IF_ERROR(TryReplicatedSend(
-          peer, my_node, route_key,
-          static_cast<int64_t>(24 * members.size())));
-      for (size_t i : members) {
-        const TransactionId id = outcomes[i].first;
-        const char verdict = outcomes[i].second;
-        MutateGroup("txn:" + id.ToString(), [&](NodeState& node) {
-          node.decisions[id][peer] = Decision{verdict, recno};
-        });
-      }
-    }
-  } else {
-    for (const TransactionId& id : applied) {
-      const std::string key = "txn:" + id.ToString();
-      ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, key, 24));
-      MutateGroup(key, [&](NodeState& node) {
-        node.decisions[id][peer] = Decision{'A', recno};
-      });
-    }
-    for (const TransactionId& id : rejected) {
-      const std::string key = "txn:" + id.ToString();
-      ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, key, 24));
-      MutateGroup(key, [&](NodeState& node) {
-        node.decisions[id][peer] = Decision{'R', recno};
+  // with the reconciliation that produced it. Same-controller
+  // notifications coalesce into one replicated multi-put per primary
+  // owner (keys sharing a primary share the whole replica group).
+  // Recording is idempotent, so a retry after a lost message simply
+  // re-sends the whole outcome.
+  std::vector<std::pair<TransactionId, char>> outcomes;
+  outcomes.reserve(applied.size() + rejected.size());
+  for (const TransactionId& id : applied) outcomes.emplace_back(id, 'A');
+  for (const TransactionId& id : rejected) outcomes.emplace_back(id, 'R');
+  std::vector<size_t> owner_order;
+  std::unordered_map<size_t, std::vector<size_t>> batch;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const size_t owner = TxnControllerNode(outcomes[i].first);
+    auto [it, inserted] = batch.try_emplace(owner);
+    if (inserted) owner_order.push_back(owner);
+    it->second.push_back(i);
+  }
+  for (size_t owner : owner_order) {
+    const std::vector<size_t>& members = batch[owner];
+    const std::string route_key =
+        "txn:" + outcomes[members.front()].first.ToString();
+    ORCH_RETURN_IF_ERROR(TryReplicatedSend(
+        peer, my_node, route_key, static_cast<int64_t>(24 * members.size())));
+    for (size_t i : members) {
+      const TransactionId id = outcomes[i].first;
+      const char verdict = outcomes[i].second;
+      MutateGroup("txn:" + id.ToString(), [&](NodeState& node) {
+        node.decisions[id][peer] = Decision{verdict, recno};
       });
     }
   }
@@ -919,12 +806,10 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
   MutateGroup(pkey, [&](NodeState& node) {
     node.coordinated[peer].decided_recno = recno;
   });
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // Only now — past the completion witness — are the accepts durable
-    // enough for the suppression overlay. A failure above leaves the
-    // overlay untouched and the next fetch asks the controllers again.
-    for (const TransactionId& id : applied) cache_.MarkApplied(peer, id);
-  }
+  // Only now — past the completion witness — are the accepts durable
+  // enough for the suppression overlay. A failure above leaves the
+  // overlay untouched and the next fetch asks the controllers again.
+  for (const TransactionId& id : applied) cache_.MarkApplied(peer, id);
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
   return Status::OK();
@@ -1024,12 +909,10 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
   // controllers, plus antecedent closures from their controllers.
   core::TxnIdSet applied_ids;
   for (const Transaction& txn : bundle.applied) applied_ids.insert(txn.id);
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // The sweep above is the authoritative applied set; replace the
-    // conservative overlay with it so the recovered peer's first fetch
-    // suppresses everything it durably applied.
-    cache_.ResetApplied(peer, applied_ids);
-  }
+  // The sweep above is the authoritative applied set; replace the
+  // conservative overlay with it so the recovered peer's first fetch
+  // suppresses everything it durably applied.
+  cache_.ResetApplied(peer, applied_ids);
   core::TxnIdSet shipped;
   std::deque<std::pair<TransactionId, bool>> pending;
   for (Epoch e = 1; e <= bundle.epoch; ++e) {
@@ -1195,7 +1078,7 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
   // new peer (one bulk round trip per node, as in recovery). Visiting a
   // replica re-adopts the same ids; `adopted` dedupes the bundle while
   // the decision write itself lands on every replica of the group.
-  // Ordered: the kDelta branch below walks this set into the fetch
+  // Ordered: the overlay update below walks this set into the fetch
   // cache, and adoption must replay identically across runs.
   std::set<TransactionId> adopted;
   for (size_t node = 0; node < nodes_.size(); ++node) {
@@ -1221,10 +1104,8 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
               if (a.epoch != b.epoch) return a.epoch < b.epoch;
               return a.id < b.id;
             });
-  if (options_.fetch_mode == core::FetchMode::kDelta) {
-    // The adopted accepts landed on every replica of their groups.
-    for (const TransactionId& id : adopted) cache_.MarkApplied(new_peer, id);
-  }
+  // The adopted accepts landed on every replica of their groups.
+  for (const TransactionId& id : adopted) cache_.MarkApplied(new_peer, id);
 
   // Undecided trusted transactions within the adopted window.
   core::TxnIdSet shipped;

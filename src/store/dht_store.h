@@ -63,10 +63,10 @@ struct DhtStoreOptions {
   /// `replication_factor` live successors). 1 disables replication: a
   /// node crash then loses every key the node owned.
   size_t replication_factor = 3;
-  /// How reconciliation fetches are assembled. kDelta coalesces
-  /// same-controller lookups into per-owner multi-get messages and
-  /// suppresses lookups whose reply must be "not relevant"; decisions
-  /// are identical across modes (see core::FetchMode).
+  /// How reconciliation fetches are assembled. Both modes coalesce
+  /// same-controller lookups into per-owner multi-get messages; kFull,
+  /// the reference, scans from epoch 0 and never consults the applied
+  /// overlay. Decisions are identical across modes (see core::FetchMode).
   core::FetchMode fetch_mode = core::FetchMode::kDelta;
   /// End-to-end verification of transaction blobs: stored replicas are
   /// checked against their envelope checksum on every read (corrupt
@@ -351,15 +351,6 @@ class DhtStore : public core::UpdateStore,
   /// in the delivered bytes.
   Result<std::string> ShipPayload(core::ParticipantId peer,
                                   std::string_view wire) const;
-  /// Ships one transaction end-to-end: the receiver unwraps and decodes
-  /// the delivered envelope. Detected in-flight corruption returns
-  /// kCorruption — transient, the participant's retry loop re-fetches.
-  /// With verify_checksums off a corrupt delivery decodes loosely or
-  /// silently falls back to `fallback`.
-  Result<core::Transaction> ShipTxn(core::ParticipantId peer,
-                                    const std::string& wire,
-                                    const core::Transaction& fallback) const;
-
   /// True when epoch `e` committed (finished and not aborted) on any
   /// replica still holding it.
   bool EpochCommitted(core::Epoch e) const;
@@ -389,10 +380,11 @@ class DhtStore : public core::UpdateStore,
   std::unordered_map<core::ParticipantId, const core::TrustPolicy*> policies_;
   /// Soft state: unfinished-epoch observation counts driving the reaper.
   std::unordered_map<core::Epoch, int> epoch_strikes_;
-  /// Soft state for kDelta: per-peer applied overlays behind lookup
-  /// suppression. DHT nodes already hold decoded transactions, so the
-  /// arena half of the cache is unused here. Mutable because recovery
-  /// reads (FetchRecoveryState) refresh it.
+  /// Soft state: per-peer applied overlays behind lookup suppression
+  /// (always written, read only outside the reference). DHT nodes
+  /// already hold decoded transactions, so the arena half of the cache
+  /// is unused here. Mutable because recovery reads (FetchRecoveryState)
+  /// refresh it.
   mutable core::FetchCache cache_;
   mutable std::unordered_map<core::ParticipantId, int64_t> cpu_micros_;
   mutable std::unordered_map<core::ParticipantId, int64_t> calls_;

@@ -20,9 +20,10 @@ CdssConfig SweepConfig(StoreKind kind) {
   if (kind == StoreKind::kCentral) {
     // Under kDelta the central store's publish pre-admits the batch to
     // the decoded-transaction arena and reconciliations never re-read
-    // the stored rows this sweep corrupts; kFull keeps the at-rest read
-    // path hot. (The DHT rots its stored replicas at install time, so
-    // its default mode exercises the detection paths already.)
+    // the stored rows this sweep corrupts; the kFull reference bypasses
+    // the arena, so every fetch reads (and verifies) the stored rows.
+    // (The DHT rots its stored replicas at install time, so its default
+    // mode exercises the detection paths already.)
     cfg.fetch_mode = core::FetchMode::kFull;
   }
   return cfg;

@@ -2,12 +2,16 @@
 // (core::FetchMode::kDelta) are a pure cost optimization. Multi-round
 // runs with interleaved publishes — fault-free, with injected faults
 // (the fault-sweep composition), and under DHT node churn — must
-// produce per-peer decision sets bit-identical to the full-fetch and
-// windowed baselines. The DHT's batched multi-get must also visibly
-// reduce message counts, or the batching layer is dead code.
+// produce per-peer decision sets bit-identical to the kFull reference.
+// kFull shares the fetch pipeline it checks, so the two stores — which
+// share no fetch code — are also diffed against each other. The DHT's
+// multi-gets must visibly carry more than one key each, or the batching
+// layer is dead code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,7 +21,6 @@ namespace orchestra::sim {
 namespace {
 
 constexpr core::FetchMode kModes[] = {core::FetchMode::kFull,
-                                      core::FetchMode::kWindowed,
                                       core::FetchMode::kDelta};
 
 CdssConfig BaseConfig(StoreKind kind) {
@@ -64,19 +67,13 @@ class DeltaFetchTest : public ::testing::TestWithParam<StoreKind> {};
 TEST_P(DeltaFetchTest, ModesProduceIdenticalDecisions) {
   const ModeOutcome baseline = RunMode(BaseConfig(GetParam()),
                                        core::FetchMode::kFull);
-  for (core::FetchMode mode : {core::FetchMode::kWindowed,
-                               core::FetchMode::kDelta}) {
-    const ModeOutcome outcome = RunMode(BaseConfig(GetParam()), mode);
-    EXPECT_EQ(outcome.result.accepted, baseline.result.accepted)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.result.rejected, baseline.result.rejected)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.result.deferred, baseline.result.deferred)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.result.state_ratio, baseline.result.state_ratio)
-        << core::FetchModeName(mode);
-    EXPECT_EQ(outcome.peers, baseline.peers) << core::FetchModeName(mode);
-  }
+  const ModeOutcome outcome = RunMode(BaseConfig(GetParam()),
+                                      core::FetchMode::kDelta);
+  EXPECT_EQ(outcome.result.accepted, baseline.result.accepted);
+  EXPECT_EQ(outcome.result.rejected, baseline.result.rejected);
+  EXPECT_EQ(outcome.result.deferred, baseline.result.deferred);
+  EXPECT_EQ(outcome.result.state_ratio, baseline.result.state_ratio);
+  EXPECT_EQ(outcome.peers, baseline.peers);
 }
 
 TEST_P(DeltaFetchTest, ModesProduceIdenticalDecisionsUnderFaults) {
@@ -124,20 +121,82 @@ TEST(DeltaFetchDhtTest, ModesProduceIdenticalDecisionsUnderChurn) {
 }
 
 TEST(DeltaFetchDhtTest, BatchedMultiGetReducesMessages) {
-  // Same schedule, same decisions — fewer protocol messages at every
-  // step down: full re-requests all of history each round, windowed
-  // requests only the new window but one message per key, delta batches
-  // the window's keys into per-owner multi-gets.
+  // Both modes fetch through per-owner multi-gets, so each multi-get
+  // must carry more than one key on average: fewer multi-get messages
+  // (the registry mirror of the summed FetchStats::batched_messages)
+  // than transactions shipped. Same schedule, same decisions — and delta,
+  // which requests only the new window and skips what the peer already
+  // applied, sends fewer messages than the full reference.
   const ModeOutcome full = RunMode(BaseConfig(StoreKind::kDht),
                                    core::FetchMode::kFull);
-  const ModeOutcome windowed = RunMode(BaseConfig(StoreKind::kDht),
-                                       core::FetchMode::kWindowed);
   const ModeOutcome delta = RunMode(BaseConfig(StoreKind::kDht),
                                     core::FetchMode::kDelta);
-  EXPECT_LT(delta.result.messages, windowed.result.messages);
-  EXPECT_LT(windowed.result.messages, full.result.messages);
+  for (const ModeOutcome* outcome : {&full, &delta}) {
+    const auto& metrics = outcome->result.metrics;
+    const int64_t batched = metrics.at("store.dht.multi_get_batches");
+    EXPECT_GT(batched, 0);
+    EXPECT_LT(batched, metrics.at("store.dht.shipped_txns"));
+  }
+  EXPECT_LT(delta.result.messages, full.result.messages);
   EXPECT_EQ(delta.peers, full.peers);
 }
+
+// The stores share no fetch code — rows and stored procedures on one
+// side, controllers and multi-gets over a ring on the other — so a
+// fault-free run on each is an independent reference for the other's
+// only fetch path. Each config shapes the fetches differently: deferral
+// backlogs (uniform), resolved conflicts (tiered, star), multi-update
+// extensions (size 2) and store-side analysis (network-centric).
+struct CrossStoreCase {
+  const char* name;
+  size_t participants;
+  size_t rounds;
+  size_t txns_between_recons;
+  TrustTopology topology;
+  size_t transaction_size;
+  bool network_centric;
+};
+
+void PrintTo(const CrossStoreCase& c, std::ostream* os) { *os << c.name; }
+
+class CrossStoreTest : public ::testing::TestWithParam<CrossStoreCase> {};
+
+TEST_P(CrossStoreTest, CentralAndDhtDecideIdentically) {
+  const CrossStoreCase& c = GetParam();
+  CdssConfig cfg;
+  cfg.participants = c.participants;
+  cfg.rounds = c.rounds;
+  cfg.txns_between_recons = c.txns_between_recons;
+  cfg.topology = c.topology;
+  cfg.transaction_size = c.transaction_size;
+  cfg.network_centric = c.network_centric;
+  cfg.store = StoreKind::kCentral;
+  const ModeOutcome central = RunMode(cfg, core::FetchMode::kDelta);
+  cfg.store = StoreKind::kDht;
+  const ModeOutcome dht = RunMode(cfg, core::FetchMode::kDelta);
+  EXPECT_GT(central.result.accepted, 0u);
+  EXPECT_EQ(dht.result.accepted, central.result.accepted);
+  EXPECT_EQ(dht.result.rejected, central.result.rejected);
+  EXPECT_EQ(dht.result.deferred, central.result.deferred);
+  EXPECT_EQ(dht.result.state_ratio, central.result.state_ratio);
+  EXPECT_EQ(dht.peers, central.peers);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, CrossStoreTest,
+    ::testing::Values(
+        CrossStoreCase{"Uniform10x4", 10, 4, 2, TrustTopology::kUniform, 1,
+                       false},
+        CrossStoreCase{"Uniform16x16", 16, 16, 2, TrustTopology::kUniform, 1,
+                       false},
+        CrossStoreCase{"Tiered16x16", 16, 16, 2, TrustTopology::kTiered, 1,
+                       false},
+        CrossStoreCase{"Star12x8", 12, 8, 2, TrustTopology::kStar, 1, false},
+        CrossStoreCase{"Size2_10x6Ri4", 10, 6, 4, TrustTopology::kUniform, 2,
+                       false},
+        CrossStoreCase{"NetworkCentric10x6", 10, 6, 2, TrustTopology::kUniform,
+                       1, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(DeltaFetchCentralTest, DeltaServesRepeatWindowsFromTheCache) {
   // Drive rounds manually so per-reconciliation fetch stats are visible:

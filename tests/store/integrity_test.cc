@@ -252,21 +252,25 @@ TEST_F(UnverifiedDhtTest, ControlArmConsumesRotUndetected) {
   EXPECT_EQ(CounterValue("integrity.read_repairs"), repairs_before);
 }
 
-class CentralIntegrityTest : public ::testing::Test {
- protected:
-  // kFull keeps the at-rest read path hot: under kDelta the publish
-  // pre-admits the batch to the decoded-transaction arena, and the rows
-  // these tests corrupt would never be read back from the engine.
-  static CentralStoreOptions FullFetchOptions() {
-    CentralStoreOptions opts;
-    opts.fetch_mode = core::FetchMode::kFull;
-    return opts;
-  }
+/// The paths by which a central reconciliation reads a stored row back
+/// from the engine. The shipping kDelta store's publish pre-admits the
+/// batch to its decoded-transaction arena, so its own fetches never
+/// touch the rows these tests corrupt; each path below must.
+enum class ColdRead {
+  kFullFetch,       // the kFull reference, which bypasses the arena
+  kRestartedStore,  // a default store restarted over the engine (cold arena)
+  kRecovery,        // FetchRecoveryState's undecided-backlog scan
+};
 
-  explicit CentralIntegrityTest(CentralStoreOptions opts = FullFetchOptions())
-      : catalog_(MakeProteinCatalog()) {
+class CentralIntegrityTest : public ::testing::TestWithParam<ColdRead> {
+ protected:
+  CentralIntegrityTest() : catalog_(MakeProteinCatalog()) {
     engine_ = storage::StorageEngine::InMemory();
     engine_->set_fault_injector(&injector_);
+    CentralStoreOptions opts;
+    if (GetParam() == ColdRead::kFullFetch) {
+      opts.fetch_mode = core::FetchMode::kFull;
+    }
     store_ = std::make_unique<CentralStore>(engine_.get(), &network_, opts);
     for (ParticipantId id = 1; id <= 2; ++id) {
       auto policy = std::make_unique<TrustPolicy>(id);
@@ -288,6 +292,38 @@ class CentralIntegrityTest : public ::testing::Test {
     injector_.Configure(cfg);
   }
 
+  /// Peer 1 publishes one transaction, and the store is readied so that
+  /// ReadBack's first engine access is a read of that row.
+  void PublishOne() {
+    ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "x", 1)}).ok());
+    ASSERT_TRUE(P(1).Publish(store_.get()).ok());
+    if (GetParam() == ColdRead::kRestartedStore) {
+      store_ = std::make_unique<CentralStore>(engine_.get(), &network_);
+      for (ParticipantId id = 1; id <= 2; ++id) {
+        ASSERT_TRUE(
+            store_->RegisterParticipant(id, policies_[id - 1].get()).ok());
+      }
+    } else if (GetParam() == ColdRead::kRecovery) {
+      // Peer 2 fetched but crashed before recording its decisions: the
+      // row lies inside its watermark, undecided, and recovery re-reads
+      // it from the engine (the warm arena only serves applied rows).
+      ASSERT_TRUE(store_->BeginReconciliation(2).ok());
+    }
+  }
+
+  /// Peer 2 reads the published row through the parameter's path;
+  /// returns how many transactions it got back.
+  Result<size_t> ReadBack() {
+    if (GetParam() == ColdRead::kRecovery) {
+      ORCH_ASSIGN_OR_RETURN(core::RecoveryBundle bundle,
+                            store_->FetchRecoveryState(2));
+      return bundle.undecided.size();
+    }
+    ORCH_ASSIGN_OR_RETURN(core::ReconcileReport report,
+                          P(2).Reconcile(store_.get()));
+    return report.accepted.size() + report.deferred.size();
+  }
+
   db::Catalog catalog_;
   net::SimNetwork network_;
   FaultInjector injector_;
@@ -297,13 +333,12 @@ class CentralIntegrityTest : public ::testing::Test {
   std::vector<std::unique_ptr<core::Participant>> participants_;
 };
 
-TEST_F(CentralIntegrityTest, CorruptRowReadIsDetectedAndReRead) {
-  ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "x", 1)}).ok());
-  ASSERT_TRUE(P(1).Publish(store_.get()).ok());
+TEST_P(CentralIntegrityTest, CorruptRowReadIsDetectedAndReRead) {
+  PublishOne();
 
   // The central store's rot is per read (the re-read models fetching
   // the page from the RDBMS's redundant storage): corrupt the first row
-  // read of the reconciliation, leave every later draw clean.
+  // read, leave every later draw clean.
   const uint64_t seed = FindCorruptionSeed(
       0.5, {true, false, false, false, false, false, false, false});
   ASSERT_NE(seed, 0u);
@@ -311,31 +346,46 @@ TEST_F(CentralIntegrityTest, CorruptRowReadIsDetectedAndReRead) {
 
   const int64_t detected_before = CounterValue("integrity.corrupt_rows_detected");
   const int64_t rereads_before = CounterValue("integrity.row_rereads");
-  auto report = P(2).Reconcile(store_.get());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->accepted.size() + report->deferred.size(), 1u);
+  auto read = ReadBack();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, 1u);
   EXPECT_EQ(CounterValue("integrity.corrupt_rows_detected"),
             detected_before + 1);
   EXPECT_EQ(CounterValue("integrity.row_rereads"), rereads_before + 1);
 }
 
-TEST_F(CentralIntegrityTest, RowRottenOnEveryReadIsTypedDataLoss) {
-  ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "x", 1)}).ok());
-  ASSERT_TRUE(P(1).Publish(store_.get()).ok());
+TEST_P(CentralIntegrityTest, RowRottenOnEveryReadIsTypedDataLoss) {
+  PublishOne();
 
   ArmBitFlip(1.0, 7);  // every read attempt rots: re-reads exhaust
-  auto report = P(2).Reconcile(store_.get());
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kDataLoss)
-      << report.status().ToString();
+  auto read = ReadBack();
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kDataLoss)
+      << read.status().ToString();
 
-  // Disarming models the rot having been transient: the same fetch now
+  // Disarming models the rot having been transient: the same read now
   // succeeds — nothing in the store itself was damaged.
   injector_.Disable();
-  auto healed = P(2).Reconcile(store_.get());
+  auto healed = ReadBack();
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
-  EXPECT_EQ(healed->accepted.size() + healed->deferred.size(), 1u);
+  EXPECT_EQ(*healed, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ColdReads, CentralIntegrityTest,
+    ::testing::Values(ColdRead::kFullFetch, ColdRead::kRestartedStore,
+                      ColdRead::kRecovery),
+    [](const auto& info) -> std::string {
+      switch (info.param) {
+        case ColdRead::kFullFetch:
+          return "FullFetch";
+        case ColdRead::kRestartedStore:
+          return "RestartedStore";
+        case ColdRead::kRecovery:
+          return "Recovery";
+      }
+      return "Unknown";
+    });
 
 // Satellite (a): replay of a WAL whose corrupt region swallowed decision
 // log rows must surface typed data loss on recovery, not silently
