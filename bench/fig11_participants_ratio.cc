@@ -15,7 +15,6 @@ int main() {
   for (size_t peers : {5, 10, 20, 35, 50}) {
     CdssConfig config;
     config.participants = peers;
-    config.num_threads = ThreadsFromEnv();
     config.store = StoreKind::kCentral;
     config.transaction_size = 1;
     config.txns_between_recons = 4;

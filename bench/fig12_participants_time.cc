@@ -19,7 +19,6 @@ int main() {
     for (StoreKind kind : {StoreKind::kCentral, StoreKind::kDht}) {
       CdssConfig config;
       config.participants = peers;
-      config.num_threads = ThreadsFromEnv();
       config.store = kind;
       config.transaction_size = 1;
       config.txns_between_recons = 4;

@@ -4,11 +4,11 @@
 // engine, serialization).
 //
 // Before the google-benchmark suite runs, main() executes a fixed
-// serial-vs-parallel-vs-cached reconciliation study over a 512-
-// transaction workload and writes the wall-time distribution to
-// BENCH_micro_reconcile.json (override the path with the
-// ORCH_BENCH_JSON env var), so the perf trajectory is machine-readable
-// across PRs.
+// reconciliation study over a 512-transaction workload — plain runs
+// interleaved with provenance-collecting runs — and writes the wall-time
+// distribution and the provenance overhead to BENCH_micro_reconcile.json
+// (override the path with the ORCH_BENCH_JSON env var), so the perf
+// trajectory is machine-readable across PRs.
 //
 // Setting ORCH_FAULT_SWEEP=1 switches the binary into a fault-sweep
 // mode instead: a full 25-peer confederation runs against both stores
@@ -59,7 +59,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -68,7 +67,6 @@
 #include "sim/cdss.h"
 #include "core/conflict.h"
 #include "core/flatten.h"
-#include "core/flatten_cache.h"
 #include "core/reconciler.h"
 #include "db/serde.h"
 #include "net/dht.h"
@@ -271,7 +269,7 @@ void BM_TransactionSerde(benchmark::State& state) {
 }
 BENCHMARK(BM_TransactionSerde);
 
-// --- Serial vs. parallel vs. cached reconciliation study. ---
+// --- Reconciliation study: provenance off vs. on. ---
 //
 // Workload: `peers` publisher chains of `per_peer` transactions each.
 // Transaction t of peer p inserts a unique protein and writes one of
@@ -335,8 +333,7 @@ StudyWorkload MakeStudyWorkload(size_t peers, size_t per_peer) {
 }
 
 int64_t RunStudyOnce(const StudyWorkload& w, const core::Reconciler& rec,
-                     core::FlattenCache* cache,
-                     bool collect_provenance = false) {
+                     bool collect_provenance) {
   db::Instance instance(&ProteinCatalog());
   core::TxnIdSet applied, rejected;
   core::RelKeySet dirty;
@@ -347,7 +344,6 @@ int64_t RunStudyOnce(const StudyWorkload& w, const core::Reconciler& rec,
   input.applied = &applied;
   input.rejected = &rejected;
   input.dirty = &dirty;
-  input.flatten_cache = cache;
   input.collect_provenance = collect_provenance;
   Stopwatch clock;
   auto outcome = rec.Run(input, &instance);
@@ -373,46 +369,46 @@ Series Summarize(std::vector<int64_t> samples) {
   return s;
 }
 
+// Nearest-rank quantile of an ascending, non-empty sample.
+double Quantile(const std::vector<double>& sorted, double q) {
+  return sorted[static_cast<size_t>(q * (sorted.size() - 1))];
+}
+
 void RunReconcileStudy() {
   constexpr size_t kPeers = 8;
   constexpr size_t kPerPeer = 64;  // 512 transactions
   constexpr size_t kReps = 5;
   const StudyWorkload w = MakeStudyWorkload(kPeers, kPerPeer);
+  const core::Reconciler rec(&ProteinCatalog());
 
-  struct Config {
-    const char* name;
-    size_t threads;
-    bool cached;
-    bool provenance;
+  // The provenance series collects per-verdict provenance records,
+  // isolating the explainability overhead. The two series run as
+  // interleaved pairs, alternating which side goes first, so host drift
+  // lands inside a pair rather than between the series; the overhead is
+  // the median per-pair ratio.
+  std::vector<int64_t> serial, provenance;
+  std::vector<double> overhead_pct;
+  for (size_t r = 0; r < kReps; ++r) {
+    const bool provenance_first = r % 2 == 1;
+    const int64_t first = RunStudyOnce(w, rec, provenance_first);
+    const int64_t second = RunStudyOnce(w, rec, !provenance_first);
+    serial.push_back(provenance_first ? second : first);
+    provenance.push_back(provenance_first ? first : second);
+    overhead_pct.push_back(100.0 * static_cast<double>(provenance.back()) /
+                               static_cast<double>(serial.back()) -
+                           100.0);
+  }
+  std::sort(overhead_pct.begin(), overhead_pct.end());
+  const double median_pct = Quantile(overhead_pct, 0.5);
+  const double iqr_pct =
+      Quantile(overhead_pct, 0.75) - Quantile(overhead_pct, 0.25);
+  const std::pair<const char*, Series> results[] = {
+      {"serial", Summarize(std::move(serial))},
+      {"provenance_on", Summarize(std::move(provenance))},
   };
-  // The cached series runs serially so the cache effect is isolated
-  // from thread scaling (which depends on the host's core count). The
-  // provenance series is the serial run with per-verdict provenance
-  // records collected, isolating the explainability overhead.
-  const Config configs[] = {
-      {"serial", 1, false, false},      {"parallel_2", 2, false, false},
-      {"parallel_4", 4, false, false},  {"parallel_8", 8, false, false},
-      {"cached_cold", 1, true, false},  {"cached_warm", 1, true, false},
-      {"provenance_on", 1, false, true},
-  };
-
-  std::vector<std::pair<std::string, Series>> results;
-  for (const Config& cfg : configs) {
-    core::Reconciler rec(&ProteinCatalog(),
-                         core::ReconcileOptions{cfg.threads});
-    std::vector<int64_t> samples;
-    const bool warm = std::string(cfg.name) == "cached_warm";
-    core::FlattenCache persistent;
-    if (warm) RunStudyOnce(w, rec, &persistent);  // fill the cache
-    for (size_t r = 0; r < kReps; ++r) {
-      core::FlattenCache fresh;
-      core::FlattenCache* cache =
-          !cfg.cached ? nullptr : (warm ? &persistent : &fresh);
-      samples.push_back(RunStudyOnce(w, rec, cache, cfg.provenance));
-    }
-    results.emplace_back(cfg.name, Summarize(std::move(samples)));
-    std::printf("micro_reconcile study %-13s mean %10.1f us\n", cfg.name,
-                results.back().second.mean_us);
+  for (const auto& [name, series] : results) {
+    std::printf("micro_reconcile study %-13s mean %10.1f us\n", name,
+                series.mean_us);
   }
 
   const char* path = std::getenv("ORCH_BENCH_JSON");
@@ -422,75 +418,30 @@ void RunReconcileStudy() {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
-  const double serial_mean = results[0].second.mean_us;
-  double parallel8_mean = 0, cold_mean = 0, warm_mean = 0;
-  double provenance_mean = 0;
-  // Thread scaling is only meaningful relative to the cores actually
-  // available: on a 1-CPU host every parallel series degenerates to
-  // time-sliced serial execution plus scheduling overhead. Such series
-  // are marked oversubscribed and excluded from the speedup headline —
-  // a 0.94x "speedup" measured on one core says nothing about the
-  // parallel implementation.
-  // hardware_concurrency() returns 0 when the value is "not computable"
-  // (the standard allows it). 0 must read as *unknown*, not as "zero
-  // cores": comparing against it would mark every series — serial
-  // included — oversubscribed and null the headline on perfectly good
-  // many-core hosts.
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  const bool hw_known = hardware_threads != 0;
   std::fprintf(f, "{\n  \"bench\": \"micro_reconcile\",\n");
   std::fprintf(f, "  \"transactions\": %zu,\n  \"repetitions\": %zu,\n",
                kPeers * kPerPeer, kReps);
-  if (hw_known) {
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", hardware_threads);
-  } else {
-    std::fprintf(f, "  \"hardware_threads\": null,\n");
-  }
   std::fprintf(f, "  \"series\": {\n");
-  for (size_t i = 0; i < results.size(); ++i) {
+  for (size_t i = 0; i < std::size(results); ++i) {
     const auto& [name, s] = results[i];
-    if (name == "parallel_8") parallel8_mean = s.mean_us;
-    if (name == "cached_cold") cold_mean = s.mean_us;
-    if (name == "cached_warm") warm_mean = s.mean_us;
-    if (name == "provenance_on") provenance_mean = s.mean_us;
-    const bool parallel_series = name.rfind("parallel_", 0) == 0;
-    const size_t threads =
-        parallel_series ? std::strtoul(name.c_str() + 9, nullptr, 10) : 1;
-    const bool oversubscribed = hw_known && threads > hardware_threads;
     std::fprintf(f,
                  "    \"%s\": {\"mean_us\": %.1f, \"p50_us\": %lld, "
-                 "\"p95_us\": %lld, \"oversubscribed\": %s}%s\n",
-                 name.c_str(), s.mean_us,
-                 static_cast<long long>(s.p50_us),
+                 "\"p95_us\": %lld}%s\n",
+                 name, s.mean_us, static_cast<long long>(s.p50_us),
                  static_cast<long long>(s.p95_us),
-                 oversubscribed ? "true" : "false",
-                 i + 1 < results.size() ? "," : "");
+                 i + 1 < std::size(results) ? "," : "");
   }
   std::fprintf(f, "  },\n");
-  if (hw_known && 8 > hardware_threads) {
-    std::fprintf(f, "  \"speedup_parallel_8_vs_serial\": null,\n");
-    std::fprintf(f,
-                 "  \"speedup_note\": \"parallel series oversubscribed on "
-                 "%u hardware thread(s); no headline speedup\",\n",
-                 hardware_threads);
-  } else {
-    // Unknown hardware width keeps the measured number (annotated by the
-    // per-series flags staying false) rather than suppressing it.
-    std::fprintf(f, "  \"speedup_parallel_8_vs_serial\": %.2f,\n",
-                 serial_mean / parallel8_mean);
-  }
-  std::fprintf(f, "  \"speedup_warm_vs_cold_cache\": %.2f,\n",
-               cold_mean / warm_mean);
-  // Wall-time derived like the speedups, so stripped before the
-  // baseline diff; the budget is enforced by eye (and by CI printing
-  // it), not by a flaky timing gate.
-  const double overhead_pct =
-      serial_mean > 0 ? (provenance_mean / serial_mean - 1.0) * 100.0 : 0;
-  std::fprintf(f, "  \"provenance_overhead_pct\": %.1f\n", overhead_pct);
+  // Wall-time derived, so stripped before the baseline diff; the budget
+  // is enforced by eye (and by CI printing it), not by a flaky timing
+  // gate.
+  std::fprintf(f, "  \"provenance_overhead_pct\": %.1f,\n", median_pct);
+  std::fprintf(f, "  \"provenance_overhead_iqr_pct\": %.1f\n", iqr_pct);
   std::fprintf(f, "}\n");
   std::fclose(f);
-  std::printf("micro_reconcile provenance overhead: %.1f%% (budget 5%%)\n",
-              overhead_pct);
+  std::printf(
+      "micro_reconcile provenance overhead: %.1f%% (IQR %.1f%%, budget 5%%)\n",
+      median_pct, iqr_pct);
   std::printf("micro_reconcile study written to %s\n", path);
 }
 
@@ -1431,20 +1382,17 @@ bool RunCorruptionSweep() {
   return true;
 }
 
-// The same workload as a google-benchmark, parameterized by threads, so
-// `--benchmark_filter=ReconcileStudy` tracks scaling interactively.
+// The same workload as a google-benchmark, so
+// `--benchmark_filter=ReconcileStudy` tracks it interactively.
 void BM_ReconcileStudy(benchmark::State& state) {
   static const StudyWorkload& w = *new StudyWorkload(
       MakeStudyWorkload(8, static_cast<size_t>(64)));
-  core::Reconciler rec(
-      &ProteinCatalog(),
-      core::ReconcileOptions{static_cast<size_t>(state.range(0))});
+  const core::Reconciler rec(&ProteinCatalog());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunStudyOnce(w, rec, nullptr));
+    benchmark::DoNotOptimize(RunStudyOnce(w, rec, false));
   }
 }
-BENCHMARK(BM_ReconcileStudy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReconcileStudy)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -90,11 +90,6 @@ std::string Tracer::path() const {
   return path_;
 }
 
-void Tracer::NameCurrentThread(std::string label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  track_names_[ThreadIndexLocked()] = std::move(label);
-}
-
 uint32_t Tracer::ThreadIndexLocked() {
   // One dense index per thread for the (singleton) wall session.
   // Assigned under mu_ on first use; reads afterwards are thread-local.
@@ -145,7 +140,7 @@ std::string Tracer::ToJson() const {
   json += "{\"traceEvents\":[";
   bool first = true;
   // Track-name metadata first, ordered by tid, so viewers label tracks
-  // ("peer-3", "pool-worker-1") instead of showing bare tids and the
+  // ("peer-3", "thread-1") instead of showing bare tids and the
   // document layout is a pure function of the recorded state.
   for (const auto& [tid, name] : track_names_) {
     if (!first) json += ',';

@@ -63,12 +63,6 @@ class Tracer {
     return session_.load(std::memory_order_relaxed);
   }
 
-  /// Names the calling thread's track in the emitted trace ("M"
-  /// thread_name metadata rows). Callable any time — before or after
-  /// the thread's first event; the latest name wins. Worker threads are
-  /// otherwise labeled "thread-N" in registration order.
-  void NameCurrentThread(std::string label);
-
   /// Appends a begin ('B') or end ('E') event stamped with the steady
   /// clock on the calling thread's track; `name` must outlive the
   /// tracer (string literals in practice). Thread-safe.
@@ -112,8 +106,8 @@ class Tracer {
     int64_t bytes;      // < 0: omitted from the rendered args
   };
 
-  /// Dense track index for the calling thread (registered on first use;
-  /// Global() only).
+  /// Dense track index for the calling thread (registered on first use
+  /// and labeled "thread-N"; Global() only).
   uint32_t ThreadIndexLocked();
 
   const std::string category_;

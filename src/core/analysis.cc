@@ -4,10 +4,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "core/extension.h"
 #include "core/flatten.h"
-#include "core/flatten_cache.h"
 
 namespace orchestra::core {
 
@@ -16,9 +14,7 @@ namespace {
 /// The direct-conflict test for one candidate pair (i, j): the cheap
 /// full-extension conflict test, the Fig. 5 subsumption exemption, and
 /// the Definition 4 shared-antecedent refinement. Returns the conflict
-/// points (empty == no direct conflict). Pure function of the two
-/// transactions' extensions — safe to run concurrently for distinct
-/// pairs and to cache across rounds.
+/// points (empty == no direct conflict).
 std::vector<ConflictPoint> TestCandidatePair(
     const db::Catalog& catalog, const TransactionProvider& provider,
     const TrustedTxn& txn_i, const TrustedTxn& txn_j,
@@ -68,46 +64,15 @@ ReconcileAnalysis::Pair MakeAnalysisPair(size_t i, size_t j,
 void FlattenExtensions(const db::Catalog& catalog,
                        const TransactionProvider& provider,
                        const std::vector<TrustedTxn>& txns,
-                       ReconcileAnalysis* analysis,
-                       const AnalysisOptions& options) {
+                       ReconcileAnalysis* analysis) {
   const size_t start = analysis->up_ex.size();
   analysis->up_ex.resize(txns.size());
   analysis->flatten_ok.resize(txns.size(), 0);
-
-  // Probe the cache on the calling thread; only misses do real work.
-  std::vector<size_t> misses;
-  misses.reserve(txns.size() - start);
-  std::vector<uint64_t> fingerprint;
-  if (options.cache != nullptr) fingerprint.resize(txns.size(), 0);
   for (size_t i = start; i < txns.size(); ++i) {
-    if (options.cache != nullptr) {
-      fingerprint[i] = FlattenCache::ExtensionFingerprint(txns[i].extension);
-      if (const FlattenCache::FlatEntry* hit =
-              options.cache->FindFlat(txns[i].id, fingerprint[i])) {
-        analysis->up_ex[i] = hit->up_ex;
-        analysis->flatten_ok[i] = hit->ok ? 1 : 0;
-        continue;
-      }
-    }
-    misses.push_back(i);
-  }
-
-  // Each miss writes only its own preallocated slot, so the parallel
-  // loop is race-free and its output identical to the serial loop's.
-  ParallelFor(options.pool, misses.size(), [&](size_t k) {
-    const size_t i = misses[k];
-    std::vector<Update> footprint = UpdateFootprint(provider, txns[i].extension);
-    auto flat = Flatten(catalog, footprint);
+    auto flat = Flatten(catalog, UpdateFootprint(provider, txns[i].extension));
     if (flat.ok()) {
       analysis->up_ex[i] = *std::move(flat);
       analysis->flatten_ok[i] = 1;
-    }
-  });
-
-  if (options.cache != nullptr) {
-    for (size_t i : misses) {
-      options.cache->PutFlat(txns[i].id, fingerprint[i], analysis->up_ex[i],
-                             analysis->flatten_ok[i] != 0);
     }
   }
 }
@@ -115,8 +80,7 @@ void FlattenExtensions(const db::Catalog& catalog,
 void FindExtensionConflicts(const db::Catalog& catalog,
                             const TransactionProvider& provider,
                             const std::vector<TrustedTxn>& txns,
-                            size_t first, ReconcileAnalysis* analysis,
-                            const AnalysisOptions& options) {
+                            size_t first, ReconcileAnalysis* analysis) {
   const size_t n = txns.size();
   // Candidate pairs share a touched key; bucket by key, then test each
   // candidate pair at most once.
@@ -134,8 +98,8 @@ void FindExtensionConflicts(const db::Catalog& catalog,
   }
 
   // Collect the deduplicated candidate pairs, then order them by (i, j)
-  // so that testing order, cache-fill order, and result order are all
-  // independent of hash-bucket iteration order and of thread count.
+  // so that testing order and result order are independent of
+  // hash-bucket iteration order.
   std::unordered_set<uint64_t> tested;
   tested.reserve(8 * n);
   std::vector<std::pair<size_t, size_t>> pairs;
@@ -154,59 +118,22 @@ void FindExtensionConflicts(const db::Catalog& catalog,
   }
   std::sort(pairs.begin(), pairs.end());
 
-  // Resolve from the cache where possible; test the rest in parallel.
-  // Every slot of `points` is written by exactly one task.
-  std::vector<std::vector<ConflictPoint>> points(pairs.size());
-  std::vector<uint8_t> cached(pairs.size(), 0);
-  std::vector<uint64_t> fingerprint;
-  if (options.cache != nullptr) {
-    fingerprint.resize(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      fingerprint[i] = FlattenCache::ExtensionFingerprint(txns[i].extension);
+  for (const auto& [i, j] : pairs) {
+    std::vector<ConflictPoint> points = TestCandidatePair(
+        catalog, provider, txns[i], txns[j], analysis->up_ex[i],
+        analysis->up_ex[j]);
+    if (!points.empty()) {
+      analysis->conflicts.push_back(MakeAnalysisPair(i, j, std::move(points)));
     }
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      const auto [i, j] = pairs[p];
-      if (const FlattenCache::PairVerdict* hit = options.cache->FindPair(
-              txns[i].id, txns[j].id, fingerprint[i], fingerprint[j])) {
-        points[p] = hit->points;
-        cached[p] = 1;
-      }
-    }
-  }
-  ParallelFor(options.pool, pairs.size(), [&](size_t p) {
-    if (cached[p]) return;
-    const auto [i, j] = pairs[p];
-    points[p] = TestCandidatePair(catalog, provider, txns[i], txns[j],
-                                  analysis->up_ex[i], analysis->up_ex[j]);
-  });
-  if (options.cache != nullptr) {
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      if (cached[p]) continue;
-      const auto [i, j] = pairs[p];
-      FlattenCache::PairVerdict verdict;
-      verdict.fp_a = fingerprint[i];
-      verdict.fp_b = fingerprint[j];
-      verdict.points = points[p];
-      options.cache->PutPair(txns[i].id, txns[j].id, std::move(verdict));
-    }
-  }
-
-  // Deterministic merge in (i, j) order.
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (points[p].empty()) continue;
-    analysis->conflicts.push_back(
-        MakeAnalysisPair(pairs[p].first, pairs[p].second,
-                         std::move(points[p])));
   }
 }
 
 ReconcileAnalysis AnalyzeExtensions(const db::Catalog& catalog,
                                     const TransactionProvider& provider,
-                                    const std::vector<TrustedTxn>& txns,
-                                    const AnalysisOptions& options) {
+                                    const std::vector<TrustedTxn>& txns) {
   ReconcileAnalysis analysis;
-  FlattenExtensions(catalog, provider, txns, &analysis, options);
-  FindExtensionConflicts(catalog, provider, txns, 0, &analysis, options);
+  FlattenExtensions(catalog, provider, txns, &analysis);
+  FindExtensionConflicts(catalog, provider, txns, 0, &analysis);
   return analysis;
 }
 

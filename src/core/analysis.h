@@ -9,13 +9,7 @@
 #include "core/reconciler.h"
 #include "core/transaction.h"
 
-namespace orchestra {
-class ThreadPool;  // common/thread_pool.h
-}
-
 namespace orchestra::core {
-
-class FlattenCache;  // core/flatten_cache.h
 
 /// The data-dependent half of reconciliation — flattened update
 /// extensions and the pairwise direct-conflict relation — separated from
@@ -45,34 +39,16 @@ struct ReconcileAnalysis {
   std::vector<Pair> conflicts;
 };
 
-/// Flattens every transaction's update extension.
+/// Builds one conflicts entry.
 ReconcileAnalysis::Pair MakeAnalysisPair(size_t i, size_t j,
                                          std::vector<ConflictPoint> points);
 
-/// Execution knobs for the analysis functions. Both halves of the
-/// analysis are embarrassingly parallel (per transaction, per candidate
-/// pair) and largely redundant across reconciliation rounds, so callers
-/// can supply a thread pool and a cross-round cache; the defaults run
-/// the original serial, uncached computation. Results are bit-identical
-/// across every combination: parallel loops write disjoint
-/// index-addressed slots and conflicts are merged in sorted (i, j)
-/// order, and cache hits reproduce exactly what recomputation would
-/// have produced (entries are fingerprint-validated against the current
-/// extension).
-struct AnalysisOptions {
-  /// Null (or a 1-thread pool) takes the exact serial path.
-  ThreadPool* pool = nullptr;
-  /// Null disables caching. The cache is probed and filled only from
-  /// the calling thread, never inside parallel regions.
-  FlattenCache* cache = nullptr;
-};
-
-/// Computes up_ex / flatten_ok for `txns`.
+/// Flattens every transaction's update extension: computes up_ex /
+/// flatten_ok for the transactions of `txns` not yet in `analysis`.
 void FlattenExtensions(const db::Catalog& catalog,
                        const TransactionProvider& provider,
                        const std::vector<TrustedTxn>& txns,
-                       ReconcileAnalysis* analysis,
-                       const AnalysisOptions& options = {});
+                       ReconcileAnalysis* analysis);
 
 /// Appends to analysis->conflicts every directly conflicting pair among
 /// `txns` with indices in [first, txns.size()) × [0, txns.size()) —
@@ -80,19 +56,16 @@ void FlattenExtensions(const db::Catalog& catalog,
 /// pairs involving at least one transaction from the tail, which lets a
 /// caller extend an existing analysis with extra transactions (e.g. the
 /// locally cached deferred backlog) without recomputing the head.
-/// Pairs are appended in increasing (i, j) order regardless of thread
-/// count.
+/// Pairs are appended in increasing (i, j) order.
 void FindExtensionConflicts(const db::Catalog& catalog,
                             const TransactionProvider& provider,
                             const std::vector<TrustedTxn>& txns,
-                            size_t first, ReconcileAnalysis* analysis,
-                            const AnalysisOptions& options = {});
+                            size_t first, ReconcileAnalysis* analysis);
 
 /// Convenience: full analysis of `txns` (flatten + all-pairs conflicts).
 ReconcileAnalysis AnalyzeExtensions(const db::Catalog& catalog,
                                     const TransactionProvider& provider,
-                                    const std::vector<TrustedTxn>& txns,
-                                    const AnalysisOptions& options = {});
+                                    const std::vector<TrustedTxn>& txns);
 
 }  // namespace orchestra::core
 

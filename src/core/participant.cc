@@ -315,10 +315,6 @@ Result<ReconcileReport> Participant::RunAndCommit(
   input.txns = std::move(txns);
   input.provider = &txn_cache_;
   input.analysis = analysis;
-  // Client-centric runs recompute the analysis locally; give them the
-  // cross-round cache so unchanged deferred extensions are not
-  // re-flattened or re-tested (soft state, §5.2).
-  input.flatten_cache = &flatten_cache_;
   auto own_flat = Flatten(*catalog_, own_delta_);
   if (own_flat.ok()) {
     input.own_delta = *std::move(own_flat);
@@ -367,11 +363,6 @@ Result<ReconcileReport> Participant::RunAndCommit(
   deferred_ = std::move(new_deferred);
   dirty_ = std::move(outcome.dirty_values);
   conflict_groups_ = std::move(outcome.conflict_groups);
-  // Decided roots never come back as reconciliation inputs; drop their
-  // cached flattenings and pair verdicts so the cache tracks exactly the
-  // undecided backlog.
-  flatten_cache_.Invalidate(outcome.applied_txns);
-  flatten_cache_.Invalidate(outcome.rejected_roots);
   last_recno_ = recno;
   own_delta_.clear();
 
@@ -740,10 +731,6 @@ Result<ReconcileReport> Participant::ResolveConflict(
       }
     }
   }
-  // The acceptance configuration changed: cached verdicts involving the
-  // rejected transactions are stale (and useless) — drop them.
-  flatten_cache_.Invalidate(losers);
-
   // Re-run reconciliation over the remaining deferred transactions (the
   // chosen option plus everything else still pending). The losers ride
   // along with that run's decision recording as catch-up rejections, so

@@ -14,7 +14,6 @@
 #include "common/trace.h"
 #include "db/instance.h"
 #include "core/decision.h"
-#include "core/flatten_cache.h"
 #include "core/reconciler.h"
 #include "core/transaction.h"
 #include "core/trust.h"
@@ -92,7 +91,7 @@ class Participant {
  public:
   /// The catalog must outlive the participant. The trust policy's self
   /// id must equal `id`. `options` configures the reconciliation engine
-  /// (thread count; see ReconcileOptions).
+  /// (provenance collection; see ReconcileOptions).
   Participant(ParticipantId id, const db::Catalog* catalog,
               TrustPolicy policy, ReconcileOptions options = {});
 
@@ -267,13 +266,6 @@ class Participant {
   std::map<TransactionId, DeferredInfo> deferred_;
   RelKeySet dirty_;
   std::vector<ConflictGroup> conflict_groups_;
-  /// Cross-round cache of flattened extensions and pair-conflict
-  /// verdicts for the undecided backlog (soft state, §5.2 — the paper's
-  /// rationale for keeping soft state between runs). Entries whose roots
-  /// are decided (applied or rejected) are invalidated after every run;
-  /// reconsidered deferred transactions whose extensions changed miss
-  /// via fingerprint validation.
-  FlattenCache flatten_cache_;
   int64_t last_recno_ = 0;
   /// In-memory decision-provenance log (append-only soft state) and the
   /// simulated-time trace context (null unless BindSimTrace was called).

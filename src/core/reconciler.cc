@@ -9,24 +9,12 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/analysis.h"
 #include "core/apply.h"
 #include "core/flatten.h"
 
 namespace orchestra::core {
-
-Reconciler::Reconciler(const db::Catalog* catalog, ReconcileOptions options)
-    : catalog_(catalog), options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-}
-
-Reconciler::~Reconciler() = default;
-Reconciler::Reconciler(Reconciler&&) noexcept = default;
-Reconciler& Reconciler::operator=(Reconciler&&) noexcept = default;
 
 namespace {
 
@@ -172,11 +160,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   ReconcileAnalysis local_analysis;
   const ReconcileAnalysis* analysis = input.analysis;
   if (analysis == nullptr) {
-    AnalysisOptions aopts;
-    aopts.pool = pool_.get();
-    aopts.cache = input.flatten_cache;
-    local_analysis =
-        AnalyzeExtensions(*catalog_, *input.provider, input.txns, aopts);
+    local_analysis = AnalyzeExtensions(*catalog_, *input.provider, input.txns);
     analysis = &local_analysis;
   }
   ORCH_CHECK(analysis->up_ex.size() == n && analysis->flatten_ok.size() == n,
@@ -190,22 +174,18 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   analyzed_txns.Add(static_cast<int64_t>(n));
   conflict_pairs.Add(static_cast<int64_t>(analysis->conflicts.size()));
 
-  // Each transaction's state check is independent of every other's (it
-  // reads only the immutable instance, the input sets, and its own
-  // flattened extension) and writes its own decision slot, so the loop
-  // parallelizes with bit-identical results.
   phase_span.emplace("reconcile.phase.check_state", input.trace);
   std::vector<Decision> decision(n, Decision::kUndecided);
-  ParallelFor(pool_.get(), n, [&](size_t i) {
+  for (size_t i = 0; i < n; ++i) {
     if (!analysis->flatten_ok[i]) {
       // An internally inconsistent extension can never be applied.
       decision[i] = Decision::kReject;
       if (prov_on) notes[i].cause = ProvenanceCause::kFlattenInconsistent;
-      return;
+      continue;
     }
     decision[i] = CheckState(*catalog_, *instance, input, input.txns[i],
                              up_ex[i], note_of(i));
-  });
+  }
 
   std::vector<std::vector<size_t>> conflicts(n);
   for (const ReconcileAnalysis::Pair& pair : analysis->conflicts) {

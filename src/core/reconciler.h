@@ -1,7 +1,6 @@
 #ifndef ORCHESTRA_CORE_RECONCILER_H_
 #define ORCHESTRA_CORE_RECONCILER_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -12,14 +11,9 @@
 #include "core/provenance.h"
 #include "core/transaction.h"
 
-namespace orchestra {
-class ThreadPool;  // common/thread_pool.h
-}
-
 namespace orchestra::core {
 
 struct ReconcileAnalysis;  // core/analysis.h
-class FlattenCache;        // core/flatten_cache.h
 
 /// One fully trusted, undecided transaction as presented to the
 /// reconciliation algorithm: its id, the priority pri_i assigned by the
@@ -65,11 +59,6 @@ struct ReconcileInput {
   /// core/analysis.h). When null, the reconciler computes it locally —
   /// the client-centric mode of §5.1.
   const ReconcileAnalysis* analysis = nullptr;
-  /// Optional cross-round cache of flattened extensions and pair
-  /// verdicts (participant soft state; see core/flatten_cache.h). Used
-  /// only when the reconciler computes the analysis itself. The cache is
-  /// read and filled during Run; the caller owns invalidation.
-  FlattenCache* flatten_cache = nullptr;
   /// Collect a ProvenanceRecord per input transaction into
   /// ReconcileOutcome::provenance. Decisions are identical either way;
   /// this only adds the explanation records.
@@ -102,13 +91,6 @@ struct ReconcileOutcome {
 
 /// Execution knobs for the reconciliation engine.
 struct ReconcileOptions {
-  /// Threads used for the data-parallel phases (flattening, candidate
-  /// pair testing, per-transaction CheckState). 1 — the default — takes
-  /// the exact serial path: no pool is created and every loop runs
-  /// inline on the calling thread. Parallel runs produce bit-identical
-  /// outcomes to serial runs (the determinism contract; see
-  /// docs/ARCHITECTURE.md).
-  size_t num_threads = 1;
   /// Collect decision provenance on every run (see core/provenance.h).
   /// On by default: records are small, and Participant persists them
   /// alongside the decision log. Benchmarks may turn it off to measure
@@ -123,16 +105,12 @@ struct ReconcileOptions {
 /// extensions in publication order, and rebuild deferral soft state.
 ///
 /// The class is stateless across runs; all persistent and soft state is
-/// owned by the caller (see Participant) and passed in explicitly. The
-/// thread pool (when num_threads > 1) is the only resource the
-/// reconciler itself owns.
+/// owned by the caller (see Participant) and passed in explicitly.
 class Reconciler {
  public:
   explicit Reconciler(const db::Catalog* catalog,
-                      ReconcileOptions options = {});
-  ~Reconciler();
-  Reconciler(Reconciler&&) noexcept;
-  Reconciler& operator=(Reconciler&&) noexcept;
+                      ReconcileOptions options = {})
+      : catalog_(catalog), options_(options) {}
 
   /// Runs one reconciliation against `instance`, mutating it with the
   /// accepted updates. Fails only on internal errors (e.g. an extension
@@ -146,8 +124,6 @@ class Reconciler {
  private:
   const db::Catalog* catalog_;
   ReconcileOptions options_;
-  /// Null when num_threads <= 1 (the serial path).
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace orchestra::core

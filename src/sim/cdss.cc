@@ -17,6 +17,10 @@ Result<std::unique_ptr<Cdss>> Cdss::Make(CdssConfig config) {
   if (config.transaction_size == 0) {
     return Status::InvalidArgument("transaction size must be positive");
   }
+  if (config.num_threads != 1) {
+    return Status::InvalidArgument(
+        "reconciliation is serial; num_threads must be 1");
+  }
   // A typo'd failure or corruption site would otherwise run the whole
   // experiment with injection silently disabled.
   ORCH_RETURN_IF_ERROR(FaultInjector::ValidateConfig(config.fault));
@@ -103,10 +107,9 @@ Result<std::unique_ptr<Cdss>> Cdss::Make(CdssConfig config) {
   }
   for (size_t i = 0; i < cfg.participants; ++i) {
     const ParticipantId id = static_cast<ParticipantId>(i);
-    core::ReconcileOptions recon_opts{cfg.num_threads};
-    recon_opts.record_provenance = cfg.record_provenance;
     cdss->participants_.push_back(std::make_unique<core::Participant>(
-        id, &cdss->catalog_, *cdss->policies_[i], recon_opts));
+        id, &cdss->catalog_, *cdss->policies_[i],
+        core::ReconcileOptions{cfg.record_provenance}));
     if (cfg.sim_trace) {
       // One track per peer, clocked by that peer's accumulated simulated
       // network time — the only deterministic notion of "now" a peer has.

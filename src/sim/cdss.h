@@ -83,10 +83,8 @@ struct CdssConfig {
   int trust_priority = 1;
   /// Trust topology; kUniform reproduces the paper's experiments.
   TrustTopology topology = TrustTopology::kUniform;
-  /// Threads each participant's reconciliation engine uses for the
-  /// data-parallel phases (flatten / conflict testing / CheckState).
-  /// 1 is the exact serial path; any value produces identical decisions
-  /// and instances (the determinism contract).
+  /// Must be 1: reconciliation is serial. Kept only because the
+  /// benchmark driver (perfbench/) sets it; Make rejects other values.
   size_t num_threads = 1;
   uint64_t seed = 42;
   workload::WorkloadConfig workload;

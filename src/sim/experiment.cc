@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace orchestra::sim {
 
@@ -86,13 +85,6 @@ std::string Fmt(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
   return buf;
-}
-
-size_t ThreadsFromEnv() {
-  const char* env = std::getenv("ORCH_THREADS");
-  if (env == nullptr) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<size_t>(v) : 1;
 }
 
 }  // namespace orchestra::sim

@@ -54,12 +54,6 @@ class TablePrinter {
 /// Formats a double with `decimals` places.
 std::string Fmt(double value, int decimals = 2);
 
-/// Reconciliation thread count for bench binaries: the ORCH_THREADS
-/// environment variable when set to a positive integer, else 1 (the
-/// exact serial path, keeping published figure runs deterministic by
-/// default).
-size_t ThreadsFromEnv();
-
 }  // namespace orchestra::sim
 
 #endif  // ORCHESTRA_SIM_EXPERIMENT_H_

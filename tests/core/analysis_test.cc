@@ -110,6 +110,60 @@ TEST_F(AnalysisTest, IncrementalConflictSearchSkipsHeadPairs) {
   }
 }
 
+// Bucket order is hash order, so the (i, j) sort is the only thing
+// making the conflict list deterministic. Transaction i inserts keys
+// p(i % 4) and q(i % 3): most pairs collide, many on both keys, so the
+// buckets overlap heavily and every pair must still appear once, in
+// order.
+TEST_F(AnalysisTest, CollidingKeysYieldPairsInIncreasingOrder) {
+  constexpr size_t kTxns = 12;
+  constexpr size_t kHead = 8;
+  std::vector<TrustedTxn> txns;
+  for (size_t i = 0; i < kTxns; ++i) {
+    const auto origin = static_cast<ParticipantId>(i + 1);
+    const std::string value = "v" + std::to_string(i);
+    Put(Txn(origin, 0,
+            {Ins("rat", ("p" + std::to_string(i % 4)).c_str(), value.c_str(),
+                 origin),
+             Ins("rat", ("q" + std::to_string(i % 3)).c_str(), value.c_str(),
+                 origin)},
+            {}, 1));
+    txns.push_back(Trusted({origin, 0}));
+  }
+  std::vector<std::pair<size_t, size_t>> expected;
+  for (size_t i = 0; i < kTxns; ++i) {
+    for (size_t j = i + 1; j < kTxns; ++j) {
+      if (i % 4 == j % 4 || i % 3 == j % 3) expected.emplace_back(i, j);
+    }
+  }
+  const auto pairs_of = [](const ReconcileAnalysis& analysis, size_t from) {
+    std::vector<std::pair<size_t, size_t>> out;
+    for (size_t p = from; p < analysis.conflicts.size(); ++p) {
+      out.emplace_back(analysis.conflicts[p].i, analysis.conflicts[p].j);
+    }
+    return out;
+  };
+
+  const ReconcileAnalysis full = AnalyzeExtensions(catalog_, map_, txns);
+  EXPECT_EQ(pairs_of(full, 0), expected);  // strictly increasing, no dups
+
+  // Head first, then the tail: the second call appends only pairs with
+  // j >= kHead, themselves in increasing (i, j) order.
+  std::vector<TrustedTxn> head(txns.begin(), txns.begin() + kHead);
+  ReconcileAnalysis split;
+  FlattenExtensions(catalog_, map_, head, &split);
+  FindExtensionConflicts(catalog_, map_, head, 0, &split);
+  const size_t head_pairs = split.conflicts.size();
+  FlattenExtensions(catalog_, map_, txns, &split);
+  FindExtensionConflicts(catalog_, map_, txns, kHead, &split);
+  std::vector<std::pair<size_t, size_t>> expected_tail;
+  for (const auto& pair : expected) {
+    if (pair.second >= kHead) expected_tail.push_back(pair);
+  }
+  EXPECT_EQ(head_pairs, expected.size() - expected_tail.size());
+  EXPECT_EQ(pairs_of(split, head_pairs), expected_tail);
+}
+
 TEST_F(AnalysisTest, PrecomputedAnalysisMatchesLocal) {
   // Feeding the reconciler a precomputed analysis yields the same
   // decisions as letting it compute one.

@@ -32,6 +32,21 @@ TEST(CdssTest, RejectsZeroTransactionSize) {
   EXPECT_FALSE(Cdss::Make(config).ok());
 }
 
+// Reconciliation is serial: num_threads survives only as a field the
+// benchmark driver sets, and any value but 1 is a configuration error.
+TEST(CdssTest, AcceptsOnlyOneReconcileThread) {
+  for (size_t threads : {0, 2, 4}) {
+    CdssConfig config = SmallConfig(StoreKind::kCentral);
+    config.num_threads = threads;
+    auto cdss = Cdss::Make(config);
+    ASSERT_FALSE(cdss.ok()) << threads;
+    EXPECT_EQ(cdss.status().code(), StatusCode::kInvalidArgument) << threads;
+  }
+  CdssConfig config = SmallConfig(StoreKind::kCentral);
+  config.num_threads = 1;
+  EXPECT_TRUE(Cdss::Make(config).ok());
+}
+
 TEST(CdssTest, RunsWithCentralStore) {
   auto cdss = Cdss::Make(SmallConfig(StoreKind::kCentral));
   ASSERT_TRUE(cdss.ok());

@@ -2,8 +2,7 @@
 // runs of the same confederation produce byte-identical provenance
 // JSONL and byte-identical simulated-time traces — on both stores, in
 // delta fetch mode, with fault injection (and its retry machinery)
-// armed. Also: parallel reconciliation must not change either stream,
-// and switching tracing on must not change the decisions.
+// armed. Also: switching tracing on must not change the decisions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,8 +21,7 @@ struct RunOutput {
   size_t deferred = 0;
 };
 
-RunOutput RunOnce(StoreKind kind, size_t num_threads = 1,
-                  bool sim_trace = true) {
+RunOutput RunOnce(StoreKind kind, bool sim_trace = true) {
   CdssConfig cfg;
   cfg.participants = 6;
   cfg.rounds = 4;
@@ -31,7 +29,6 @@ RunOutput RunOnce(StoreKind kind, size_t num_threads = 1,
   cfg.seed = 7;
   cfg.store = kind;
   cfg.fetch_mode = core::FetchMode::kDelta;
-  cfg.num_threads = num_threads;
   cfg.sim_trace = sim_trace;
   cfg.fault.failure_probability = 0.05;
   cfg.fault.seed = 11;
@@ -69,16 +66,9 @@ TEST(ProvenanceDeterminismTest, DhtRunsAreByteIdentical) {
   EXPECT_EQ(a.trace, b.trace);
 }
 
-TEST(ProvenanceDeterminismTest, ParallelReconciliationChangesNothing) {
-  const RunOutput serial = RunOnce(StoreKind::kCentral, 1);
-  const RunOutput parallel = RunOnce(StoreKind::kCentral, 4);
-  EXPECT_EQ(serial.jsonl, parallel.jsonl);
-  EXPECT_EQ(serial.trace, parallel.trace);
-}
-
 TEST(ProvenanceDeterminismTest, TracingDoesNotChangeDecisions) {
-  const RunOutput traced = RunOnce(StoreKind::kCentral, 1, true);
-  const RunOutput quiet = RunOnce(StoreKind::kCentral, 1, false);
+  const RunOutput traced = RunOnce(StoreKind::kCentral, true);
+  const RunOutput quiet = RunOnce(StoreKind::kCentral, false);
   EXPECT_EQ(traced.jsonl, quiet.jsonl);
   EXPECT_EQ(traced.accepted, quiet.accepted);
   EXPECT_EQ(traced.deferred, quiet.deferred);

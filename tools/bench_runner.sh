@@ -4,11 +4,10 @@
 # diff the stable fields of the freshly emitted BENCH_*.json against the
 # committed baselines at the repo root.
 #
-# Wall-clock timings (and the host-dependent thread fields derived from
-# them) vary run to run, so they are stripped before the diff. Every
-# remaining field — decision counts, simulated message/byte totals,
-# verdict flags — is deterministic and must match the committed
-# baselines exactly.
+# Wall-clock timings (and the ratios derived from them) vary run to
+# run, so they are stripped before the diff. Every remaining field —
+# decision counts, simulated message/byte totals, verdict flags — is
+# deterministic and must match the committed baselines exactly.
 #
 # Usage: tools/bench_runner.sh
 #   ORCH_BENCH_OUT=dir   where fresh JSON lands (default build/bench_out)
@@ -117,12 +116,11 @@ jq -s '{bench: "provenance_summary",
     "$out/provenance_a.jsonl" > "$out/BENCH_provenance_summary.json"
 
 # Keys dropped before diffing: wall-time measurements (*_us and
-# *_micros counters, the mean/p50/p95 study stats), speedups derived
-# from them, and the host-shape fields (hardware_threads,
-# oversubscribed, speedup_note).
+# *_micros counters, the mean/p50/p95 study stats) and the speedups and
+# overheads derived from them.
 stable='walk(if type == "object"
              then with_entries(select(.key
-                  | test("_us$|_micros$|speedup|overhead|hardware_threads|oversubscribed|note")
+                  | test("_us$|_micros$|speedup|overhead")
                   | not))
              else . end)'
 

@@ -9,8 +9,8 @@
 /// orch_lint: the project's determinism & concurrency static-analysis
 /// pass. A tokenizer plus heuristic matchers (no libclang, so it builds
 /// and runs everywhere the project builds) enforcing the rulebook that
-/// the dynamic determinism tests (parallel_determinism, fault/churn/delta
-/// sweeps) depend on:
+/// the dynamic determinism tests (provenance/trace determinism,
+/// fault/churn/delta sweeps) depend on:
 ///
 ///   D1  wall-clock reads (std::chrono::*_clock, time(), clock(), ...)
 ///       only inside common/clock.* and common/trace.*
