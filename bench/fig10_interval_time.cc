@@ -2,9 +2,12 @@
 // reconciliation intervals RI ∈ {4, 20, 50}, central vs. distributed
 // store, split into store time and local time (§6.2). Expected shape:
 // the central store gets cheaper as RI grows (fewer round-trip-dominated
-// reconciliations); the distributed store is dominated by per-transaction
-// antecedent-chain requests and stays roughly flat across RI.
+// reconciliations); the distributed store pays a smaller penalty for
+// frequent reconciliation than the central store. The shape check is
+// computed from the table.
 #include <cstdio>
+#include <map>
+#include <vector>
 
 #include "sim/experiment.h"
 
@@ -18,6 +21,7 @@ int main() {
               kTotalTxnsPerPeer, kTrials);
   TablePrinter table({"RI", "Store", "Store time (s)", "Local time (s)",
                       "Total (s)", "Msgs/recon"});
+  std::map<StoreKind, std::vector<double>> totals;  // per store, RI order
   for (size_t interval : {4, 20, 50}) {
     for (StoreKind kind : {StoreKind::kCentral, StoreKind::kDht}) {
       CdssConfig config;
@@ -40,10 +44,24 @@ int main() {
                  kind == StoreKind::kCentral ? "central" : "distributed",
                  Fmt(store_s, 3), Fmt(local_s, 3), Fmt(store_s + local_s, 3),
                  Fmt(agg->messages / recons, 1)});
+      totals[kind].push_back(store_s + local_s);
     }
   }
+  const std::vector<double>& central = totals[StoreKind::kCentral];
+  const std::vector<double>& dht = totals[StoreKind::kDht];
+  bool central_drops = true;
+  for (size_t i = 1; i < central.size(); ++i) {
+    central_drops = central_drops && central[i] < central[i - 1];
+  }
+  // The penalty for reconciling often: total at RI 4 over total at RI 50.
+  const double central_penalty = central.front() / central.back();
+  const double dht_penalty = dht.front() / dht.back();
   std::printf(
-      "\nPaper shape check: central total drops as RI grows; distributed "
-      "is ~flat across RI and store-time dominated.\n");
-  return 0;
+      "\nPaper shape check: central total drops as RI grows: %s; the "
+      "distributed store's penalty for frequent reconciliation (RI 4 vs "
+      "50) is smaller than the central store's: %s (%.1fx vs %.1fx).\n",
+      central_drops ? "holds" : "FAILS",
+      dht_penalty < central_penalty ? "holds" : "FAILS", dht_penalty,
+      central_penalty);
+  return central_drops && dht_penalty < central_penalty ? 0 : 1;
 }

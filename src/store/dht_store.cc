@@ -1,7 +1,6 @@
 #include "store/dht_store.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 
@@ -54,8 +53,14 @@ void DhtStore::DirectSend(ParticipantId peer, int64_t bytes) {
 void DhtStore::ReplicatedSend(ParticipantId peer, size_t from_node,
                               const std::string& key, int64_t bytes) {
   RoutedSend(peer, from_node, net::KeyHash(key), bytes);
-  const size_t fanout = GroupFor(key).size() - 1;
-  if (fanout > 0) network_->Charge(peer, static_cast<int64_t>(fanout), bytes);
+  // The primary copies to the rest of its group at once: one hop, k-1
+  // messages.
+  net::SimNetwork::Overlap fanout(network_, peer);
+  const size_t replicas = GroupFor(key).size() - 1;
+  for (size_t i = 0; i < replicas; ++i) {
+    fanout.Lane(i);
+    network_->Charge(peer, 1, bytes);
+  }
 }
 
 namespace {
@@ -106,8 +111,12 @@ Status DhtStore::TryReplicatedSend(ParticipantId peer, size_t from_node,
                                    const std::string& key, int64_t bytes) {
   ORCH_RETURN_IF_ERROR(
       TryRoutedSend(peer, from_node, net::KeyHash(key), bytes).status());
-  const size_t fanout = GroupFor(key).size() - 1;
-  for (size_t i = 0; i < fanout; ++i) {
+  // One hop for the whole fan-out, as in ReplicatedSend; each copy
+  // retransmits on its own lane.
+  net::SimNetwork::Overlap fanout(network_, peer);
+  const size_t replicas = GroupFor(key).size() - 1;
+  for (size_t i = 0; i < replicas; ++i) {
+    fanout.Lane(i);
     ORCH_RETURN_IF_ERROR(TryDirectSend(peer, bytes));
   }
   return Status::OK();
@@ -185,6 +194,8 @@ Result<DhtStore::TxnRead> DhtStore::ReadTxnVerified(
       MetricsRegistry::Global().GetCounter("store.dht.failover_probes");
   const std::string key = "txn:" + id.ToString();
   std::vector<size_t> corrupt_nodes;
+  // Sequential: each probe waits for the previous replica's miss or
+  // corrupt reply.
   for (size_t node : ReadOrderFor(key)) {
     const NodeState& n = nodes_[node];
     auto wire_it = n.txn_wire.find(id);
@@ -328,18 +339,24 @@ void DhtStore::AbortEpoch(ParticipantId peer, Epoch epoch,
   if (injector != nullptr && injector->tripped()) return;
   FaultInjector::ScopedDisable guard(injector);
   const size_t my_node = NodeOfPeer(peer);
-  for (const TransactionId& id : staged) {
-    const std::string key = "txn:" + id.ToString();
-    ReplicatedSend(peer, my_node, key, 24);
-    MutateGroup(key, [&](NodeState& node) {
-      node.txns.erase(id);
-      node.txn_wire.erase(id);
-      auto dec_it = node.decisions.find(id);
-      if (dec_it != node.decisions.end()) {
-        dec_it->second.erase(peer);
-        if (dec_it->second.empty()) node.decisions.erase(dec_it);
-      }
-    });
+  {
+    // The staged deletes go to independent controller groups at once.
+    net::SimNetwork::Overlap deletes(network_, peer);
+    for (size_t i = 0; i < staged.size(); ++i) {
+      const TransactionId& id = staged[i];
+      const std::string key = "txn:" + id.ToString();
+      deletes.Lane(i);
+      ReplicatedSend(peer, my_node, key, 24);
+      MutateGroup(key, [&](NodeState& node) {
+        node.txns.erase(id);
+        node.txn_wire.erase(id);
+        auto dec_it = node.decisions.find(id);
+        if (dec_it != node.decisions.end()) {
+          dec_it->second.erase(peer);
+          if (dec_it->second.empty()) node.decisions.erase(dec_it);
+        }
+      });
+    }
   }
   const std::string ekey = "epoch:" + std::to_string(epoch);
   ReplicatedSend(peer, my_node, ekey, 24);
@@ -424,27 +441,34 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
   // (6) the peer sends each transaction to its transaction controller
   // group as an envelope-framed blob, which each replica stores as-is
   // (the at-rest form reads verify) while recording the publisher's
-  // implicit self-acceptance.
-  for (Transaction& txn : txns) {
-    const std::string wire = WireOf(txn);
-    const TransactionId id = txn.id;
-    const std::string key = "txn:" + id.ToString();
-    if (Status s = TryReplicatedSend(peer, my_node, key,
-                                     static_cast<int64_t>(wire.size()));
-        !s.ok()) {
-      return abort_with(s);
+  // implicit self-acceptance. The stores are independent, so they are
+  // in flight together, one lane per transaction; the rollback of a
+  // failed store runs after the overlap has closed.
+  const Status stored = [&] {
+    net::SimNetwork::Overlap stores(network_, peer, "dht.publish.store");
+    for (size_t i = 0; i < txns.size(); ++i) {
+      const Transaction& txn = txns[i];
+      const std::string wire = WireOf(txn);
+      const TransactionId id = txn.id;
+      const std::string key = "txn:" + id.ToString();
+      stores.Lane(i);
+      ORCH_RETURN_IF_ERROR(TryReplicatedSend(
+          peer, my_node, key, static_cast<int64_t>(wire.size())));
+      MutateGroup(key, [&](NodeState& node) {
+        InstallTxnReplica(node, txn, wire);
+        node.decisions[id][peer] = Decision{'A', 0};
+      });
+      staged.push_back(id);
+      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));
     }
-    MutateGroup(key, [&](NodeState& node) {
-      InstallTxnReplica(node, txn, wire);
-      node.decisions[id][peer] = Decision{'A', 0};
-    });
-    staged.push_back(id);
-    if (Status s = TryDirectSend(peer, 8); !s.ok()) return abort_with(s);
-  }
+    return Status::OK();
+  }();
+  if (!stored.ok()) return abort_with(stored);
 
-  // (7) controller confirms the epoch finished: the commit point. The
-  // reaper may have aborted the epoch under a slow publisher; an aborted
-  // epoch can never finish (peers already advanced past it).
+  // (7) controller confirms the epoch finished: the commit point, sent
+  // once every store of (6) was acknowledged. The reaper may have
+  // aborted the epoch under a slow publisher; an aborted epoch can never
+  // finish (peers already advanced past it).
   if (Status s = TryReplicatedSend(peer, my_node, ekey, 16); !s.ok()) {
     return abort_with(s);
   }
@@ -492,28 +516,38 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   const int64_t probes_before = probe_ctr.value();
   ReconcileFetch fetch;
 
-  // Most recent epoch from the allocator (request + reply).
-  ORCH_RETURN_IF_ERROR(
-      TryRoutedSend(peer, my_node, net::KeyHash("epoch-allocator"), 16)
-          .status());
-  const Epoch latest = nodes_[AllocatorNode()].epoch_counter;
-  ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
-
-  // Prior watermark and recno from this peer's coordinator group. The
-  // recno is allocated now (a failure later burns it, harmlessly); the
-  // watermark is committed only once the whole fetch has been assembled.
+  // The fetch head: the allocator read and the coordinator read need no
+  // reply of each other, so they travel on two lanes of one overlap.
   const std::string pkey = "peer:" + std::to_string(peer);
-  ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 16));
-  CoordEntry coord_entry = nodes_[CoordinatorNode(peer)].coordinated[peer];
+  Epoch latest = 0;
+  CoordEntry coord_entry;
+  {
+    net::SimNetwork::Overlap head(network_, peer, "dht.fetch.head");
+    // Most recent epoch from the allocator (request + reply).
+    head.Lane(0);
+    ORCH_RETURN_IF_ERROR(
+        TryRoutedSend(peer, my_node, net::KeyHash("epoch-allocator"), 16)
+            .status());
+    latest = nodes_[AllocatorNode()].epoch_counter;
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
+
+    // Prior watermark and recno from this peer's coordinator group. The
+    // recno is allocated now (a failure later burns it, harmlessly); the
+    // watermark is committed only once the whole fetch has been
+    // assembled.
+    head.Lane(1);
+    ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 16));
+    coord_entry = nodes_[CoordinatorNode(peer)].coordinated[peer];
+    coord_entry.recno += 1;
+    MutateGroup(pkey,
+                [&](NodeState& node) { node.coordinated[peer] = coord_entry; });
+    fetch.recno = coord_entry.recno;
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
+  }
   // The reference ignores the durable watermark for the scan window and
   // re-walks the whole history; the participant's catch-up path absorbs
   // resends.
   const Epoch prev = reference ? 0 : coord_entry.epoch;
-  coord_entry.recno += 1;
-  MutateGroup(pkey,
-              [&](NodeState& node) { node.coordinated[peer] = coord_entry; });
-  fetch.recno = coord_entry.recno;
-  ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
 
   // Fetch the contents of every epoch since the previous reconciliation
   // from the epoch controllers, and find the latest stable epoch (no
@@ -529,71 +563,79 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   // accumulated direct reply per owner. Keys sharing a primary share the
   // whole replica group, so one request reaches every epoch's replicas;
   // the epochs are still *processed* strictly in order, so the strike,
-  // reap and stop transitions see them in epoch order.
-  std::vector<size_t> epoch_owner_order;
-  std::unordered_map<size_t, int64_t> epoch_reply_bytes;
-  std::unordered_map<size_t, std::pair<Epoch, int64_t>> batches;
-  for (Epoch e = prev + 1; e <= latest; ++e) {
-    const size_t owner = EpochControllerNode(e);
-    auto [it, inserted] = batches.try_emplace(owner, e, 0);
-    if (inserted) epoch_owner_order.push_back(owner);
-    it->second.second += 1;
-  }
-  for (size_t owner : epoch_owner_order) {
-    const auto& [first_epoch, count] = batches[owner];
-    // Route the batch along the first epoch's key: same primary, same
-    // route. 8 bytes per requested epoch number + header.
-    ORCH_RETURN_IF_ERROR(
-        TryRoutedSend(peer, my_node,
-                      net::KeyHash("epoch:" + std::to_string(first_epoch)),
-                      8 * count + 8)
-            .status());
-    epoch_reply_bytes[owner] = 8;
-    fetch.stats.batched_messages += 1;
-  }
-  for (Epoch e = prev + 1; e <= latest; ++e) {
-    const std::string ekey = "epoch:" + std::to_string(e);
-    const auto holder = FirstHolder(
-        peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
-    if (holder.has_value() &&
-        nodes_[*holder].epoch_aborted.count(e) != 0) {
-      epoch_reply_bytes[EpochControllerNode(e)] += 8;
-      stable = e;  // nothing to ship, but the watermark passes over it
-      continue;
+  // reap and stop transitions see them in epoch order. The owners are
+  // asked at once: one lane per owner carries its request, failover
+  // probes and reply.
+  {
+    net::SimNetwork::Overlap scan(network_, peer, "dht.fetch.scan");
+    std::vector<size_t> epoch_owner_order;
+    std::unordered_map<size_t, int64_t> epoch_reply_bytes;
+    std::unordered_map<size_t, std::pair<Epoch, int64_t>> batches;
+    for (Epoch e = prev + 1; e <= latest; ++e) {
+      const size_t owner = EpochControllerNode(e);
+      auto [it, inserted] = batches.try_emplace(owner, e, 0);
+      if (inserted) epoch_owner_order.push_back(owner);
+      it->second.second += 1;
     }
-    const bool done =
-        holder.has_value() && nodes_[*holder].epoch_done.count(e) != 0;
-    const auto* contents =
-        holder.has_value() &&
-                nodes_[*holder].epoch_contents.count(e) != 0
-            ? &nodes_[*holder].epoch_contents.at(e)
-            : nullptr;
-    const size_t count = contents == nullptr ? 0 : contents->size();
-    epoch_reply_bytes[EpochControllerNode(e)] +=
-        static_cast<int64_t>(16 * count + 16);
-    if (!done) {
-      const int strikes = ++epoch_strikes_[e];
-      if (strikes >= options_.stuck_epoch_reap_threshold) {
-        MutateGroup(ekey, [&](NodeState& node) {
-          node.epoch_contents.erase(e);
-          node.epoch_aborted.insert(e);
-        });
-        epoch_strikes_.erase(e);
-        stable = e;
+    for (size_t owner : epoch_owner_order) {
+      const auto& [first_epoch, count] = batches[owner];
+      // Route the batch along the first epoch's key: same primary, same
+      // route. 8 bytes per requested epoch number + header.
+      scan.Lane(owner);
+      ORCH_RETURN_IF_ERROR(
+          TryRoutedSend(peer, my_node,
+                        net::KeyHash("epoch:" + std::to_string(first_epoch)),
+                        8 * count + 8)
+              .status());
+      epoch_reply_bytes[owner] = 8;
+      fetch.stats.batched_messages += 1;
+    }
+    for (Epoch e = prev + 1; e <= latest; ++e) {
+      const std::string ekey = "epoch:" + std::to_string(e);
+      scan.Lane(EpochControllerNode(e));
+      const auto holder = FirstHolder(
+          peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
+      if (holder.has_value() &&
+          nodes_[*holder].epoch_aborted.count(e) != 0) {
+        epoch_reply_bytes[EpochControllerNode(e)] += 8;
+        stable = e;  // nothing to ship, but the watermark passes over it
         continue;
       }
-      break;  // everything after an unfinished epoch is unstable
+      const bool done =
+          holder.has_value() && nodes_[*holder].epoch_done.count(e) != 0;
+      const auto* contents =
+          holder.has_value() &&
+                  nodes_[*holder].epoch_contents.count(e) != 0
+              ? &nodes_[*holder].epoch_contents.at(e)
+              : nullptr;
+      const size_t count = contents == nullptr ? 0 : contents->size();
+      epoch_reply_bytes[EpochControllerNode(e)] +=
+          static_cast<int64_t>(16 * count + 16);
+      if (!done) {
+        const int strikes = ++epoch_strikes_[e];
+        if (strikes >= options_.stuck_epoch_reap_threshold) {
+          MutateGroup(ekey, [&](NodeState& node) {
+            node.epoch_contents.erase(e);
+            node.epoch_aborted.insert(e);
+          });
+          epoch_strikes_.erase(e);
+          stable = e;
+          continue;
+        }
+        break;  // everything after an unfinished epoch is unstable
+      }
+      stable = e;
+      if (contents != nullptr) {
+        for (const TransactionId& id : *contents) published.push_back(id);
+      }
     }
-    stable = e;
-    if (contents != nullptr) {
-      for (const TransactionId& id : *contents) published.push_back(id);
+    // One accumulated reply per controller owner (the owner streams its
+    // epochs' states; the client stops consuming at the first unfinished
+    // epoch).
+    for (size_t owner : epoch_owner_order) {
+      scan.Lane(owner);
+      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, epoch_reply_bytes[owner]));
     }
-  }
-  // One accumulated reply per controller owner (the owner streams its
-  // epochs' states; the client stops consuming at the first unfinished
-  // epoch).
-  for (size_t owner : epoch_owner_order) {
-    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, epoch_reply_bytes[owner]));
   }
   fetch.epoch = stable;
 
@@ -610,6 +652,11 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   // reference, lookups whose reply must be "not relevant" — the peer
   // durably applied the transaction — are suppressed before any message
   // is sent.
+  //
+  // Each level is one overlap with a lane per owner, carrying its
+  // multi-get, verified-read probes, reply and payload. Level k+1 waits
+  // for level k's replies, which name its ids: that wait is the paper's
+  // antecedent-chain round trip.
   TxnIdSet requested;
   std::vector<std::pair<TransactionId, bool>> frontier;
   for (const TransactionId& id : published) frontier.emplace_back(id, false);
@@ -622,6 +669,7 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
     }
     frontier.clear();
     if (level.empty()) continue;
+    net::SimNetwork::Overlap lanes(network_, peer, "dht.fetch.level");
     std::vector<size_t> owner_order;
     std::unordered_map<size_t, std::pair<int64_t, int64_t>>
         batch;  // owner -> (request count, reply bytes)
@@ -641,6 +689,7 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
           break;
         }
       }
+      lanes.Lane(owner);
       ORCH_RETURN_IF_ERROR(
           TryRoutedSend(peer, my_node,
                         net::KeyHash("txn:" + route_id->ToString()),
@@ -654,10 +703,11 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
     std::unordered_map<size_t, std::string> ship_buf;
     std::unordered_map<size_t, std::vector<size_t>> ship_idx;
     for (const auto& [id, as_antecedent] : level) {
+      const size_t owner = TxnControllerNode(id);
+      lanes.Lane(owner);
       ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
       const NodeState& node = nodes_[read.holder];
       const Transaction& txn = read.txn;
-      const size_t owner = TxnControllerNode(id);
       int64_t& reply_bytes = batch[owner].second;
       char decided = 0;
       auto dec_it = node.decisions.find(id);
@@ -684,6 +734,7 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
       }
     }
     for (size_t owner : owner_order) {
+      lanes.Lane(owner);
       ORCH_RETURN_IF_ERROR(TryDirectSend(peer, batch[owner].second));
       auto buf_it = ship_buf.find(owner);
       if (buf_it == ship_buf.end()) continue;
@@ -728,6 +779,7 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   // Commit the new watermark at the coordinator group only now that the
   // fetch is fully assembled: a lost message anywhere above must not
   // advance it, or the window (prev, stable] would be skipped forever.
+  // So it waits for the last level's replies.
   ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 24));
   coord_entry.epoch = stable;
   MutateGroup(pkey,
@@ -784,23 +836,30 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
     if (inserted) owner_order.push_back(owner);
     it->second.push_back(i);
   }
-  for (size_t owner : owner_order) {
-    const std::vector<size_t>& members = batch[owner];
-    const std::string route_key =
-        "txn:" + outcomes[members.front()].first.ToString();
-    ORCH_RETURN_IF_ERROR(TryReplicatedSend(
-        peer, my_node, route_key, static_cast<int64_t>(24 * members.size())));
-    for (size_t i : members) {
-      const TransactionId id = outcomes[i].first;
-      const char verdict = outcomes[i].second;
-      MutateGroup("txn:" + id.ToString(), [&](NodeState& node) {
-        node.decisions[id][peer] = Decision{verdict, recno};
-      });
+  {
+    // The multi-puts go to independent controller groups at once, one
+    // lane per owner.
+    net::SimNetwork::Overlap puts(network_, peer, "dht.record.puts");
+    for (size_t owner : owner_order) {
+      const std::vector<size_t>& members = batch[owner];
+      const std::string route_key =
+          "txn:" + outcomes[members.front()].first.ToString();
+      puts.Lane(owner);
+      ORCH_RETURN_IF_ERROR(TryReplicatedSend(
+          peer, my_node, route_key,
+          static_cast<int64_t>(24 * members.size())));
+      for (size_t i : members) {
+        const TransactionId id = outcomes[i].first;
+        const char verdict = outcomes[i].second;
+        MutateGroup("txn:" + id.ToString(), [&](NodeState& node) {
+          node.decisions[id][peer] = Decision{verdict, recno};
+        });
+      }
     }
   }
-  // Last message: the coordinator's completion witness. Until it lands,
-  // recovery reports the reconciliation as interrupted
-  // (last_decided_recno < recno).
+  // Last message: the coordinator's completion witness, sent once every
+  // multi-put was acknowledged. Until it lands, recovery reports the
+  // reconciliation as interrupted (last_decided_recno < recno).
   const std::string pkey = "peer:" + std::to_string(peer);
   ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 24));
   MutateGroup(pkey, [&](NodeState& node) {
@@ -850,9 +909,14 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
   const core::TrustPolicy& policy = *policy_it->second;
   core::RecoveryBundle bundle;
 
-  // Watermark, recno and completion witness from the peer coordinator
-  // group (one round trip, failing over past crashed members).
+  // The coordinator read and the node sweep need no reply of each other:
+  // one overlap, with a lane for the coordinator and one per node.
+  core::TxnIdSet decided;
   {
+    net::SimNetwork::Overlap sweep(network_, peer, "dht.recover.sweep");
+    // Watermark, recno and completion witness from the peer coordinator
+    // group (one round trip, failing over past crashed members).
+    sweep.Lane(nodes_.size());  // past every node's lane
     const auto holder = FirstHolder(
         peer, "peer:" + std::to_string(peer),
         [&](const NodeState& n) { return n.coordinated.count(peer) != 0; });
@@ -864,40 +928,40 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
       const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(*holder));
       network_->Charge(peer, route.hops + 1, 24);
     }
-  }
 
-  // Without its soft state the peer cannot know which transaction
-  // controllers hold its decisions, so recovery sweeps every live node:
-  // one request per node, one bulk reply carrying that node's
-  // transactions and this peer's decisions on them. Replicas resend the
-  // same decisions; the `decided` set dedupes them.
-  core::TxnIdSet decided;
-  for (size_t node = 0; node < nodes_.size(); ++node) {
-    if (!ring_.IsLive(node)) continue;
-    int64_t bytes = 16;
-    // Snapshot the id list first: verified reads may heal this node's
-    // own maps mid-walk.
-    std::vector<TransactionId> ids;
-    for (const auto& [id, txn] : nodes_[node].txns) ids.push_back(id);
-    for (const TransactionId& id : ids) {
-      auto dec_it = nodes_[node].decisions.find(id);
-      if (dec_it == nodes_[node].decisions.end()) continue;
-      auto peer_it = dec_it->second.find(peer);
-      if (peer_it == dec_it->second.end()) continue;
-      if (!decided.insert(id).second) continue;  // already from a replica
-      if (peer_it->second.verdict == 'A') {
-        ORCH_ASSIGN_OR_RETURN(Transaction txn,
-                              ReadLocalOrRepair(peer, node, id));
-        bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-        bundle.applied.push_back(std::move(txn));
-      } else {
-        bundle.rejected.push_back(id);
-        bytes += 16;
+    // Without its soft state the peer cannot know which transaction
+    // controllers hold its decisions, so recovery sweeps every live
+    // node: one request per node, one bulk reply carrying that node's
+    // transactions and this peer's decisions on them. Replicas resend
+    // the same decisions; the `decided` set dedupes them.
+    for (size_t node = 0; node < nodes_.size(); ++node) {
+      if (!ring_.IsLive(node)) continue;
+      sweep.Lane(node);
+      int64_t bytes = 16;
+      // Snapshot the id list first: verified reads may heal this node's
+      // own maps mid-walk.
+      std::vector<TransactionId> ids;
+      for (const auto& [id, txn] : nodes_[node].txns) ids.push_back(id);
+      for (const TransactionId& id : ids) {
+        auto dec_it = nodes_[node].decisions.find(id);
+        if (dec_it == nodes_[node].decisions.end()) continue;
+        auto peer_it = dec_it->second.find(peer);
+        if (peer_it == dec_it->second.end()) continue;
+        if (!decided.insert(id).second) continue;  // already from a replica
+        if (peer_it->second.verdict == 'A') {
+          ORCH_ASSIGN_OR_RETURN(Transaction txn,
+                                ReadLocalOrRepair(peer, node, id));
+          bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
+          bundle.applied.push_back(std::move(txn));
+        } else {
+          bundle.rejected.push_back(id);
+          bytes += 16;
+        }
       }
+      const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(node));
+      network_->Charge(peer, route.hops, 16);
+      network_->Charge(peer, 1, bytes);  // reply
     }
-    const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(node));
-    network_->Charge(peer, route.hops, 16);
-    network_->Charge(peer, 1, bytes);  // reply
   }
   std::sort(bundle.applied.begin(), bundle.applied.end(),
             [](const Transaction& a, const Transaction& b) {
@@ -913,55 +977,78 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
   // conservative overlay with it so the recovered peer's first fetch
   // suppresses everything it durably applied.
   cache_.ResetApplied(peer, applied_ids);
-  core::TxnIdSet shipped;
-  std::deque<std::pair<TransactionId, bool>> pending;
-  for (Epoch e = 1; e <= bundle.epoch; ++e) {
-    const std::string ekey = "epoch:" + std::to_string(e);
-    const auto holder = FirstHolder(
-        peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
-    const size_t controller = holder.value_or(EpochControllerNode(e));
-    const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(controller));
-    if (!EpochCommitted(e)) {  // aborted or unfinished: nothing to ship
-      network_->Charge(peer, route.hops + 1, 16);
-      continue;
-    }
-    const auto contents = nodes_[controller].epoch_contents.find(e);
-    const size_t count = contents == nodes_[controller].epoch_contents.end()
-                             ? 0
-                             : contents->second.size();
-    network_->Charge(peer, route.hops + 1,
-                     static_cast<int64_t>(16 * count + 16));
-    if (contents == nodes_[controller].epoch_contents.end()) continue;
-    for (const TransactionId& id : contents->second) {
-      if (decided.count(id) == 0) pending.emplace_back(id, false);
-    }
-  }
-  while (!pending.empty()) {
-    const auto [id, as_antecedent] = pending.front();
-    pending.pop_front();
-    if (!shipped.insert(id).second) continue;
-    if (applied_ids.count(id) != 0) continue;
-    ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
-    const size_t node = read.holder;
-    const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(node));
-    const Transaction& txn = read.txn;
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (!as_antecedent && priority <= 0) {
-      network_->Charge(peer, route.hops + 1, 24);
-      continue;
-    }
-    network_->Charge(
-        peer, route.hops + 1,
-        static_cast<int64_t>(core::EncodedTransactionSize(txn)) + 8);
-    if (!as_antecedent) bundle.undecided.emplace_back(id, priority);
-    bundle.closure.push_back(txn);
-    for (const TransactionId& ante : txn.antecedents) {
-      pending.emplace_back(ante, true);
-    }
-  }
+  ORCH_RETURN_IF_ERROR(
+      ReadUndecided(peer, policy, decided, applied_ids, &bundle));
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
   return bundle;
+}
+
+Status DhtStore::ReadUndecided(ParticipantId peer,
+                               const core::TrustPolicy& policy,
+                               const core::TxnIdSet& skip_roots,
+                               const core::TxnIdSet& skip_closure,
+                               core::RecoveryBundle* bundle) const {
+  const size_t my_node = NodeOfPeer(peer);
+  std::vector<std::pair<TransactionId, bool>> level;
+  {
+    // Every epoch controller is asked at once, one lane per epoch.
+    net::SimNetwork::Overlap epochs(network_, peer, "dht.recover.epochs");
+    for (Epoch e = 1; e <= bundle->epoch; ++e) {
+      epochs.Lane(static_cast<uint64_t>(e));
+      const std::string ekey = "epoch:" + std::to_string(e);
+      const auto holder = FirstHolder(
+          peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
+      const size_t controller = holder.value_or(EpochControllerNode(e));
+      const auto route = ring_.Route(my_node, ring_.IdOf(controller));
+      if (!EpochCommitted(e)) {  // aborted or unfinished: nothing to ship
+        network_->Charge(peer, route.hops + 1, 16);
+        continue;
+      }
+      const auto contents = nodes_[controller].epoch_contents.find(e);
+      const size_t count = contents == nodes_[controller].epoch_contents.end()
+                               ? 0
+                               : contents->second.size();
+      network_->Charge(peer, route.hops + 1,
+                       static_cast<int64_t>(16 * count + 16));
+      if (contents == nodes_[controller].epoch_contents.end()) continue;
+      for (const TransactionId& id : contents->second) {
+        if (skip_roots.count(id) == 0) level.emplace_back(id, false);
+      }
+    }
+  }
+  // The antecedent closure, breadth-first: a level's reads go out at
+  // once, one lane per transaction, and the next level waits for their
+  // replies, which name its ids.
+  core::TxnIdSet shipped;
+  while (!level.empty()) {
+    net::SimNetwork::Overlap reads(network_, peer, "dht.recover.level");
+    std::vector<std::pair<TransactionId, bool>> next;
+    for (size_t i = 0; i < level.size(); ++i) {
+      const auto& [id, as_antecedent] = level[i];
+      if (!shipped.insert(id).second) continue;
+      if (skip_closure.count(id) != 0) continue;
+      reads.Lane(i);
+      ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
+      const auto route = ring_.Route(my_node, ring_.IdOf(read.holder));
+      const Transaction& txn = read.txn;
+      const int priority = policy.PriorityOfTransaction(txn);
+      if (!as_antecedent && priority <= 0) {
+        network_->Charge(peer, route.hops + 1, 24);
+        continue;
+      }
+      network_->Charge(
+          peer, route.hops + 1,
+          static_cast<int64_t>(core::EncodedTransactionSize(txn)) + 8);
+      if (!as_antecedent) bundle->undecided.emplace_back(id, priority);
+      bundle->closure.push_back(txn);
+      for (const TransactionId& ante : txn.antecedents) {
+        next.emplace_back(ante, true);
+      }
+    }
+    level = std::move(next);
+  }
+  return Status::OK();
 }
 
 Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
@@ -981,51 +1068,69 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
 
   // Each trusted transaction's controller assembles its extension by
   // querying the antecedents' controllers (controller-to-controller
-  // traffic charged per edge), then flattens it locally.
-  for (const auto& [txn_id, priority] : fetch.base.trusted) {
-    core::TrustedTxn t;
-    t.id = txn_id;
-    t.priority = priority;
-    t.extension = core::ComputeExtensionFromBundle(bundle, txn_id);
-    const size_t controller = TxnControllerNode(txn_id);
-    for (const TransactionId& member : t.extension) {
-      if (member == txn_id) continue;
-      const auto route =
-          ring_.Route(controller, net::KeyHash("txn:" + member.ToString()));
-      int64_t sz = 64;
-      if (auto txn = bundle.Get(member); txn.ok()) {
-        sz = static_cast<int64_t>(core::EncodedTransactionSize(**txn));
+  // traffic charged per edge), then flattens it locally. The edges'
+  // queries are independent: one lane per edge.
+  {
+    net::SimNetwork::Overlap queries(network_, peer, "dht.nc.extensions");
+    uint64_t edge = 0;
+    for (const auto& [txn_id, priority] : fetch.base.trusted) {
+      core::TrustedTxn t;
+      t.id = txn_id;
+      t.priority = priority;
+      t.extension = core::ComputeExtensionFromBundle(bundle, txn_id);
+      const size_t controller = TxnControllerNode(txn_id);
+      for (const TransactionId& member : t.extension) {
+        if (member == txn_id) continue;
+        queries.Lane(edge++);
+        const auto route =
+            ring_.Route(controller, net::KeyHash("txn:" + member.ToString()));
+        int64_t sz = 64;
+        if (auto txn = bundle.Get(member); txn.ok()) {
+          sz = static_cast<int64_t>(core::EncodedTransactionSize(**txn));
+        }
+        network_->Charge(peer, route.hops + 1, sz);
       }
-      network_->Charge(peer, route.hops + 1, sz);
+      fetch.trusted_txns.push_back(std::move(t));
     }
-    fetch.trusted_txns.push_back(std::move(t));
   }
   fetch.analysis =
       core::AnalyzeExtensions(*catalog_, bundle, fetch.trusted_txns);
 
   // Conflict detection is distributed by key: every flattened update is
-  // forwarded to the owner of its key, and each detected conflicting
-  // pair is reported to the reconciling peer.
-  for (size_t i = 0; i < fetch.analysis.up_ex.size(); ++i) {
-    const size_t controller = TxnControllerNode(fetch.trusted_txns[i].id);
-    for (const core::Update& u : fetch.analysis.up_ex[i]) {
-      const db::RelationSchema& schema =
-          *catalog_->GetRelation(u.relation()).value();
-      for (const core::RelKey& rk : u.TouchedKeys(schema)) {
-        const auto route =
-            ring_.Route(controller, net::KeyHash(rk.ToString()));
-        network_->Charge(peer, route.hops > 0 ? route.hops : 1, 48);
+  // forwarded to the owner of its key (once its extension is flattened;
+  // the forwards are independent, one lane each), and each detected
+  // conflicting pair is then reported to the reconciling peer (one lane
+  // per pair).
+  {
+    net::SimNetwork::Overlap forwards(network_, peer, "dht.nc.forward");
+    uint64_t message = 0;
+    for (size_t i = 0; i < fetch.analysis.up_ex.size(); ++i) {
+      const size_t controller = TxnControllerNode(fetch.trusted_txns[i].id);
+      for (const core::Update& u : fetch.analysis.up_ex[i]) {
+        const db::RelationSchema& schema =
+            *catalog_->GetRelation(u.relation()).value();
+        for (const core::RelKey& rk : u.TouchedKeys(schema)) {
+          forwards.Lane(message++);
+          const auto route =
+              ring_.Route(controller, net::KeyHash(rk.ToString()));
+          network_->Charge(peer, route.hops > 0 ? route.hops : 1, 48);
+        }
       }
     }
   }
-  for (const auto& pair : fetch.analysis.conflicts) {
-    (void)pair;
-    network_->Charge(peer, 1 + static_cast<int64_t>(
-                                  ring_.Route(my_node, ring_.IdOf(my_node))
-                                      .hops),
-                     64);
+  {
+    net::SimNetwork::Overlap reports(network_, peer, "dht.nc.reports");
+    for (size_t i = 0; i < fetch.analysis.conflicts.size(); ++i) {
+      reports.Lane(i);
+      network_->Charge(
+          peer,
+          1 + static_cast<int64_t>(
+                  ring_.Route(my_node, ring_.IdOf(my_node)).hops),
+          64);
+    }
   }
-  // Ship the extensions and analysis to the peer in one bulk message.
+  // Ship the extensions and analysis to the peer in one bulk message,
+  // which waits for every report.
   int64_t bytes = 0;
   for (const auto& up_ex : fetch.analysis.up_ex) {
     for (const core::Update& u : up_ex) {
@@ -1053,9 +1158,18 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
   const size_t my_node = NodeOfPeer(new_peer);
   core::RecoveryBundle bundle;
 
-  // Watermark from the source's coordinator group; record it as the new
-  // peer's watermark at its own coordinator group.
+  // The coordinator chain and the node sweep need no reply of each
+  // other: one overlap, with a lane for the chain and one per node.
+  // Ordered: the overlay update below walks this set into the fetch
+  // cache, and adoption must replay identically across runs.
+  std::set<TransactionId> adopted;
   {
+    net::SimNetwork::Overlap sweep(network_, new_peer,
+                                   "dht.bootstrap.sweep");
+    // Watermark from the source's coordinator group; record it as the
+    // new peer's watermark at its own coordinator group, which waits for
+    // the read's reply.
+    sweep.Lane(nodes_.size());  // past every node's lane
     const auto holder = FirstHolder(
         new_peer, "peer:" + std::to_string(source_peer),
         [&](const NodeState& n) {
@@ -1072,32 +1186,33 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
     const auto route2 =
         ring_.Route(my_node, ring_.IdOf(CoordinatorNode(new_peer)));
     network_->Charge(new_peer, route2.hops + 1, 24);
-  }
 
-  // Sweep every live node: copy the source's accept decisions onto the
-  // new peer (one bulk round trip per node, as in recovery). Visiting a
-  // replica re-adopts the same ids; `adopted` dedupes the bundle while
-  // the decision write itself lands on every replica of the group.
-  // Ordered: the overlay update below walks this set into the fetch
-  // cache, and adoption must replay identically across runs.
-  std::set<TransactionId> adopted;
-  for (size_t node = 0; node < nodes_.size(); ++node) {
-    if (!ring_.IsLive(node)) continue;
-    int64_t bytes = 16;
-    for (auto& [id, decisions] : nodes_[node].decisions) {
-      auto src_it = decisions.find(source_peer);
-      if (src_it == decisions.end() || src_it->second.verdict != 'A') continue;
-      decisions[new_peer] = Decision{'A', 0};
-      if (!adopted.insert(id).second) continue;
-      ORCH_CHECK(nodes_[node].txns.count(id) != 0);
-      ORCH_ASSIGN_OR_RETURN(Transaction txn,
-                            ReadLocalOrRepair(new_peer, node, id));
-      bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-      bundle.applied.push_back(std::move(txn));
+    // Sweep every live node: copy the source's accept decisions onto the
+    // new peer (one bulk round trip per node, as in recovery). Visiting
+    // a replica re-adopts the same ids; `adopted` dedupes the bundle
+    // while the decision write itself lands on every replica of the
+    // group.
+    for (size_t node = 0; node < nodes_.size(); ++node) {
+      if (!ring_.IsLive(node)) continue;
+      sweep.Lane(node);
+      int64_t bytes = 16;
+      for (auto& [id, decisions] : nodes_[node].decisions) {
+        auto src_it = decisions.find(source_peer);
+        if (src_it == decisions.end() || src_it->second.verdict != 'A') {
+          continue;
+        }
+        decisions[new_peer] = Decision{'A', 0};
+        if (!adopted.insert(id).second) continue;
+        ORCH_CHECK(nodes_[node].txns.count(id) != 0);
+        ORCH_ASSIGN_OR_RETURN(Transaction txn,
+                              ReadLocalOrRepair(new_peer, node, id));
+        bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
+        bundle.applied.push_back(std::move(txn));
+      }
+      const auto route = ring_.Route(my_node, ring_.IdOf(node));
+      network_->Charge(new_peer, route.hops, 16);
+      network_->Charge(new_peer, 1, bytes);
     }
-    const auto route = ring_.Route(my_node, ring_.IdOf(node));
-    network_->Charge(new_peer, route.hops, 16);
-    network_->Charge(new_peer, 1, bytes);
   }
   std::sort(bundle.applied.begin(), bundle.applied.end(),
             [](const Transaction& a, const Transaction& b) {
@@ -1108,52 +1223,9 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
   for (const TransactionId& id : adopted) cache_.MarkApplied(new_peer, id);
 
   // Undecided trusted transactions within the adopted window.
-  core::TxnIdSet shipped;
-  std::deque<std::pair<TransactionId, bool>> pending;
-  for (Epoch e = 1; e <= bundle.epoch; ++e) {
-    const std::string ekey = "epoch:" + std::to_string(e);
-    const auto holder = FirstHolder(
-        new_peer, ekey, [&](const NodeState& n) { return n.KnowsEpoch(e); });
-    const size_t controller = holder.value_or(EpochControllerNode(e));
-    const auto route = ring_.Route(my_node, ring_.IdOf(controller));
-    if (!EpochCommitted(e)) {  // aborted or unfinished: nothing to ship
-      network_->Charge(new_peer, route.hops + 1, 16);
-      continue;
-    }
-    const auto contents = nodes_[controller].epoch_contents.find(e);
-    const size_t count = contents == nodes_[controller].epoch_contents.end()
-                             ? 0
-                             : contents->second.size();
-    network_->Charge(new_peer, route.hops + 1,
-                     static_cast<int64_t>(16 * count + 16));
-    if (contents == nodes_[controller].epoch_contents.end()) continue;
-    for (const TransactionId& id : contents->second) {
-      if (adopted.count(id) == 0) pending.emplace_back(id, false);
-    }
-  }
-  while (!pending.empty()) {
-    const auto [id, as_antecedent] = pending.front();
-    pending.pop_front();
-    if (!shipped.insert(id).second) continue;
-    if (adopted.count(id) != 0) continue;
-    ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(new_peer, id));
-    const size_t node = read.holder;
-    const auto route = ring_.Route(my_node, ring_.IdOf(node));
-    const Transaction& txn = read.txn;
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (!as_antecedent && priority <= 0) {
-      network_->Charge(new_peer, route.hops + 1, 24);
-      continue;
-    }
-    network_->Charge(
-        new_peer, route.hops + 1,
-        static_cast<int64_t>(core::EncodedTransactionSize(txn)) + 8);
-    if (!as_antecedent) bundle.undecided.emplace_back(id, priority);
-    bundle.closure.push_back(txn);
-    for (const TransactionId& ante : txn.antecedents) {
-      pending.emplace_back(ante, true);
-    }
-  }
+  const core::TxnIdSet adopted_ids(adopted.begin(), adopted.end());
+  ORCH_RETURN_IF_ERROR(
+      ReadUndecided(new_peer, policy, adopted_ids, adopted_ids, &bundle));
   cpu_micros_[new_peer] += cpu.ElapsedMicros();
   calls_[new_peer] += 1;
   return bundle;

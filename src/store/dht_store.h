@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "core/extension.h"
 #include "core/fetch_cache.h"
 #include "core/update_store.h"
 #include "net/dht.h"
@@ -33,9 +34,16 @@ namespace orchestra::store {
 ///    reconciliation numbers and epoch watermark.
 ///
 /// Every key-addressed message is routed over the overlay and charged
-/// hop-by-hop to the initiating peer; replies take one direct hop.
-/// Requests to follow antecedent chains dominate reconciliation cost,
-/// exactly as the paper reports.
+/// per hop to the initiating peer; replies take one direct hop. The
+/// client is scatter-gather (net::SimNetwork::Overlap): within a
+/// protocol phase, every message that needs no other message's reply is
+/// in flight at once, one lane per owner (or per transaction), and the
+/// peer waits for the slowest lane. So a phase costs its longest chain,
+/// not its message count. The phases follow each other: the fetch head,
+/// the epoch scan, each BFS level of the antecedent closure (a level's
+/// ids come from the previous level's replies), the watermark commit.
+/// Antecedent-chain round trips therefore dominate reconciliation cost,
+/// as the paper reports.
 ///
 /// The store survives node churn: every controller's state is
 /// replicated across the key's *replica group* — the key's first
@@ -277,6 +285,7 @@ class DhtStore : public core::UpdateStore,
                                     const std::string& key, Pred has) const {
     static Counter& failover_probes =
         MetricsRegistry::Global().GetCounter("store.dht.failover_probes");
+    // Sequential: each probe waits for the previous replica's miss.
     for (size_t node : GroupFor(key)) {
       if (has(nodes_[node])) return node;
       failover_probes.Increment();
@@ -293,7 +302,7 @@ class DhtStore : public core::UpdateStore,
   /// One direct (already-located) message.
   void DirectSend(core::ParticipantId peer, int64_t bytes);
   /// Routes to `key`'s primary and fans the message out to the rest of
-  /// the replica group (k-1 direct messages).
+  /// the replica group: k-1 direct messages sent at once, one hop.
   void ReplicatedSend(core::ParticipantId peer, size_t from_node,
                       const std::string& key, int64_t bytes);
   /// Failable variants for the publish/reconcile/record protocol paths:
@@ -351,6 +360,15 @@ class DhtStore : public core::UpdateStore,
   /// in the delivered bytes.
   Result<std::string> ShipPayload(core::ParticipantId peer,
                                   std::string_view wire) const;
+  /// Recovery and bootstrap tail: fills `bundle`'s undecided and closure
+  /// lists with the trusted transactions of every committed epoch up to
+  /// `bundle->epoch` that are not in `skip_roots`, plus their antecedent
+  /// closures minus `skip_closure`.
+  Status ReadUndecided(core::ParticipantId peer,
+                       const core::TrustPolicy& policy,
+                       const core::TxnIdSet& skip_roots,
+                       const core::TxnIdSet& skip_closure,
+                       core::RecoveryBundle* bundle) const;
   /// True when epoch `e` committed (finished and not aborted) on any
   /// replica still holding it.
   bool EpochCommitted(core::Epoch e) const;

@@ -133,9 +133,10 @@ struct ParsedEvent {
   std::string name;
   char phase = '?';
   long tid = -1;
+  long long ts = -1;  // absent on metadata rows
 };
 
-// Pulls name/ph/tid out of each {"name":...} element; the JSON is
+// Pulls name/ph/ts/tid out of each {"name":...} element; the JSON is
 // machine-written, so field order is fixed. Top-level events follow '['
 // or ','; a metadata row's args payload ({"name":"thread-0"}) follows
 // ':' and is skipped.
@@ -153,6 +154,10 @@ inline std::vector<ParsedEvent> ParseEvents(const std::string& json) {
     event.name = json.substr(pos, name_end - pos);
     const size_t ph = json.find("\"ph\":\"", name_end);
     event.phase = json[ph + 6];
+    // Timed events write "ts" right after "ph"; metadata rows have none.
+    if (json.compare(ph + 9, 5, "\"ts\":") == 0) {
+      event.ts = std::strtoll(json.c_str() + ph + 14, nullptr, 10);
+    }
     const size_t tid = json.find("\"tid\":", ph);
     event.tid = std::strtol(json.c_str() + tid + 6, nullptr, 10);
     events.push_back(std::move(event));

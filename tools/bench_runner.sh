@@ -105,6 +105,27 @@ if ! jq -e "$spans_nest" "$out/sim_trace_a.json" >/dev/null; then
 fi
 echo "sim trace OK: $(jq '.traceEvents | length' "$out/sim_trace_a.json")" \
      "events, byte-identical across runs"
+
+# The same check on the DHT store, whose scatter-gather client stamps
+# each message at its lane's clock and draws its phases as spans.
+echo "== provenance determinism (dht) =="
+ORCH_SIM_TRACE="$out/sim_trace_dht_a.json" \
+    "$prov_dump" dht "$out/provenance_dht_a.jsonl"
+ORCH_SIM_TRACE="$out/sim_trace_dht_b.json" \
+    "$prov_dump" dht "$out/provenance_dht_b.jsonl"
+cmp "$out/provenance_dht_a.jsonl" "$out/provenance_dht_b.jsonl" \
+  || { echo "dht provenance JSONL diverged between same-seed runs" >&2
+       exit 1; }
+cmp "$out/sim_trace_dht_a.json" "$out/sim_trace_dht_b.json" \
+  || { echo "dht sim trace diverged between same-seed runs" >&2; exit 1; }
+if ! jq -e "$spans_nest" "$out/sim_trace_dht_a.json" >/dev/null; then
+  echo "dht sim trace is missing, empty, invalid JSON, or has unbalanced" \
+       "spans" >&2
+  exit 1
+fi
+echo "dht sim trace OK:" \
+     "$(jq '.traceEvents | length' "$out/sim_trace_dht_a.json") events," \
+     "byte-identical across runs"
 jq -s '{bench: "provenance_summary",
         records: length,
         by_verdict: (group_by(.verdict)
