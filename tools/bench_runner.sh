@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# Bench runner: build the optimized preset, run the micro_reconcile
-# study plus every ORCH_* sweep (fault, churn, delta, corruption), and
-# diff the stable fields of the freshly emitted BENCH_*.json against the
-# committed baselines at the repo root.
+# Bench runner: build the optimized preset, run every orch_sweep emitter
+# (study, fault, churn, delta, corruption), and diff the stable fields
+# of each freshly emitted BENCH_*.json against the committed baselines
+# at the repo root.
+#
+# Each emitter gates on its own verdict: `orch_sweep <name> <out.json>`
+# exits 1 when a check fails or its JSON cannot be written. Every step
+# runs even when an earlier one fails; the runner records each failure
+# and exits 1 at the end with the list.
 #
 # Wall-clock timings (and the ratios derived from them) vary run to
 # run, so they are stripped before the diff. Every remaining field —
@@ -19,12 +24,13 @@ out="${ORCH_BENCH_OUT:-$build/bench_out}"
 mkdir -p "$out"
 
 (cd "$repo" && cmake --preset default >/dev/null)
-cmake --build "$build" -j"$(nproc)" --target micro_reconcile provenance_dump
+cmake --build "$build" -j"$(nproc)" --target orch_sweep provenance_dump
 
-bench="$build/bench/micro_reconcile"
+sweep="$build/bench/orch_sweep"
 prov_dump="$build/tools/provenance_dump"
+failed=()
 
-# Chrome trace check shared by both traces below: at least one event,
+# Chrome trace check shared by every trace below: at least one event,
 # and every 'B' closed by a same-named 'E' in LIFO order on its track
 # (tid); no span left open.
 spans_nest='(.traceEvents | length > 0) and
@@ -36,96 +42,58 @@ spans_nest='(.traceEvents | length > 0) and
         else .ok = false end)
    | .ok and all(.open[]; length == 0))'
 
-echo "== reconcile study =="
-ORCH_BENCH_JSON="$out/BENCH_micro_reconcile.json" \
-    "$bench" --benchmark_filter=NONE
-echo "== fault sweep =="
-ORCH_FAULT_SWEEP=1 ORCH_FAULT_SWEEP_JSON="$out/BENCH_fault_sweep.json" \
-    "$bench"
-echo "== churn sweep =="
-ORCH_CHURN_SWEEP=1 ORCH_CHURN_SWEEP_JSON="$out/BENCH_churn_sweep.json" \
-    "$bench"
-echo "== delta sweep =="
-ORCH_DELTA_SWEEP=1 ORCH_DELTA_SWEEP_JSON="$out/BENCH_delta_sweep.json" \
-    "$bench"
-echo "== corruption sweep =="
-ORCH_CORRUPTION_SWEEP=1 \
-    ORCH_CORRUPTION_SWEEP_JSON="$out/BENCH_corruption_sweep.json" \
-    "$bench"
-# The sweep's own verdict gates the run before any baseline diff: every
-# corrupted run must match its fault-free baseline with zero undetected
-# reads, and the verify-off control arm must demonstrably consume rot.
-if ! jq -e '.all_checks_pass and .corruption_exercised and .control_consumed_rot' \
-    "$out/BENCH_corruption_sweep.json" >/dev/null; then
-  echo "corruption sweep verdict FAILED:" >&2
-  jq '{all_checks_pass, corruption_exercised, control_consumed_rot}' \
-      "$out/BENCH_corruption_sweep.json" >&2
-  exit 1
-fi
+# check_trace <label> <file>: the file is a well-formed Chrome trace
+# with balanced spans.
+check_trace() {
+  if jq -e "$spans_nest" "$2" >/dev/null 2>&1; then
+    echo "$1 OK: $(jq '.traceEvents | length' "$2") events in $2"
+  else
+    echo "$1 $2 is missing, empty, invalid JSON, or has unbalanced spans" >&2
+    failed+=("$1")
+  fi
+}
 
-# One traced sweep: rerun the fault sweep with ORCH_TRACE set, writing
-# its JSON to a scratch path (the traced rerun is exercised, not
-# diffed) and fail hard if the trace file is missing, empty, not the
-# Chrome trace_event shape, or has unbalanced spans. Tracing must not
-# perturb decisions, so reusing the fault sweep doubles as a cheap
-# end-to-end check.
+names=()
+for name in study fault churn delta corruption; do
+  json="${name}_sweep"
+  [[ $name == study ]] && json=micro_reconcile
+  names+=("$json")
+  echo "== orch_sweep $name =="
+  "$sweep" "$name" "$out/BENCH_$json.json" || failed+=("orch_sweep $name")
+done
+
+# One traced sweep: rerun the fault sweep with ORCH_TRACE set (its JSON
+# goes to a scratch path; the traced rerun is exercised, not diffed).
+# Tracing must not perturb decisions, so reusing the fault sweep doubles
+# as a cheap end-to-end check.
 echo "== traced fault sweep =="
 trace="$out/trace_fault_sweep.json"
 rm -f "$trace"
-ORCH_TRACE="$trace" ORCH_FAULT_SWEEP=1 \
-    ORCH_FAULT_SWEEP_JSON="$out/BENCH_fault_sweep_traced.json" \
-    "$bench"
-if ! jq -e "$spans_nest" "$trace" >/dev/null; then
-  echo "trace output $trace is missing, empty, invalid JSON, or has" \
-       "unbalanced spans" >&2
-  exit 1
-fi
-echo "trace OK: $(jq '.traceEvents | length' "$trace") events in $trace"
+ORCH_TRACE="$trace" "$sweep" fault "$out/BENCH_fault_sweep_traced.json" \
+  || failed+=("traced orch_sweep fault")
+check_trace trace "$trace"
 
-# Provenance + simulated-time trace determinism: run the seeded
-# provenance_dump confederation twice with ORCH_SIM_TRACE armed. Both
-# the provenance JSONL and the sim trace must be byte-identical across
-# the runs, the trace must be well-formed Chrome trace_event JSON with
-# balanced spans on every peer track, and
-# a verdict/cause summary of the provenance stream must match the
-# committed baseline at the repo root.
-echo "== provenance determinism =="
-ORCH_SIM_TRACE="$out/sim_trace_a.json" \
-    "$prov_dump" central "$out/provenance_a.jsonl"
-ORCH_SIM_TRACE="$out/sim_trace_b.json" \
-    "$prov_dump" central "$out/provenance_b.jsonl"
-cmp "$out/provenance_a.jsonl" "$out/provenance_b.jsonl" \
-  || { echo "provenance JSONL diverged between same-seed runs" >&2; exit 1; }
-cmp "$out/sim_trace_a.json" "$out/sim_trace_b.json" \
-  || { echo "sim trace diverged between same-seed runs" >&2; exit 1; }
-if ! jq -e "$spans_nest" "$out/sim_trace_a.json" >/dev/null; then
-  echo "sim trace is missing, empty, invalid JSON, or has unbalanced" \
-       "spans" >&2
-  exit 1
-fi
-echo "sim trace OK: $(jq '.traceEvents | length' "$out/sim_trace_a.json")" \
-     "events, byte-identical across runs"
-
-# The same check on the DHT store, whose scatter-gather client stamps
-# each message at its lane's clock and draws its phases as spans.
-echo "== provenance determinism (dht) =="
-ORCH_SIM_TRACE="$out/sim_trace_dht_a.json" \
-    "$prov_dump" dht "$out/provenance_dht_a.jsonl"
-ORCH_SIM_TRACE="$out/sim_trace_dht_b.json" \
-    "$prov_dump" dht "$out/provenance_dht_b.jsonl"
-cmp "$out/provenance_dht_a.jsonl" "$out/provenance_dht_b.jsonl" \
-  || { echo "dht provenance JSONL diverged between same-seed runs" >&2
-       exit 1; }
-cmp "$out/sim_trace_dht_a.json" "$out/sim_trace_dht_b.json" \
-  || { echo "dht sim trace diverged between same-seed runs" >&2; exit 1; }
-if ! jq -e "$spans_nest" "$out/sim_trace_dht_a.json" >/dev/null; then
-  echo "dht sim trace is missing, empty, invalid JSON, or has unbalanced" \
-       "spans" >&2
-  exit 1
-fi
-echo "dht sim trace OK:" \
-     "$(jq '.traceEvents | length' "$out/sim_trace_dht_a.json") events," \
-     "byte-identical across runs"
+# Provenance + simulated-time trace determinism, per store: run the
+# seeded provenance_dump confederation twice with ORCH_SIM_TRACE armed.
+# The provenance JSONL and the sim trace must be byte-identical across
+# the runs, and the trace must have balanced spans on every peer track
+# (the DHT's scatter-gather client stamps each message at its lane's
+# clock and draws its phases as spans).
+for store in central dht; do
+  echo "== provenance determinism ($store) =="
+  for run in a b; do
+    ORCH_SIM_TRACE="$out/sim_trace_${store}_$run.json" \
+      "$prov_dump" "$store" "$out/provenance_${store}_$run.jsonl" \
+      || failed+=("provenance_dump $store $run")
+  done
+  cmp "$out/provenance_${store}_a.jsonl" "$out/provenance_${store}_b.jsonl" \
+    || failed+=("$store provenance JSONL diverged between same-seed runs")
+  cmp "$out/sim_trace_${store}_a.json" "$out/sim_trace_${store}_b.json" \
+    || failed+=("$store sim trace diverged between same-seed runs")
+  check_trace "$store sim trace" "$out/sim_trace_${store}_a.json"
+done
+# A verdict/cause summary of the central provenance stream, diffed
+# against its committed baseline below.
 jq -s '{bench: "provenance_summary",
         records: length,
         by_verdict: (group_by(.verdict)
@@ -134,7 +102,8 @@ jq -s '{bench: "provenance_summary",
         by_cause: (group_by(.cause)
                    | map({key: .[0].cause, value: length})
                    | from_entries)}' \
-    "$out/provenance_a.jsonl" > "$out/BENCH_provenance_summary.json"
+    "$out/provenance_central_a.jsonl" > "$out/BENCH_provenance_summary.json" \
+  || failed+=("provenance summary")
 
 # Keys dropped before diffing: wall-time measurements (*_us and
 # *_micros counters, the mean/p50/p95 study stats) and the speedups and
@@ -145,21 +114,23 @@ stable='walk(if type == "object"
                   | not))
              else . end)'
 
-fail=0
-for name in micro_reconcile fault_sweep churn_sweep delta_sweep \
-             corruption_sweep provenance_summary; do
+for name in "${names[@]}" provenance_summary; do
   base="$repo/BENCH_$name.json"
   fresh="$out/BENCH_$name.json"
   if [[ ! -f "$base" ]]; then
     echo "BENCH_$name.json: no committed baseline at repo root" >&2
-    fail=1
-    continue
-  fi
-  if diff -u <(jq -S "$stable" "$base") <(jq -S "$stable" "$fresh"); then
+    failed+=("BENCH_$name.json baseline missing")
+  elif diff -u <(jq -S "$stable" "$base") <(jq -S "$stable" "$fresh"); then
     echo "BENCH_$name.json: stable fields match the committed baseline"
   else
     echo "BENCH_$name.json: stable fields DIVERGE from the baseline" >&2
-    fail=1
+    failed+=("BENCH_$name.json diff")
   fi
 done
-exit "$fail"
+
+if ((${#failed[@]})); then
+  printf 'bench runner FAILED:\n' >&2
+  printf '  %s\n' "${failed[@]}" >&2
+  exit 1
+fi
+echo "bench runner: every sweep, trace and baseline check passed"
