@@ -1,44 +1,6 @@
 #include "common/metrics.h"
 
-#include <algorithm>
-#include <limits>
-
 namespace orchestra {
-
-void Histogram::Observe(int64_t sample) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(sample, std::memory_order_relaxed);
-  size_t bucket = 0;
-  int64_t bound = 1;
-  while (bucket + 1 < kNumBuckets && sample > bound) {
-    bound *= 4;
-    ++bucket;
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-}
-
-Histogram::Snapshot Histogram::TakeSnapshot() const {
-  Snapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-void Histogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
-int64_t Histogram::BucketUpperBound(size_t i) {
-  if (i + 1 >= kNumBuckets) return std::numeric_limits<int64_t>::max();
-  int64_t bound = 1;
-  for (size_t k = 0; k < i; ++k) bound *= 4;
-  return bound;
-}
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
@@ -55,56 +17,6 @@ Counter& MetricsRegistry::GetCounter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& MetricsRegistry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return *it->second;
-}
-
-std::vector<MetricsRegistry::Sample> MetricsRegistry::TakeSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Sample> samples;
-  samples.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, counter] : counters_) {
-    Sample s;
-    s.name = name;
-    s.kind = Sample::Kind::kCounter;
-    s.value = counter->value();
-    samples.push_back(std::move(s));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    Sample s;
-    s.name = name;
-    s.kind = Sample::Kind::kGauge;
-    s.value = gauge->value();
-    samples.push_back(std::move(s));
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    Sample s;
-    s.name = name;
-    s.kind = Sample::Kind::kHistogram;
-    s.histogram = histogram->TakeSnapshot();
-    s.value = s.histogram.sum;
-    samples.push_back(std::move(s));
-  }
-  std::sort(samples.begin(), samples.end(),
-            [](const Sample& a, const Sample& b) { return a.name < b.name; });
-  return samples;
-}
-
 std::map<std::string, int64_t> MetricsRegistry::CounterValues() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, int64_t> values;
@@ -112,39 +24,6 @@ std::map<std::string, int64_t> MetricsRegistry::CounterValues() const {
     values.emplace(name, counter->value());
   }
   return values;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-int64_t EstimateQuantile(const Histogram::Snapshot& snapshot, double q) {
-  if (snapshot.count <= 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-th sample, 1-based; q=0 maps to the first sample.
-  const double rank = q * static_cast<double>(snapshot.count);
-  int64_t seen = 0;
-  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    const int64_t in_bucket = snapshot.buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) < rank) {
-      seen += in_bucket;
-      continue;
-    }
-    // Bucket i spans (lower, upper]; the first spans [0, 1].
-    const int64_t lower = i == 0 ? 0 : Histogram::BucketUpperBound(i - 1);
-    if (i + 1 >= Histogram::kNumBuckets) return lower;  // unbounded tail
-    const int64_t upper = Histogram::BucketUpperBound(i);
-    const double frac =
-        (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-    return lower + static_cast<int64_t>(
-                       frac * static_cast<double>(upper - lower) + 0.5);
-  }
-  return 0;
 }
 
 std::map<std::string, int64_t> CounterDeltas(

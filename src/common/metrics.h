@@ -1,147 +1,67 @@
 #ifndef ORCHESTRA_COMMON_METRICS_H_
 #define ORCHESTRA_COMMON_METRICS_H_
 
-#include <array>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace orchestra {
 
-/// Process-wide observability primitives. The registry hands out named
-/// counters, gauges, and fixed-bucket histograms whose hot-path
-/// operations are single relaxed atomic RMWs — cheap enough to leave
-/// compiled into the reconciliation inner loops, and safe to hit from
-/// thread-pool workers. Registration (name lookup) takes a mutex; hot
-/// call sites therefore resolve their instrument once and cache the
-/// pointer (typically in a function-local static), after which updates
-/// never touch the lock.
+/// Process-wide named counters. Reconciliation is serial, but the
+/// registry is a process-global object with no owning thread: whatever
+/// thread runs a store or participant call bumps its counters, and
+/// nothing confines callers to one thread. Updates are therefore single
+/// relaxed atomic RMWs (exact totals, no ordering imposed on other
+/// memory), and the TSan job checks that design under real
+/// concurrency. Registration
+/// (name lookup) takes a mutex; hot call sites resolve their counter
+/// once and cache the reference (typically in a function-local static),
+/// after which updates never touch the lock.
 ///
-/// Metric names are dotted lowercase paths grouped by layer
+/// Counter names are dotted lowercase paths grouped by layer
 /// ("reconcile.fetched_txns", "store.central.cache_hits",
 /// "net.messages", "wal.fsyncs", "retry.attempts"). Names whose value
 /// is a wall-time measurement end in "_micros" so downstream tooling
 /// (bench JSON diffing) can strip the nondeterministic ones by suffix.
 
-/// Monotonic counter. All operations are relaxed atomics: totals are
-/// exact under concurrency but impose no ordering on other memory.
+/// Monotonic counter.
 class Counter {
  public:
   void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   void Increment() { Add(1); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
 };
 
-/// Last-writer-wins instantaneous value (queue depths, pool sizes).
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-/// Fixed-bucket histogram over non-negative int64 samples. Bucket i
-/// holds samples in (4^(i-1), 4^i]; the first bucket holds [0, 1] and
-/// the last is unbounded. Powers of four span [1, ~4^14 ≈ 2.7e8] in 16
-/// buckets — wide enough for microsecond latencies and per-round item
-/// counts alike without per-metric configuration. Observe() is two
-/// relaxed RMWs plus one bucket RMW; count and sum are exact, bucket
-/// totals are exact, and there is no per-sample allocation.
-class Histogram {
- public:
-  static constexpr size_t kNumBuckets = 16;
-
-  void Observe(int64_t sample);
-
-  struct Snapshot {
-    int64_t count = 0;
-    int64_t sum = 0;
-    std::array<int64_t, kNumBuckets> buckets{};
-  };
-  Snapshot TakeSnapshot() const;
-
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  void Reset();
-
-  /// Inclusive upper bound of bucket i (last bucket: INT64_MAX).
-  static int64_t BucketUpperBound(size_t i);
-
- private:
-  std::atomic<int64_t> count_{0};
-  std::atomic<int64_t> sum_{0};
-  std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};
-};
-
-/// Named-instrument registry. Instruments live as long as the registry
+/// Named-counter registry. Counters live as long as the registry
 /// (node-stable map storage), so returned references remain valid across
-/// concurrent registrations; Reset() zeroes values without invalidating
-/// any cached pointer. A process-global instance backs the default
+/// concurrent registrations. A process-global instance backs the default
 /// instrumentation; tests may build private registries.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
   Counter& GetCounter(std::string_view name);
-  Gauge& GetGauge(std::string_view name);
-  Histogram& GetHistogram(std::string_view name);
 
-  /// One named instrument's current state, for rendering/export.
-  struct Sample {
-    enum class Kind { kCounter, kGauge, kHistogram };
-    std::string name;
-    Kind kind = Kind::kCounter;
-    int64_t value = 0;               // counter/gauge value; histogram sum
-    Histogram::Snapshot histogram;   // populated for kHistogram only
-  };
-
-  /// All instruments, sorted by name.
-  std::vector<Sample> TakeSnapshot() const;
-
-  /// Counter name → value, for cheap delta arithmetic (gauges and
-  /// histograms excluded).
+  /// Counter name → value, sorted by name.
   std::map<std::string, int64_t> CounterValues() const;
-
-  /// Zeroes every instrument, keeping registrations (and therefore all
-  /// cached pointers) intact.
-  void Reset();
 
  private:
   mutable std::mutex mu_;
-  // std::map nodes are pointer-stable; unique_ptr keeps the instruments
+  // std::map nodes are pointer-stable; unique_ptr keeps the counters
   // immune even to future container changes.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
-
-/// Estimated value of quantile `q` (in [0, 1]) from a histogram
-/// snapshot: finds the bucket containing the q-th sample and linearly
-/// interpolates within the bucket's (lower, upper] range by the
-/// sample's rank inside the bucket. Exact at bucket boundaries; inside
-/// a bucket the error is bounded by the bucket width (power-of-four
-/// buckets, so a factor of 4). Returns 0 for an empty snapshot. The
-/// last (unbounded) bucket reports its lower bound — there is no upper
-/// edge to interpolate toward.
-int64_t EstimateQuantile(const Histogram::Snapshot& snapshot, double q);
 
 /// Per-name deltas `after - before` over CounterValues() maps, dropping
 /// zero deltas: the movement of the registry across a bounded region
-/// (one reconciliation round, one bench sweep).
+/// (one run, one bench sweep).
 std::map<std::string, int64_t> CounterDeltas(
     const std::map<std::string, int64_t>& before,
     const std::map<std::string, int64_t>& after);

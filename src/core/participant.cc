@@ -20,7 +20,8 @@ Participant::Participant(ParticipantId id, const db::Catalog* catalog,
       catalog_(catalog),
       policy_(std::move(policy)),
       instance_(catalog),
-      reconciler_(catalog, options),
+      options_(options),
+      reconciler_(catalog),
       retry_rng_(0x9e3779b97f4a7c15ULL ^ id) {
   ORCH_CHECK(policy_.self() == id, "trust policy self id mismatch");
 }
@@ -272,36 +273,25 @@ Result<ReconcileReport> Participant::Reconcile(UpdateStore* store) {
                    catch_up_applied, catch_up_rejected));
   report.store = store->StatsFor(id_) - before;
   report.fetch_stats = fetch.stats;
-  RecordFetchMetrics(fetched, n_reconsidered, fetch.stats);
+  RecordFetchMetrics(fetched, n_reconsidered);
   return report;
 }
 
 // Registry-side accounting shared by the client-centric and
-// network-centric reconcile paths; mirrors FetchStats so registry
-// consumers see the same cache numbers `ReconcileReport` carries.
-void Participant::RecordFetchMetrics(size_t fetched, size_t reconsidered,
-                                     const FetchStats& stats) {
+// network-centric reconcile paths. The fetch's cache, decode, lookup
+// and batching facts are counted once, by the store that produced them
+// (store.central.* / store.dht.*); ReconcileReport::fetch_stats carries
+// the same numbers per round.
+void Participant::RecordFetchMetrics(size_t fetched, size_t reconsidered) {
   static Counter& rounds =
       MetricsRegistry::Global().GetCounter("reconcile.rounds");
   static Counter& fetched_txns =
       MetricsRegistry::Global().GetCounter("reconcile.fetched_txns");
   static Counter& reconsidered_txns =
       MetricsRegistry::Global().GetCounter("reconcile.reconsidered_txns");
-  static Counter& decoded =
-      MetricsRegistry::Global().GetCounter("reconcile.fetch.decoded_txns");
-  static Counter& cache_hits =
-      MetricsRegistry::Global().GetCounter("reconcile.fetch.cache_hits");
-  static Counter& suppressed =
-      MetricsRegistry::Global().GetCounter("reconcile.fetch.suppressed_lookups");
-  static Counter& batched =
-      MetricsRegistry::Global().GetCounter("reconcile.fetch.batched_messages");
   rounds.Increment();
   fetched_txns.Add(static_cast<int64_t>(fetched));
   reconsidered_txns.Add(static_cast<int64_t>(reconsidered));
-  decoded.Add(stats.decoded);
-  cache_hits.Add(stats.cache_hits);
-  suppressed.Add(stats.suppressed_lookups);
-  batched.Add(stats.batched_messages);
 }
 
 Result<ReconcileReport> Participant::RunAndCommit(
@@ -326,7 +316,7 @@ Result<ReconcileReport> Participant::RunAndCommit(
   input.applied = &applied_;
   input.rejected = &rejected_;
   input.dirty = &dirty_;
-  input.collect_provenance = reconciler_.options().record_provenance;
+  input.collect_provenance = options_.record_provenance;
   input.trace = sim_trace_.get();
 
   ReconcileOutcome outcome;
@@ -436,12 +426,9 @@ Result<ReconcileReport> Participant::RunAndCommit(
       MetricsRegistry::Global().GetCounter("reconcile.rejected_roots");
   static Counter& deferred_roots =
       MetricsRegistry::Global().GetCounter("reconcile.deferred_roots");
-  static Histogram& local_hist =
-      MetricsRegistry::Global().GetHistogram("reconcile.local_micros");
   accepted_roots.Add(static_cast<int64_t>(outcome.accepted_roots.size()));
   rejected_roots.Add(static_cast<int64_t>(outcome.rejected_roots.size()));
   deferred_roots.Add(static_cast<int64_t>(outcome.deferred_roots.size()));
-  local_hist.Observe(local_micros);
 
   if (!outcome.provenance.empty()) {
     static Counter& prov_records =
@@ -584,7 +571,7 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
                    catch_up_applied, catch_up_rejected));
   report.store = store->StatsFor(id_) - before;
   report.fetch_stats = fetch.base.stats;
-  RecordFetchMetrics(fetched, n_reconsidered, fetch.base.stats);
+  RecordFetchMetrics(fetched, n_reconsidered);
   return report;
 }
 
@@ -716,7 +703,7 @@ Result<ReconcileReport> Participant::ResolveConflict(
       losers.push_back(id);
       rejected_.insert(id);
       deferred_.erase(id);
-      if (reconciler_.options().record_provenance) {
+      if (options_.record_provenance) {
         ProvenanceRecord rec;
         rec.peer = id_;
         rec.recno = last_recno_;

@@ -90,7 +90,7 @@ struct RetryStats {
 class Participant {
  public:
   /// The catalog must outlive the participant. The trust policy's self
-  /// id must equal `id`. `options` configures the reconciliation engine
+  /// id must equal `id`. `options` configures every reconciliation run
   /// (provenance collection; see ReconcileOptions).
   Participant(ParticipantId id, const db::Catalog* catalog,
               TrustPolicy policy, ReconcileOptions options = {});
@@ -239,15 +239,15 @@ class Participant {
   /// publication order, so future antecedent computation is correct.
   void UpdateVersionMap(const std::vector<TransactionId>& applied_txns);
 
-  /// Bumps the process-wide metrics registry with one round's fetch
-  /// accounting (mirrors ReconcileReport::fetch_stats).
-  static void RecordFetchMetrics(size_t fetched, size_t reconsidered,
-                                 const FetchStats& stats);
+  /// Bumps the process-wide metrics registry with one round's count and
+  /// its fetched and reconsidered transaction totals.
+  static void RecordFetchMetrics(size_t fetched, size_t reconsidered);
 
   ParticipantId id_;
   const db::Catalog* catalog_;
   TrustPolicy policy_;
   db::Instance instance_;
+  ReconcileOptions options_;
   Reconciler reconciler_;
 
   uint64_t next_seq_ = 0;

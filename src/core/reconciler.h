@@ -89,7 +89,8 @@ struct ReconcileOutcome {
   std::vector<ProvenanceRecord> provenance;
 };
 
-/// Execution knobs for the reconciliation engine.
+/// Reconciliation knobs held by Participant, which turns them into
+/// per-run ReconcileInput fields; the Reconciler itself stores none.
 struct ReconcileOptions {
   /// Collect decision provenance on every run (see core/provenance.h).
   /// On by default: records are small, and Participant persists them
@@ -108,9 +109,7 @@ struct ReconcileOptions {
 /// owned by the caller (see Participant) and passed in explicitly.
 class Reconciler {
  public:
-  explicit Reconciler(const db::Catalog* catalog,
-                      ReconcileOptions options = {})
-      : catalog_(catalog), options_(options) {}
+  explicit Reconciler(const db::Catalog* catalog) : catalog_(catalog) {}
 
   /// Runs one reconciliation against `instance`, mutating it with the
   /// accepted updates. Fails only on internal errors (e.g. an extension
@@ -119,11 +118,8 @@ class Reconciler {
   Result<ReconcileOutcome> Run(const ReconcileInput& input,
                                db::Instance* instance) const;
 
-  const ReconcileOptions& options() const { return options_; }
-
  private:
   const db::Catalog* catalog_;
-  ReconcileOptions options_;
 };
 
 }  // namespace orchestra::core

@@ -220,11 +220,10 @@ Status Cdss::ApplyChurn() {
 
 Result<CdssResult> Cdss::Run() {
   running_ = CdssResult{};
-  // Round-boundary registry snapshots: the registry is process-global,
-  // so per-round deltas (not absolute values) describe this run.
+  // The registry is process-global, so the run's delta (not absolute
+  // values) describes this run.
   const std::map<std::string, int64_t> run_start =
       MetricsRegistry::Global().CounterValues();
-  std::map<std::string, int64_t> round_start = run_start;
   for (size_t round = 0; round < config_.rounds; ++round) {
     TraceSpan round_span("cdss.round");
     if (round > 0) ORCH_RETURN_IF_ERROR(ApplyChurn());
@@ -237,15 +236,9 @@ Result<CdssResult> Cdss::Run() {
     for (size_t i = 0; i < participants_.size(); ++i) {
       ORCH_RETURN_IF_ERROR(StepParticipant(i).status());
     }
-    std::map<std::string, int64_t> round_end =
-        MetricsRegistry::Global().CounterValues();
-    CdssResult::RoundMetrics round_metrics;
-    round_metrics.round = round;
-    round_metrics.counters = CounterDeltas(round_start, round_end);
-    running_.round_metrics.push_back(std::move(round_metrics));
-    round_start = std::move(round_end);
   }
-  running_.metrics = CounterDeltas(run_start, round_start);
+  running_.metrics =
+      CounterDeltas(run_start, MetricsRegistry::Global().CounterValues());
   CdssResult result = running_;
   if (result.reconciliations > 0) {
     result.total_local_micros_per_peer =

@@ -169,16 +169,10 @@ struct CdssResult {
   int64_t messages = 0;
   int64_t bytes = 0;
   /// Movement of the process-wide metrics registry (common/metrics.h)
-  /// during one round of this run: counter deltas taken at the round
-  /// boundary, zero deltas dropped. The registry is global and
-  /// accumulates for the process lifetime; deltas isolate what *this*
-  /// run's round actually did.
-  struct RoundMetrics {
-    size_t round = 0;
-    std::map<std::string, int64_t> counters;
-  };
-  std::vector<RoundMetrics> round_metrics;
-  /// Whole-run counter deltas (the sum of round_metrics entries).
+  /// during this run: counter deltas, zero deltas dropped. The registry
+  /// is global and accumulates for the process lifetime; deltas isolate
+  /// what *this* run actually did. Per-round, per-peer accounting lives
+  /// on each core::ReconcileReport.
   std::map<std::string, int64_t> metrics;
 };
 

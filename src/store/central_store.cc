@@ -437,8 +437,8 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
   network_->Charge(peer, 2, bytes / 2);
   cpu_micros_[peer] += cpu.ElapsedMicros() + options_.procedure_overhead_micros;
   calls_[peer] += 1;
-  // Registry mirror of FetchStats, accumulated store-side so registry
-  // consumers need not sum per-round reports.
+  // The registry's one count of this fetch's FetchStats, kept store-side
+  // so registry consumers need not sum per-round reports.
   static Counter& fetches =
       MetricsRegistry::Global().GetCounter("store.central.fetches");
   static Counter& shipped_txns =
@@ -615,11 +615,23 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
 
   // Undecided trusted transactions within the watermark: the deferred
   // backlog, plus the antecedent closures needed to re-reconcile them.
+  ORCH_RETURN_IF_ERROR(ReadUndecided(peer, policy, &bundle, &bytes));
+
+  network_->Charge(peer, 2, bytes / 2);
+  cpu_micros_[peer] += cpu.ElapsedMicros() + options_.procedure_overhead_micros;
+  calls_[peer] += 1;
+  return bundle;
+}
+
+Status CentralStore::ReadUndecided(ParticipantId peer,
+                                   const core::TrustPolicy& policy,
+                                   core::RecoveryBundle* bundle,
+                                   int64_t* bytes) const {
   TxnIdSet shipped;
   std::deque<TransactionId> pending;
   for (const auto& [key, unused] :
        engine_->ScanRange("epoch_txns", EpochKey(1),
-                          EpochKey(bundle.epoch + 1))) {
+                          EpochKey(bundle->epoch + 1))) {
     (void)unused;
     const size_t sep = key.find(':');
     if (!EpochCommitted(key.substr(0, sep))) continue;
@@ -630,11 +642,11 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
     if (HasDecision(peer, txn.id)) continue;
     const int priority = policy.PriorityOfTransaction(txn);
     if (priority <= 0) continue;
-    bundle.undecided.emplace_back(txn.id, priority);
+    bundle->undecided.emplace_back(txn.id, priority);
     if (shipped.insert(txn.id).second) {
-      bytes += static_cast<int64_t>(blob.size());
+      *bytes += static_cast<int64_t>(blob.size());
       for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-      bundle.closure.push_back(std::move(txn));
+      bundle->closure.push_back(std::move(txn));
     }
   }
   while (!pending.empty()) {
@@ -644,15 +656,11 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
     if (IsApplied(peer, id)) continue;
     ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxn(id));
     shipped.insert(id);
-    bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
+    *bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
     for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-    bundle.closure.push_back(std::move(txn));
+    bundle->closure.push_back(std::move(txn));
   }
-
-  network_->Charge(peer, 2, bytes / 2);
-  cpu_micros_[peer] += cpu.ElapsedMicros() + options_.procedure_overhead_micros;
-  calls_[peer] += 1;
-  return bundle;
+  return Status::OK();
 }
 
 Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliation(
@@ -740,40 +748,9 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
 
   // Transactions in the adopted window the source did not apply and the
   // new peer's own policy trusts: handed over as the undecided backlog,
-  // with antecedent closures.
-  TxnIdSet shipped;
-  std::deque<TransactionId> pending;
-  for (const auto& [key, unused] :
-       engine_->ScanRange("epoch_txns", EpochKey(1),
-                          EpochKey(bundle.epoch + 1))) {
-    (void)unused;
-    const size_t sep = key.find(':');
-    if (!EpochCommitted(key.substr(0, sep))) continue;
-    const std::string txn_key = key.substr(sep + 1);
-    ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(txn_key));
-    size_t pos = 0;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
-    if (HasDecision(new_peer, txn.id)) continue;  // adopted above
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (priority <= 0) continue;
-    bundle.undecided.emplace_back(txn.id, priority);
-    if (shipped.insert(txn.id).second) {
-      bytes += static_cast<int64_t>(blob.size());
-      for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-      bundle.closure.push_back(std::move(txn));
-    }
-  }
-  while (!pending.empty()) {
-    const TransactionId id = pending.front();
-    pending.pop_front();
-    if (shipped.count(id) != 0) continue;
-    if (IsApplied(new_peer, id)) continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxn(id));
-    shipped.insert(id);
-    bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-    bundle.closure.push_back(std::move(txn));
-  }
+  // with antecedent closures. The adopted accepts already count as the
+  // new peer's decisions, so the shared reader skips them.
+  ORCH_RETURN_IF_ERROR(ReadUndecided(new_peer, policy, &bundle, &bytes));
   ORCH_RETURN_IF_ERROR(engine_->Sync());
   // The adopted accepts just synced under the new peer's own name.
   for (const Transaction& txn : bundle.applied) {
@@ -788,9 +765,6 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
 }
 
 core::StoreStats CentralStore::StatsFor(ParticipantId peer) const {
-
-
-
   const net::NetStats net = network_->StatsFor(peer);
   core::StoreStats stats;
   stats.sim_network_micros = net.micros;

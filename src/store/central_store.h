@@ -139,6 +139,14 @@ class CentralStore : public core::UpdateStore,
   bool HasDecision(core::ParticipantId peer,
                    const core::TransactionId& id) const;
   bool IsApplied(core::ParticipantId peer, const core::TransactionId& id) const;
+  /// Recovery and bootstrap tail: appends to `bundle`'s undecided and
+  /// closure lists every trusted transaction of a committed epoch up to
+  /// `bundle->epoch` that `peer` has not decided, plus its antecedent
+  /// closure up to what `peer` applied, and adds the shipped bytes to
+  /// `*bytes`.
+  Status ReadUndecided(core::ParticipantId peer,
+                       const core::TrustPolicy& policy,
+                       core::RecoveryBundle* bundle, int64_t* bytes) const;
 
   /// True when `epoch_key`'s epoch committed ("done"). Rows under open or
   /// aborted epochs are residue of unfinished publishes and invisible to

@@ -790,7 +790,8 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   fetch.stats.failover_probes = probe_ctr.value() - probes_before;
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
-  // Registry mirror of FetchStats (see central_store.cc).
+  // The registry's one count of this fetch's FetchStats (see
+  // central_store.cc).
   static Counter& fetches =
       MetricsRegistry::Global().GetCounter("store.dht.fetches");
   static Counter& shipped_txns =

@@ -1,102 +1,63 @@
-// MetricsRegistry: named counters/gauges/histograms with relaxed-atomic
-// hot paths. The contract under test: totals are exact under
-// concurrency, registration returns stable references, Reset() keeps
-// every cached pointer valid, and delta arithmetic drops zero movement.
+// MetricsRegistry: named counters with relaxed-atomic hot paths. The
+// contract under test: totals are exact under concurrency, registration
+// returns stable references, CounterValues lists every counter by name,
+// and delta arithmetic drops zero movement.
 #include "common/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace orchestra {
 namespace {
 
-TEST(CounterTest, AddIncrementResetRoundTrip) {
+TEST(CounterTest, AddAndIncrementAccumulate) {
   Counter c;
   EXPECT_EQ(c.value(), 0);
   c.Increment();
   c.Add(41);
   EXPECT_EQ(c.value(), 42);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0);
 }
 
-TEST(GaugeTest, SetOverwritesAddAdjusts) {
-  Gauge g;
-  g.Set(7);
-  g.Add(-3);
-  EXPECT_EQ(g.value(), 4);
-  g.Set(100);
-  EXPECT_EQ(g.value(), 100);
-}
-
-TEST(HistogramTest, BucketBoundsArePowersOfFour) {
-  EXPECT_EQ(Histogram::BucketUpperBound(0), 1);
-  EXPECT_EQ(Histogram::BucketUpperBound(1), 4);
-  EXPECT_EQ(Histogram::BucketUpperBound(2), 16);
-  EXPECT_EQ(Histogram::BucketUpperBound(Histogram::kNumBuckets - 1),
-            std::numeric_limits<int64_t>::max());
-}
-
-TEST(HistogramTest, ObservePlacesSamplesInTheRightBuckets) {
-  Histogram h;
-  h.Observe(0);   // bucket 0: [0, 1]
-  h.Observe(1);   // bucket 0
-  h.Observe(2);   // bucket 1: (1, 4]
-  h.Observe(4);   // bucket 1
-  h.Observe(5);   // bucket 2: (4, 16]
-  h.Observe(std::numeric_limits<int64_t>::max());  // last bucket
-  const Histogram::Snapshot snap = h.TakeSnapshot();
-  EXPECT_EQ(snap.count, 6);
-  EXPECT_EQ(snap.buckets[0], 2);
-  EXPECT_EQ(snap.buckets[1], 2);
-  EXPECT_EQ(snap.buckets[2], 1);
-  EXPECT_EQ(snap.buckets[Histogram::kNumBuckets - 1], 1);
-}
-
-TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {
+TEST(MetricsRegistryTest, SameNameReturnsSameCounter) {
   MetricsRegistry registry;
   Counter& a = registry.GetCounter("x.count");
   Counter& b = registry.GetCounter("x.count");
   EXPECT_EQ(&a, &b);
   a.Add(5);
   EXPECT_EQ(b.value(), 5);
-  // Distinct kinds under distinct names coexist.
-  registry.GetGauge("x.gauge").Set(9);
-  registry.GetHistogram("x.hist").Observe(3);
-  EXPECT_EQ(registry.TakeSnapshot().size(), 3u);
 }
 
-TEST(MetricsRegistryTest, SnapshotIsSortedAndTyped) {
+TEST(MetricsRegistryTest, ReferencesSurviveLaterRegistrations) {
+  MetricsRegistry registry;
+  Counter& kept = registry.GetCounter("keep.me");
+  kept.Add(123);
+  for (int i = 0; i < 100; ++i) {
+    registry.GetCounter("later." + std::to_string(i)).Increment();
+  }
+  kept.Increment();  // the cached reference still works
+  EXPECT_EQ(registry.GetCounter("keep.me").value(), 124);
+}
+
+TEST(MetricsRegistryTest, CounterValuesAreSortedByName) {
   MetricsRegistry registry;
   registry.GetCounter("b.counter").Add(2);
-  registry.GetGauge("a.gauge").Set(1);
-  registry.GetHistogram("c.hist").Observe(10);
-  const auto snapshot = registry.TakeSnapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].name, "a.gauge");
-  EXPECT_EQ(snapshot[0].kind, MetricsRegistry::Sample::Kind::kGauge);
-  EXPECT_EQ(snapshot[0].value, 1);
-  EXPECT_EQ(snapshot[1].name, "b.counter");
-  EXPECT_EQ(snapshot[1].kind, MetricsRegistry::Sample::Kind::kCounter);
-  EXPECT_EQ(snapshot[1].value, 2);
-  EXPECT_EQ(snapshot[2].name, "c.hist");
-  EXPECT_EQ(snapshot[2].kind, MetricsRegistry::Sample::Kind::kHistogram);
-  EXPECT_EQ(snapshot[2].histogram.count, 1);
-  EXPECT_EQ(snapshot[2].histogram.sum, 10);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsPointers) {
-  MetricsRegistry registry;
-  Counter& c = registry.GetCounter("keep.me");
-  c.Add(123);
-  registry.Reset();
-  EXPECT_EQ(c.value(), 0);       // the cached reference still works
-  c.Increment();
-  EXPECT_EQ(registry.GetCounter("keep.me").value(), 1);
+  registry.GetCounter("a.counter").Add(1);
+  registry.GetCounter("c.counter");  // registered, never moved
+  const auto values = registry.CounterValues();
+  ASSERT_EQ(values.size(), 3u);
+  auto it = values.begin();
+  EXPECT_EQ(it->first, "a.counter");
+  EXPECT_EQ(it->second, 1);
+  ++it;
+  EXPECT_EQ(it->first, "b.counter");
+  EXPECT_EQ(it->second, 2);
+  ++it;
+  EXPECT_EQ(it->first, "c.counter");
+  EXPECT_EQ(it->second, 0);
 }
 
 TEST(MetricsRegistryTest, CounterDeltasDropZeroMovement) {
@@ -113,10 +74,10 @@ TEST(MetricsRegistryTest, CounterDeltasDropZeroMovement) {
   EXPECT_EQ(deltas.count("stays"), 0u);
 }
 
-// The tentpole's concurrency contract: N threads hammering the same
-// instruments (and racing registration of the same names) lose no
-// updates and produce exact totals. Run under the tsan preset this is
-// also the data-race proof for the relaxed-atomic design.
+// The concurrency contract: N threads hammering the same counters (and
+// racing registration of the same names) lose no updates and produce
+// exact totals. Run under the tsan preset this is also the data-race
+// proof for the relaxed-atomic design.
 TEST(MetricsRegistryTest, ConcurrentUpdatesProduceExactTotals) {
   MetricsRegistry registry;
   constexpr int kThreads = 8;
@@ -124,14 +85,12 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesProduceExactTotals) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
+    threads.emplace_back([&registry] {
       // Every thread re-resolves by name: registration itself races.
       Counter& hits = registry.GetCounter("race.hits");
-      Histogram& sizes = registry.GetHistogram("race.sizes");
       for (int i = 0; i < kIterations; ++i) {
         hits.Increment();
         registry.GetCounter("race.bytes").Add(3);
-        sizes.Observe(t);
       }
     });
   }
@@ -140,11 +99,6 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesProduceExactTotals) {
   EXPECT_EQ(registry.GetCounter("race.hits").value(), kThreads * kIterations);
   EXPECT_EQ(registry.GetCounter("race.bytes").value(),
             int64_t{3} * kThreads * kIterations);
-  const Histogram::Snapshot sizes =
-      registry.GetHistogram("race.sizes").TakeSnapshot();
-  EXPECT_EQ(sizes.count, kThreads * kIterations);
-  // sum of 0..7, each observed kIterations times
-  EXPECT_EQ(sizes.sum, int64_t{28} * kIterations);
 }
 
 }  // namespace

@@ -1,21 +1,19 @@
 // Observability must be a pure observer: running the same seeded
 // confederation with tracing enabled produces bit-identical per-peer
 // decisions to a run with tracing off, and Cdss::Run exposes the
-// registry's movement as per-round counter deltas that sum to the
-// whole-run block. The simulated-time trace is well-formed: valid
-// JSON, spans nested per peer track, and every participant/reconciler
-// span named as on the wall timeline of the same run.
+// registry's movement over the run as its whole-run counter block. The
+// simulated-time trace is well-formed: valid JSON, spans nested per
+// peer track, and every participant/reconciler span named as on the
+// wall timeline of the same run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/trace.h"
 #include "common/trace_check.h"
 #include "sim/cdss.h"
@@ -73,18 +71,12 @@ TEST(TraceDeterminismTest, TracingDoesNotChangeDecisions) {
   }
 }
 
-TEST(TraceDeterminismTest, RoundMetricsSumToWholeRunBlock) {
+TEST(TraceDeterminismTest, WholeRunMetricsBlockCountsThisRun) {
   auto sim = Cdss::Make(SmallConfig(StoreKind::kCentral));
   ASSERT_TRUE(sim.ok());
   auto result = (*sim)->Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  ASSERT_EQ(result->round_metrics.size(), 3u);
-  std::map<std::string, int64_t> summed;
-  for (const auto& round : result->round_metrics) {
-    for (const auto& [name, delta] : round.counters) summed[name] += delta;
-  }
-  EXPECT_EQ(summed, result->metrics);
   // The instrumented layers actually moved: one reconciliation per peer
   // per round, and the store saw this run's publishes.
   EXPECT_EQ(result->metrics.at("reconcile.rounds"), 8 * 3);

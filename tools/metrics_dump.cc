@@ -1,7 +1,8 @@
 // metrics_dump: runs a small confederation against both update stores
-// with tracing enabled, then renders the process-wide metrics registry
-// (common/metrics.h) as a table — the quickest way to see what the
-// observability layer records and where the trace file lands.
+// with tracing enabled, then prints every counter of the process-wide
+// metrics registry (common/metrics.h) as a name/value table — the
+// quickest way to see what the observability layer records and where
+// the trace file lands.
 //
 // Usage: metrics_dump [trace_path]
 //   trace_path defaults to "metrics_dump_trace.json" in the working
@@ -9,7 +10,6 @@
 //   chrome://tracing or https://ui.perfetto.dev.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -18,18 +18,6 @@
 using namespace orchestra;
 
 namespace {
-
-const char* KindName(MetricsRegistry::Sample::Kind kind) {
-  switch (kind) {
-    case MetricsRegistry::Sample::Kind::kCounter:
-      return "counter";
-    case MetricsRegistry::Sample::Kind::kGauge:
-      return "gauge";
-    case MetricsRegistry::Sample::Kind::kHistogram:
-      return "histogram";
-  }
-  return "?";
-}
 
 int RunConfederation(sim::StoreKind kind) {
   sim::CdssConfig cfg;
@@ -73,27 +61,10 @@ int main(int argc, char** argv) {
   if (RunConfederation(sim::StoreKind::kCentral) != 0) return 1;
   if (RunConfederation(sim::StoreKind::kDht) != 0) return 1;
 
-  std::printf("\n%-40s %-9s %14s %10s %8s %8s %8s\n", "metric", "kind",
-              "value", "count", "p50", "p95", "p99");
-  std::printf("%-40s %-9s %14s %10s %8s %8s %8s\n", "------", "----", "-----",
-              "-----", "---", "---", "---");
-  for (const MetricsRegistry::Sample& s :
-       MetricsRegistry::Global().TakeSnapshot()) {
-    if (s.kind == MetricsRegistry::Sample::Kind::kHistogram) {
-      // value column shows the sum; count makes the mean recoverable.
-      // Quantiles are bucket-interpolated estimates (EstimateQuantile):
-      // exact at bucket edges, within a factor of 4 inside a bucket.
-      std::printf(
-          "%-40s %-9s %14lld %10lld %8lld %8lld %8lld\n", s.name.c_str(),
-          KindName(s.kind), static_cast<long long>(s.histogram.sum),
-          static_cast<long long>(s.histogram.count),
-          static_cast<long long>(EstimateQuantile(s.histogram, 0.50)),
-          static_cast<long long>(EstimateQuantile(s.histogram, 0.95)),
-          static_cast<long long>(EstimateQuantile(s.histogram, 0.99)));
-    } else {
-      std::printf("%-40s %-9s %14lld %10s\n", s.name.c_str(), KindName(s.kind),
-                  static_cast<long long>(s.value), "");
-    }
+  std::printf("\n%-40s %14s\n", "counter", "value");
+  std::printf("%-40s %14s\n", "-------", "-----");
+  for (const auto& [name, value] : MetricsRegistry::Global().CounterValues()) {
+    std::printf("%-40s %14lld\n", name.c_str(), static_cast<long long>(value));
   }
 
   const Status flushed = Tracer::Global().Flush();
