@@ -9,10 +9,10 @@ namespace orchestra {
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 /// checksum RFC 3720 (iSCSI) standardized and storage engines
 /// (LevelDB/RocksDB, ext4) converged on, because commodity CPUs carry a
-/// dedicated instruction for it (SSE4.2 `crc32`). Distinct from the
-/// zlib/IEEE CRC32 the legacy WAL format used (storage/wal.cc): the two
-/// polynomials never collide by accident, which doubles as cheap format
-/// discrimination.
+/// dedicated instruction for it (SSE4.2 `crc32`). It is the one
+/// checksum in the system: every integrity envelope (db/serde.h) carries
+/// it, and that envelope frames every WAL record, stored row, DHT
+/// replica and shipped payload.
 ///
 /// `Crc32c` dispatches to the hardware path when the binary was compiled
 /// with SSE4.2 available, falling back to a byte-table implementation

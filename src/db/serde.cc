@@ -227,8 +227,9 @@ uint32_t ReadCrcLE(const char* p) {
          static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
 }
 
-Result<std::string_view> ReadEnvelopeImpl(std::string_view data, size_t* pos,
-                                          bool check_crc) {
+}  // namespace
+
+Result<std::string_view> ReadEnvelope(std::string_view data, size_t* pos) {
   if (*pos + 3 > data.size()) {
     return Status::OutOfRange("envelope header cut short");
   }
@@ -249,22 +250,15 @@ Result<std::string_view> ReadEnvelopeImpl(std::string_view data, size_t* pos,
   const uint32_t stored = ReadCrcLE(data.data() + cursor);
   cursor += 4;
   std::string_view payload = data.substr(cursor, len);
-  if (check_crc && stored != Crc32c(0, payload)) {
+  if (stored != Crc32c(0, payload)) {
     return Status::Corruption("envelope checksum mismatch");
   }
   *pos = cursor + len;
   return payload;
 }
 
-}  // namespace
-
 size_t EnvelopeOverhead(size_t payload_len) {
   return 3 + VarintLength(payload_len) + 4;
-}
-
-bool HasEnvelopeHeader(std::string_view data) {
-  return data.size() >= 3 && data[0] == kEnvelopeMagic0 &&
-         data[1] == kEnvelopeMagic1 && data[2] == kEnvelopeVersion;
 }
 
 void WrapEnvelope(std::string* out, std::string_view payload) {
@@ -282,20 +276,9 @@ void WrapEnvelope(std::string* out, std::string_view payload) {
   out->append(payload);
 }
 
-Result<std::string_view> ReadEnvelope(std::string_view data, size_t* pos) {
-  return ReadEnvelopeImpl(data, pos, /*check_crc=*/true);
-}
-
-Result<std::string_view> UnwrapEnvelope(std::string_view data,
-                                        EnvelopePolicy policy) {
-  if (!HasEnvelopeHeader(data)) {
-    if (policy == EnvelopePolicy::kAllowUnframed) return data;
-    return Status::Corruption("expected integrity envelope");
-  }
+Result<std::string_view> UnwrapEnvelope(std::string_view data) {
   size_t pos = 0;
-  auto payload = ReadEnvelopeImpl(
-      data, &pos,
-      /*check_crc=*/policy != EnvelopePolicy::kTrustUnverified);
+  auto payload = ReadEnvelope(data, &pos);
   if (!payload.ok()) {
     // A whole-buffer unwrap has no "more bytes coming" case: a cut-short
     // frame here is corruption of a stored value, not a torn tail.

@@ -87,49 +87,25 @@ size_t EncodedTupleSize(const Tuple& tuple);
 /// The checksum covers the payload bytes only; length and checksum
 /// together detect truncation, bit flips, and torn writes. The version
 /// byte leaves room for future framings; the two magic bytes make the
-/// frame self-identifying so readers can tell a framed buffer from
-/// legacy unframed data written before this format existed (see
-/// EnvelopePolicy).
+/// frame self-identifying, which lets the WAL resync at the next record
+/// after a corrupt one. Every reader requires the frame and verifies
+/// the checksum: there is no unframed or unverified read.
 
 inline constexpr char kEnvelopeMagic0 = static_cast<char>(0xC6);
 inline constexpr char kEnvelopeMagic1 = static_cast<char>(0x32);
 inline constexpr char kEnvelopeVersion = 0x01;
 
-/// How UnwrapEnvelope treats a buffer that does not start with the
-/// envelope magic.
-enum class EnvelopePolicy {
-  /// The buffer must be framed; anything else is kCorruption. Use
-  /// wherever the writer is known to frame (all new-format data).
-  kRequireFrame,
-  /// A buffer without the magic header is passed through verbatim as a
-  /// legacy unframed payload. Only safe when the source provably
-  /// predates framing (e.g. rows recovered from a legacy-format WAL) —
-  /// an unframed buffer carries no checksum, so corruption in it is
-  /// undetectable by construction.
-  kAllowUnframed,
-  /// The frame structure (magic, version, length) is parsed but the
-  /// checksum is NOT compared: whatever payload bytes are there come
-  /// back, rot and all. Exists solely for the corruption sweep's
-  /// checksums-disabled control arm — it models a deployment without
-  /// end-to-end verification. Never use it on a production read path.
-  kTrustUnverified,
-};
-
 /// Bytes of framing overhead for a payload of `payload_len` bytes.
 size_t EnvelopeOverhead(size_t payload_len);
-
-/// True when `data` begins with the envelope magic + version header.
-bool HasEnvelopeHeader(std::string_view data);
 
 /// Appends the envelope frame for `payload` to `out`.
 void WrapEnvelope(std::string* out, std::string_view payload);
 
 /// Verifies the frame occupying the whole of `data` and returns a view
 /// of the payload (aliasing `data`). kCorruption on bad magic/version/
-/// checksum, length mismatch, or trailing garbage; under kAllowUnframed
-/// an unframed buffer is returned as-is without verification.
-Result<std::string_view> UnwrapEnvelope(std::string_view data,
-                                        EnvelopePolicy policy);
+/// checksum, length mismatch, trailing garbage, or a buffer that is not
+/// framed at all.
+Result<std::string_view> UnwrapEnvelope(std::string_view data);
 
 /// Streaming variant for concatenated frames (the WAL): reads one
 /// envelope at data[*pos...], advancing *pos past it. kOutOfRange when

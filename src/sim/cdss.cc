@@ -50,7 +50,6 @@ Result<std::unique_ptr<Cdss>> Cdss::Make(CdssConfig config) {
       store::CentralStoreOptions opts;
       opts.stuck_epoch_reap_threshold = cfg.stuck_epoch_reap_threshold;
       opts.fetch_mode = cfg.fetch_mode;
-      opts.verify_checksums = cfg.verify_checksums;
       cdss->store_ = std::make_unique<store::CentralStore>(
           cdss->engine_.get(), &cdss->network_, opts, &cdss->catalog_);
       break;
@@ -61,7 +60,6 @@ Result<std::unique_ptr<Cdss>> Cdss::Make(CdssConfig config) {
       opts.stuck_epoch_reap_threshold = cfg.stuck_epoch_reap_threshold;
       opts.replication_factor = cfg.replication_factor;
       opts.fetch_mode = cfg.fetch_mode;
-      opts.verify_checksums = cfg.verify_checksums;
       auto dht = std::make_unique<store::DhtStore>(
           cfg.participants, &cdss->network_, &cdss->catalog_, opts);
       cdss->dht_ = dht.get();
@@ -259,8 +257,6 @@ Result<CdssResult> Cdss::Run() {
                                   metric("integrity.corrupt_payloads_detected");
   result.read_repairs =
       metric("integrity.read_repairs") + metric("integrity.scrub_repairs");
-  result.undetected_corrupt_reads =
-      metric("integrity.unverified_corrupt_reads");
   core::StoreStats totals;
   for (const auto& p : participants_) {
     totals = totals + store_->StatsFor(p->id());

@@ -110,10 +110,6 @@ struct CdssConfig {
   /// DHT node churn interleaved with the rounds (kDht only; rejected for
   /// the central store, which has no ring to churn).
   ChurnConfig churn;
-  /// Verify envelope checksums on stored reads (both stores). False is
-  /// the corruption sweep's control arm: rot flows to readers undetected
-  /// (the strict check still runs as an accounting ledger).
-  bool verify_checksums = true;
   /// Run a DHT background scrub (verify + heal every replica) at every
   /// Nth round boundary; 0 disables. kDht only — the central store's
   /// rot is per-read, so there is nothing at rest to scrub.
@@ -153,12 +149,10 @@ struct CdssResult {
   int64_t node_leaves = 0;
   bool replication_invariant_ok = true;
   /// Integrity accounting: checksum-rejected reads caught at any site
-  /// (replica, stored row, in-flight payload), replicas healed (read-
-  /// repair plus scrub), and — control arm only — reads served despite a
-  /// failing checksum (always 0 when verify_checksums is true).
+  /// (replica, stored row, in-flight payload) and replicas healed (read-
+  /// repair plus scrub).
   int64_t corrupt_reads_detected = 0;
   int64_t read_repairs = 0;
-  int64_t undetected_corrupt_reads = 0;
   /// Mean per-reconciliation times (microseconds).
   double avg_local_micros = 0;
   double avg_store_micros = 0;

@@ -97,13 +97,6 @@ class StorageEngine {
     return replay_stats_;
   }
 
-  /// True when the WAL predates the v2 checksummed format. Values read
-  /// back from such an engine may be legacy unframed payloads, so
-  /// consumers unwrap them with EnvelopePolicy::kAllowUnframed.
-  bool recovered_from_legacy_wal() const {
-    return wal_ != nullptr && wal_->legacy_format();
-  }
-
  private:
   StorageEngine() = default;
 

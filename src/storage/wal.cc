@@ -1,6 +1,5 @@
 #include "storage/wal.h"
 
-#include <array>
 #include <cstring>
 #include <vector>
 
@@ -17,62 +16,39 @@ namespace orchestra::storage {
 
 namespace {
 
-/// v2 file header. A v1 file starts with the CRC32 of its first record,
-/// which matches this magic with probability 2^-64 — close enough to
-/// never for format detection.
+/// File header stamped on every log before its first record.
 constexpr char kFileMagic[8] = {'O', 'R', 'C', 'W', 'A', 'L', '0', '2'};
-
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xedb88320U ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 }  // namespace
 
-uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
-  uint32_t crc = 0xffffffffU;
-  for (unsigned char byte : data) {
-    crc = kTable[(crc ^ byte) & 0xff] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffU;
-}
-
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(std::string path) {
-  // Peek at the existing file (if any) to decide the format before the
-  // append handle pins us to the end.
-  bool legacy = false;
-  bool needs_header = true;
+  // Peek at the existing file (if any) before the append handle pins us
+  // to the end: how much of the header is already on disk.
+  size_t present = 0;
   if (std::FILE* probe = std::fopen(path.c_str(), "rb")) {
     char head[sizeof(kFileMagic)];
-    const size_t n = std::fread(head, 1, sizeof(head), probe);
+    present = std::fread(head, 1, sizeof(head), probe);
     std::fclose(probe);
-    if (n > 0) {
-      needs_header = false;
-      legacy = n < sizeof(kFileMagic) ||
-               std::memcmp(head, kFileMagic, sizeof(kFileMagic)) != 0;
+    if (std::memcmp(head, kFileMagic, present) != 0) {
+      return Status::Corruption("not a write-ahead log (no header) at " +
+                                path);
     }
   }
   std::FILE* file = std::fopen(path.c_str(), "ab+");
   if (file == nullptr) {
     return Status::IOError("cannot open WAL at " + path);
   }
-  if (needs_header) {
-    if (std::fwrite(kFileMagic, 1, sizeof(kFileMagic), file) !=
-        sizeof(kFileMagic)) {
-      std::fclose(file);
-      return Status::IOError("cannot write WAL header at " + path);
-    }
+  // A new file gets the whole header. A file holding a strict prefix of
+  // it is a torn header write, which no record can have followed:
+  // appending the missing suffix restamps it in place.
+  const size_t missing = sizeof(kFileMagic) - present;
+  if (missing > 0 &&
+      std::fwrite(kFileMagic + present, 1, missing, file) != missing) {
+    std::fclose(file);
+    return Status::IOError("cannot write WAL header at " + path);
   }
   return std::unique_ptr<WriteAheadLog>(
-      new WriteAheadLog(std::move(path), file, legacy));
+      new WriteAheadLog(std::move(path), file));
 }
 
 WriteAheadLog::~WriteAheadLog() {
@@ -88,15 +64,7 @@ Status WriteAheadLog::Append(uint8_t type, std::string_view payload) {
   body.append(payload);
 
   std::string record;
-  if (legacy_) {
-    const uint32_t crc = Crc32(body);
-    record.resize(4);
-    std::memcpy(record.data(), &crc, 4);
-    db::PutVarint64(&record, payload.size());
-    record.append(body);
-  } else {
-    db::WrapEnvelope(&record, body);
-  }
+  db::WrapEnvelope(&record, body);
   // A torn physical write leaves a strict prefix of the record on disk;
   // nothing after it is parseable, which replay treats as a torn tail.
   if (injector_ != nullptr) {
@@ -161,9 +129,7 @@ Status WriteAheadLog::ReplayWithStats(
   ReplayStats local;
   ReplayStats* s = stats != nullptr ? stats : &local;
   *s = ReplayStats{};
-  s->legacy_format = legacy_;
-  const Status status = legacy_ ? ReplayLegacy(visitor, contents, s)
-                                : ReplayFramed(visitor, contents, s);
+  const Status status = ReplayFramed(visitor, contents, s);
   static Counter& skipped = MetricsRegistry::Global().GetCounter(
       "integrity.wal_records_skipped");
   static Counter& dropped = MetricsRegistry::Global().GetCounter(
@@ -171,44 +137,6 @@ Status WriteAheadLog::ReplayWithStats(
   skipped.Add(s->skipped_regions);
   dropped.Add(s->dropped_tail_bytes);
   return status;
-}
-
-Status WriteAheadLog::ReplayLegacy(
-    const std::function<Status(uint8_t, std::string_view)>& visitor,
-    std::string_view contents, ReplayStats* stats) const {
-  size_t pos = 0;
-  while (pos < contents.size()) {
-    const size_t record_start = pos;
-    if (pos + 4 > contents.size()) break;  // torn tail
-    uint32_t stored_crc;
-    std::memcpy(&stored_crc, contents.data() + pos, 4);
-    pos += 4;
-    auto len = db::GetVarint64(contents, &pos);
-    if (!len.ok()) {  // torn tail
-      pos = record_start;
-      break;
-    }
-    if (pos + 1 + *len > contents.size()) {  // torn tail
-      pos = record_start;
-      break;
-    }
-    const std::string_view body(contents.data() + pos, 1 + *len);
-    pos += 1 + *len;
-    if (Crc32(body) != stored_crc) {
-      if (pos >= contents.size()) {  // torn final record
-        pos = record_start;
-        break;
-      }
-      return Status::Corruption("WAL CRC mismatch at offset " +
-                                std::to_string(record_start) + " in " + path_);
-    }
-    const uint8_t type = static_cast<uint8_t>(body[0]);
-    ORCH_RETURN_IF_ERROR(visitor(type, body.substr(1)));
-    ++stats->records;
-  }
-  stats->dropped_tail_bytes +=
-      static_cast<int64_t>(contents.size() - pos);
-  return Status::OK();
 }
 
 Status WriteAheadLog::ReplayFramed(
@@ -219,8 +147,9 @@ Status WriteAheadLog::ReplayFramed(
       std::memcmp(contents.data(), kFileMagic, sizeof(kFileMagic)) == 0) {
     pos = sizeof(kFileMagic);
   } else if (contents.size() < sizeof(kFileMagic)) {
-    // Torn header write: the file holds a prefix of the magic and no
-    // records can have followed it.
+    // The image ends inside the header (Open restamps a torn header
+    // write, so only a truncated replay image gets here): no record
+    // survives.
     stats->dropped_tail_bytes += static_cast<int64_t>(contents.size());
     return Status::OK();
   } else {

@@ -14,17 +14,11 @@
 
 namespace orchestra::storage {
 
-/// CRC32 (IEEE polynomial) over `data`; validates legacy (v1) WAL
-/// records. New logs use the CRC32C integrity envelope (db/serde) — a
-/// different polynomial, so the two formats cannot validate each
-/// other's records by accident.
-uint32_t Crc32(std::string_view data);
-
 /// Append-only write-ahead log.
 ///
-/// v2 (current) format: an 8-byte file header ("ORCWAL02") followed by
-/// one integrity envelope (db::WrapEnvelope) per record, whose payload
-/// is [type:1 byte][record payload]. Recovery semantics:
+/// Format: an 8-byte file header ("ORCWAL02") followed by one integrity
+/// envelope (db::WrapEnvelope) per record, whose payload is
+/// [type:1 byte][record payload]. Recovery semantics:
 ///   - a torn tail (final record cut short) is truncated at the last
 ///     valid record, as before;
 ///   - a corrupted record *mid-log* is skipped by scanning forward to
@@ -32,16 +26,6 @@ uint32_t Crc32(std::string_view data);
 ///     replay itself stays available, and callers that cannot tolerate
 ///     a gap (e.g. the central store's decision-log marker cross-check)
 ///     turn a nonzero skip count into a typed kDataLoss error.
-///
-/// v1 (legacy) format, headerless: records are
-///   [crc32 of (type+payload) : 4 bytes LE]
-///   [payload length          : varint]
-///   [type                    : 1 byte]
-///   [payload                 : length bytes]
-/// A file that exists and lacks the v2 header keeps its legacy format:
-/// replay uses the v1 parser (torn tail tolerated, mid-log CRC mismatch
-/// reported as Corruption) and appends continue in v1 so the file stays
-/// self-consistent. Only newly created logs get the v2 header.
 class WriteAheadLog {
  public:
   /// Outcome accounting for one Replay pass.
@@ -50,12 +34,13 @@ class WriteAheadLog {
     int64_t skipped_regions = 0;     // corrupted mid-log stretches skipped
     int64_t skipped_bytes = 0;       // bytes inside those stretches
     int64_t dropped_tail_bytes = 0;  // torn tail truncated at replay
-    bool legacy_format = false;      // parsed with the v1 parser
   };
 
   /// Opens (creating if needed) the log at `path` for appending. A new
-  /// file is stamped with the v2 header; an existing headerless file is
-  /// opened in legacy mode.
+  /// file is stamped with the header, and so is a file holding a strict
+  /// prefix of it (a crash tore the header write, so no record can have
+  /// followed). Any other non-empty file without the header was not
+  /// written by this log: kCorruption.
   static Result<std::unique_ptr<WriteAheadLog>> Open(std::string path);
 
   ~WriteAheadLog();
@@ -71,7 +56,7 @@ class WriteAheadLog {
 
   /// Replays every valid record from the start of the file, invoking
   /// `visitor(type, payload)` for each. Stops cleanly at a torn tail;
-  /// skips corrupted mid-log records in v2 files (see ReplayStats).
+  /// skips corrupted mid-log records (see ReplayStats).
   Status Replay(
       const std::function<Status(uint8_t, std::string_view)>& visitor) const;
 
@@ -90,27 +75,18 @@ class WriteAheadLog {
   ///                           (at-rest corruption surfacing at read).
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
-  /// True when the file predates the v2 header. Data recovered from a
-  /// legacy log carries no checksums, so downstream envelope unwrapping
-  /// must use EnvelopePolicy::kAllowUnframed for it.
-  bool legacy_format() const { return legacy_; }
-
   const std::string& path() const { return path_; }
 
  private:
-  WriteAheadLog(std::string path, std::FILE* file, bool legacy)
-      : path_(std::move(path)), file_(file), legacy_(legacy) {}
+  WriteAheadLog(std::string path, std::FILE* file)
+      : path_(std::move(path)), file_(file) {}
 
-  Status ReplayLegacy(
-      const std::function<Status(uint8_t, std::string_view)>& visitor,
-      std::string_view contents, ReplayStats* stats) const;
   Status ReplayFramed(
       const std::function<Status(uint8_t, std::string_view)>& visitor,
       std::string_view contents, ReplayStats* stats) const;
 
   std::string path_;
   std::FILE* file_;
-  bool legacy_ = false;
   FaultInjector* injector_ = nullptr;
 };
 

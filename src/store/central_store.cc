@@ -79,37 +79,15 @@ Result<std::string> CentralStore::ReadTxnBlob(
       "integrity.corrupt_rows_detected");
   static Counter& rereads =
       MetricsRegistry::Global().GetCounter("integrity.row_rereads");
-  static Counter& unverified = MetricsRegistry::Global().GetCounter(
-      "integrity.unverified_corrupt_reads");
   Status last = Status::OK();
   for (int attempt = 0; attempt < kRowReadAttempts; ++attempt) {
     if (attempt > 0) rereads.Increment();
     ORCH_ASSIGN_OR_RETURN(std::string framed, engine_->Get("txn", txn_key));
-    if (engine_->recovered_from_legacy_wal() &&
-        !db::HasEnvelopeHeader(framed)) {
-      // A row written before the framed format existed carries no
-      // checksum; there is nothing to verify (and corrupting it would
-      // be undetectable by construction, so the site is not applied).
-      return framed;
-    }
     if (FaultInjector* injector = engine_->fault_injector();
         injector != nullptr) {
       injector->MaybeCorrupt("storage.bit_flip", &framed);
     }
-    if (!options_.verify_checksums) {
-      // Control arm: whatever the read returned is what the caller
-      // gets. The strict check still runs as the sweep's ledger of
-      // reads a checksummed deployment would have caught.
-      if (!db::UnwrapEnvelope(framed, db::EnvelopePolicy::kRequireFrame)
-               .ok()) {
-        unverified.Increment();
-      }
-      auto loose =
-          db::UnwrapEnvelope(framed, db::EnvelopePolicy::kTrustUnverified);
-      if (loose.ok()) return std::string(*loose);
-      return framed;  // structural garbage: hand the caller the rot
-    }
-    auto body = db::UnwrapEnvelope(framed, db::EnvelopePolicy::kRequireFrame);
+    auto body = db::UnwrapEnvelope(framed);
     if (body.ok()) return std::string(*body);
     detected.Increment();
     last = body.status();
@@ -556,13 +534,16 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
   // reconciliation and recording its outcome.
   auto last_recno = engine_->Get("decmeta:" + std::to_string(peer),
                                  "last_recno");
-  // The marker is "recno" (legacy) or "recno:count"; strtoll stops at
-  // the ':' either way.
-  bundle.last_decided_recno =
-      last_recno.ok() ? std::strtoll(last_recno->c_str(), nullptr, 10) : 0;
-  if (last_recno.ok() && bundle.last_decided_recno > 0) {
+  if (last_recno.ok()) {
+    // The marker is "recno:count"; strtoll stops at the ':'.
     const size_t sep = last_recno->find(':');
-    if (sep != std::string::npos) {
+    if (sep == std::string::npos) {
+      return Status::Corruption("decision marker for peer " +
+                                std::to_string(peer) + " lacks its count: \"" +
+                                *last_recno + "\"");
+    }
+    bundle.last_decided_recno = std::strtoll(last_recno->c_str(), nullptr, 10);
+    if (bundle.last_decided_recno > 0) {
       // Cross-check the marker's decision count against the declog rows
       // that actually survived. Replay of a corrupt WAL region can drop
       // decision Puts while the marker (written later, in an intact

@@ -22,12 +22,13 @@ namespace orchestra::store {
 /// transactions and their antecedent closures travel over the network.
 ///
 /// Engine layout (all keys are order-preserving encodings):
-///   txn        txn-key -> encoded Transaction
+///   txn        txn-key -> enveloped encoded Transaction
 ///   epochs     epoch   -> "open"/"done"/"aborted"
 ///   epoch_txns epoch:txn-key -> ""
 ///   dec:<p>    txn-key -> "A" | "R"     (peer p's recorded decisions)
 ///   declog:<p> recno:txn-key -> "A"|"R" (decisions keyed by recno, §5.2.1)
-///   decmeta:<p> "last_recno" -> recno   (last *fully* recorded recno)
+///   decmeta:<p> "last_recno" -> recno:count
+///              (last *fully* recorded recno and its decision count)
 ///   recons:<p> recno -> epoch           (peer p's reconciliation log)
 ///   peers      peer -> last reconciliation epoch
 /// Sequences: "epoch", "recno:<p>".
@@ -60,12 +61,6 @@ struct CentralStoreOptions {
   /// stored rows (and verifies their checksums). Decisions are identical
   /// across modes (see core::FetchMode).
   core::FetchMode fetch_mode = core::FetchMode::kDelta;
-  /// Verify the envelope checksum on every stored transaction row read
-  /// (detected rot is re-read; the storage.bit_flip site draws fresh
-  /// randomness per read, so a re-read models fetching the page from
-  /// the RDBMS's redundant storage). False is the corruption sweep's
-  /// control arm: rot flows to the caller undetected.
-  bool verify_checksums = true;
 };
 
 class CentralStore : public core::UpdateStore,
@@ -123,8 +118,9 @@ class CentralStore : public core::UpdateStore,
   /// returning the payload (the encoded Transaction). At-rest corruption
   /// (storage.bit_flip) is applied to the read copy; a detected checksum
   /// failure re-reads up to kRowReadAttempts times before reporting
-  /// kDataLoss. Legacy unframed rows (engine recovered from a
-  /// pre-checksum WAL) pass through unverified — they carry no checksum.
+  /// kDataLoss. The storage.bit_flip site draws fresh randomness per
+  /// read, so a re-read models fetching the page from the RDBMS's
+  /// redundant storage.
   Result<std::string> ReadTxnBlob(const std::string& txn_key) const;
 
   Result<core::Transaction> LoadTxn(const core::TransactionId& id) const;

@@ -134,9 +134,7 @@ std::string WireOf(const Transaction& txn) {
 
 /// Strict verify-and-decode of a stored or delivered wire blob.
 Result<Transaction> DecodeWire(std::string_view wire) {
-  ORCH_ASSIGN_OR_RETURN(
-      std::string_view body,
-      db::UnwrapEnvelope(wire, db::EnvelopePolicy::kRequireFrame));
+  ORCH_ASSIGN_OR_RETURN(std::string_view body, db::UnwrapEnvelope(wire));
   size_t pos = 0;
   return core::DecodeTransaction(body, &pos);
 }
@@ -151,11 +149,6 @@ Counter& ReadRepairs() {
       MetricsRegistry::Global().GetCounter("integrity.read_repairs");
   return c;
 }
-Counter& UnverifiedCorruptReads() {
-  static Counter& c = MetricsRegistry::Global().GetCounter(
-      "integrity.unverified_corrupt_reads");
-  return c;
-}
 }  // namespace
 
 void DhtStore::InstallTxnReplica(NodeState& node, const Transaction& txn,
@@ -167,8 +160,7 @@ void DhtStore::InstallTxnReplica(NodeState& node, const Transaction& txn,
     // makes failover and read-repair meaningful.
     injector->MaybeCorrupt("storage.bit_flip", &stored);
   }
-  node.txns.insert_or_assign(txn.id, txn);
-  node.txn_wire.insert_or_assign(txn.id, std::move(stored));
+  node.txns.insert_or_assign(txn.id, StoredTxn{txn.epoch, std::move(stored)});
 }
 
 std::vector<size_t> DhtStore::ReadOrderFor(const std::string& key) const {
@@ -198,46 +190,22 @@ Result<DhtStore::TxnRead> DhtStore::ReadTxnVerified(
   // corrupt reply.
   for (size_t node : ReadOrderFor(key)) {
     const NodeState& n = nodes_[node];
-    auto wire_it = n.txn_wire.find(id);
-    if (wire_it == n.txn_wire.end()) {
+    auto it = n.txns.find(id);
+    if (it == n.txns.end()) {
       failover_probes.Increment();
       network_->Charge(peer, 1, 16);  // probe + miss reply
       continue;
     }
-    if (!options_.verify_checksums) {
-      // Control arm: consume the first copy found without checking it.
-      // The checksum is still *computed* — that is the sweep's
-      // undetected-corruption ledger, counting exactly the reads a
-      // checksummed deployment would have caught.
-      if (!db::UnwrapEnvelope(wire_it->second,
-                              db::EnvelopePolicy::kRequireFrame)
-               .ok()) {
-        UnverifiedCorruptReads().Increment();
-      }
-      auto loose = db::UnwrapEnvelope(wire_it->second,
-                                      db::EnvelopePolicy::kTrustUnverified);
-      if (loose.ok()) {
-        size_t pos = 0;
-        if (auto txn = core::DecodeTransaction(*loose, &pos); txn.ok()) {
-          return TxnRead{*std::move(txn), node, wire_it->second};
-        }
-      }
-      // Structurally undecodable garbage: serve the decode index — the
-      // bytes a pre-checksum deployment would have cached in memory.
-      auto txn_it = n.txns.find(id);
-      ORCH_CHECK(txn_it != n.txns.end());
-      return TxnRead{txn_it->second, node, wire_it->second};
-    }
-    if (auto txn = DecodeWire(wire_it->second); txn.ok()) {
-      TxnRead read{*std::move(txn), node, wire_it->second};
+    const std::string& wire = it->second.wire;
+    if (auto txn = DecodeWire(wire); txn.ok()) {
+      TxnRead read{*std::move(txn), node, wire};
       // Read-repair: recopy the verified blob over every corrupt
       // replica probed on the way here. Replica-to-replica transfers,
       // charged to the repair endpoint like churn re-replication.
       for (size_t bad : corrupt_nodes) {
         network_->Charge(kRepairEndpoint, 1,
                          static_cast<int64_t>(read.wire.size()));
-        nodes_[bad].txn_wire.insert_or_assign(id, read.wire);
-        nodes_[bad].txns.insert_or_assign(id, read.txn);
+        nodes_[bad].txns.at(id).wire = read.wire;
         ReadRepairs().Increment();
       }
       return read;
@@ -246,8 +214,7 @@ Result<DhtStore::TxnRead> DhtStore::ReadTxnVerified(
     // the rot: the bytes were paid for but are useless.
     CorruptReplicaReads().Increment();
     ScoreCorruptServe(node);
-    network_->Charge(peer, 1,
-                     static_cast<int64_t>(wire_it->second.size()));
+    network_->Charge(peer, 1, static_cast<int64_t>(wire.size()));
     corrupt_nodes.push_back(node);
   }
   if (!corrupt_nodes.empty()) {
@@ -267,25 +234,9 @@ Result<DhtStore::TxnRead> DhtStore::ReadTxnVerified(
 Result<Transaction> DhtStore::ReadLocalOrRepair(
     ParticipantId peer, size_t node, const TransactionId& id) const {
   const NodeState& n = nodes_[node];
-  auto wire_it = n.txn_wire.find(id);
-  ORCH_CHECK(wire_it != n.txn_wire.end());
-  if (!options_.verify_checksums) {
-    if (!db::UnwrapEnvelope(wire_it->second,
-                            db::EnvelopePolicy::kRequireFrame)
-             .ok()) {
-      UnverifiedCorruptReads().Increment();
-    }
-    auto loose = db::UnwrapEnvelope(wire_it->second,
-                                    db::EnvelopePolicy::kTrustUnverified);
-    if (loose.ok()) {
-      size_t pos = 0;
-      if (auto txn = core::DecodeTransaction(*loose, &pos); txn.ok()) {
-        return *std::move(txn);
-      }
-    }
-    return n.txns.at(id);
-  }
-  if (auto txn = DecodeWire(wire_it->second); txn.ok()) return *std::move(txn);
+  auto it = n.txns.find(id);
+  ORCH_CHECK(it != n.txns.end());
+  if (auto txn = DecodeWire(it->second.wire); txn.ok()) return *std::move(txn);
   CorruptReplicaReads().Increment();
   ScoreCorruptServe(node);
   ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
@@ -294,8 +245,7 @@ Result<Transaction> DhtStore::ReadLocalOrRepair(
   if (read.holder != node) {
     network_->Charge(kRepairEndpoint, 1,
                      static_cast<int64_t>(read.wire.size()));
-    nodes_[node].txn_wire.insert_or_assign(id, read.wire);
-    nodes_[node].txns.insert_or_assign(id, read.txn);
+    nodes_[node].txns.at(id).wire = read.wire;
     ReadRepairs().Increment();
   }
   return std::move(read.txn);
@@ -349,7 +299,6 @@ void DhtStore::AbortEpoch(ParticipantId peer, Epoch epoch,
       ReplicatedSend(peer, my_node, key, 24);
       MutateGroup(key, [&](NodeState& node) {
         node.txns.erase(id);
-        node.txn_wire.erase(id);
         auto dec_it = node.decisions.find(id);
         if (dec_it != node.decisions.end()) {
           dec_it->second.erase(peer);
@@ -750,13 +699,6 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
       for (size_t idx : slots) {
         auto body = db::ReadEnvelope(delivered, &pos);
         if (!body.ok()) {
-          if (!options_.verify_checksums) {
-            // Control arm: framing lost mid-batch; the remaining
-            // placeholders (the sender-side copies) stand in, the way
-            // an unchecksummed reader would never notice.
-            UnverifiedCorruptReads().Increment();
-            break;
-          }
           static Counter& detected = MetricsRegistry::Global().GetCounter(
               "integrity.corrupt_payloads_detected");
           detected.Increment();
@@ -764,12 +706,8 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
               "multi-get reply corrupted in flight");
         }
         size_t bpos = 0;
-        auto txn = core::DecodeTransaction(*body, &bpos);
-        if (!txn.ok()) {
-          if (!options_.verify_checksums) continue;
-          return txn.status();
-        }
-        fetch.transactions[idx] = *std::move(txn);
+        ORCH_ASSIGN_OR_RETURN(fetch.transactions[idx],
+                              core::DecodeTransaction(*body, &bpos));
       }
     }
   }
@@ -942,7 +880,7 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
       // Snapshot the id list first: verified reads may heal this node's
       // own maps mid-walk.
       std::vector<TransactionId> ids;
-      for (const auto& [id, txn] : nodes_[node].txns) ids.push_back(id);
+      for (const auto& [id, stored] : nodes_[node].txns) ids.push_back(id);
       for (const TransactionId& id : ids) {
         auto dec_it = nodes_[node].decisions.find(id);
         if (dec_it == nodes_[node].decisions.end()) continue;
@@ -1334,26 +1272,21 @@ void DhtStore::RepairReplication() {
 
   // Transactions and the decision logs that ride on the same key.
   // Ordered unions: repair traffic and re-placement below walk them, and
-  // that walk order must be reproducible (lint rule D3).
-  std::map<TransactionId, Transaction> txn_union;
+  // that walk order must be reproducible (lint rule D3). Each id's copy
+  // source is its first *verified* replica, so repair propagates clean
+  // bytes, never rot. When no copy verifies the first one found is kept
+  // (tentative) — re-placement cannot invent data checksums say is gone.
+  std::map<TransactionId, StoredTxn> txn_union;
+  std::set<TransactionId> verified;
   std::map<TransactionId, std::map<ParticipantId, Decision>> dec_union;
-  // Copy source for each id's wire blob: the first *verified* replica,
-  // so repair propagates clean bytes, never rot. When no copy verifies
-  // the first one found is kept (tentative) — re-placement cannot
-  // invent data checksums say is gone.
-  std::map<TransactionId, std::string> wire_union;
-  std::set<TransactionId> wire_verified;
   for (const NodeState& n : nodes_) {
-    for (const auto& [id, txn] : n.txns) txn_union.emplace(id, txn);
-    for (const auto& [id, wire] : n.txn_wire) {
-      if (wire_verified.count(id) != 0) continue;
-      const bool ok =
-          db::UnwrapEnvelope(wire, db::EnvelopePolicy::kRequireFrame).ok();
-      if (ok) {
-        wire_union[id] = wire;
-        wire_verified.insert(id);
+    for (const auto& [id, stored] : n.txns) {
+      if (verified.count(id) != 0) continue;
+      if (db::UnwrapEnvelope(stored.wire).ok()) {
+        txn_union[id] = stored;
+        verified.insert(id);
       } else {
-        wire_union.emplace(id, wire);
+        txn_union.emplace(id, stored);
       }
     }
     for (const auto& [id, per_peer] : n.decisions) {
@@ -1361,29 +1294,22 @@ void DhtStore::RepairReplication() {
       for (const auto& [p, d] : per_peer) merged.emplace(p, d);
     }
   }
-  for (const auto& [id, txn] : txn_union) {
+  for (const auto& [id, stored] : txn_union) {
     const auto group = GroupFor("txn:" + id.ToString());
     const auto dec_it = dec_union.find(id);
-    auto wire_it = wire_union.find(id);
-    if (wire_it == wire_union.end()) {
-      // A copy installed before the framed format existed; re-frame it.
-      wire_it = wire_union.emplace(id, WireOf(txn)).first;
-    }
     for (size_t i = 0; i < nodes_.size(); ++i) {
       if (!ring_.IsLive(i)) continue;
       NodeState& n = nodes_[i];
       if (!is_member(group, i)) {
         n.txns.erase(id);
-        n.txn_wire.erase(id);
         n.decisions.erase(id);
         continue;
       }
       if (n.txns.count(id) == 0) {
         network_->Charge(kRepairEndpoint, 1,
-                         static_cast<int64_t>(wire_it->second.size()));
+                         static_cast<int64_t>(stored.wire.size()));
       }
-      n.txns.insert_or_assign(id, txn);
-      n.txn_wire.insert_or_assign(id, wire_it->second);
+      n.txns.insert_or_assign(id, stored);
       if (dec_it != dec_union.end()) {
         n.decisions[id] = dec_it->second;
       } else {
@@ -1446,18 +1372,17 @@ DhtStore::ScrubReport DhtStore::ScrubReplicas() {
   std::set<TransactionId> ids;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (!ring_.IsLive(i)) continue;
-    for (const auto& [id, wire] : nodes_[i].txn_wire) ids.insert(id);
+    for (const auto& [id, stored] : nodes_[i].txns) ids.insert(id);
   }
   for (const TransactionId& id : ids) {
     const auto group = GroupFor("txn:" + id.ToString());
     std::optional<size_t> good;
     std::vector<size_t> corrupt;
     for (size_t node : group) {
-      auto it = nodes_[node].txn_wire.find(id);
-      if (it == nodes_[node].txn_wire.end()) continue;
+      auto it = nodes_[node].txns.find(id);
+      if (it == nodes_[node].txns.end()) continue;
       ++report.replicas_checked;
-      if (db::UnwrapEnvelope(it->second, db::EnvelopePolicy::kRequireFrame)
-              .ok()) {
+      if (db::UnwrapEnvelope(it->second.wire).ok()) {
         if (!good.has_value()) good = node;
       } else {
         ++report.corrupt_found;
@@ -1471,13 +1396,11 @@ DhtStore::ScrubReport DhtStore::ScrubReplicas() {
       ++report.unrecoverable;
       continue;
     }
-    const std::string& wire = nodes_[*good].txn_wire.at(id);
-    const auto decoded = DecodeWire(wire);
+    const std::string& wire = nodes_[*good].txns.at(id).wire;
     for (size_t bad : corrupt) {
       network_->Charge(kRepairEndpoint, 1,
                        static_cast<int64_t>(wire.size()));
-      nodes_[bad].txn_wire.insert_or_assign(id, wire);
-      if (decoded.ok()) nodes_[bad].txns.insert_or_assign(id, *decoded);
+      nodes_[bad].txns.at(id).wire = wire;
       ++report.healed;
     }
   }
@@ -1521,7 +1444,7 @@ bool DhtStore::CheckReplicationInvariant() const {
     for (const auto& [e, c] : n.epoch_contents) epochs.insert(e);
     for (Epoch e : n.epoch_done) epochs.insert(e);
     for (Epoch e : n.epoch_aborted) epochs.insert(e);
-    for (const auto& [id, txn] : n.txns) txn_ids.insert(id);
+    for (const auto& [id, stored] : n.txns) txn_ids.insert(id);
     for (const auto& [p, entry] : n.coordinated) peers.insert(p);
   }
   for (Epoch e : epochs) {

@@ -76,13 +76,6 @@ struct DhtStoreOptions {
   /// the reference, scans from epoch 0 and never consults the applied
   /// overlay. Decisions are identical across modes (see core::FetchMode).
   core::FetchMode fetch_mode = core::FetchMode::kDelta;
-  /// End-to-end verification of transaction blobs: stored replicas are
-  /// checked against their envelope checksum on every read (corrupt
-  /// copies are failed over, read-repaired, and scored toward
-  /// quarantine) and shipped payloads are verified at the receiver.
-  /// False is the corruption sweep's control arm: rot flows through
-  /// undetected, exactly like a deployment without checksums.
-  bool verify_checksums = true;
   /// A node whose replica fails read verification this many times is
   /// quarantined: demoted to the back of every replica group's read
   /// preference until the process restarts. Demotion only reorders
@@ -210,6 +203,12 @@ class DhtStore : public core::UpdateStore,
     int64_t decided_recno = 0;
   };
 
+  /// One transaction replica as a node stores it (see NodeState::txns).
+  struct StoredTxn {
+    core::Epoch epoch = 0;
+    std::string wire;
+  };
+
   /// Per-DHT-node state; the role a node plays for a given key follows
   /// from ring ownership. Under replication every member of a key's
   /// replica group holds the same entries for that key.
@@ -225,15 +224,12 @@ class DhtStore : public core::UpdateStore,
     std::map<core::Epoch, std::vector<core::TransactionId>> epoch_contents;
     std::set<core::Epoch> epoch_done;
     std::set<core::Epoch> epoch_aborted;
-    /// Transaction controller state. `txn_wire` holds the *stored*
-    /// representation — the envelope-framed encoding installed at
-    /// publish time, which is what at-rest corruption rots and what
-    /// every read verifies and decodes. `txns` is the decode index that
-    /// rides along for metadata lookups (epoch of a committed txn,
-    /// existence checks) and as the pre-checksum fallback in the
-    /// corruption sweep's control arm; the two always share a key set.
-    std::map<core::TransactionId, core::Transaction> txns;
-    std::map<core::TransactionId, std::string> txn_wire;
+    /// Transaction controller state: one copy of each replica, stored
+    /// as the envelope-framed encoding installed at publish time. That
+    /// is what at-rest corruption rots and what every read verifies
+    /// and decodes. The epoch rides alongside so the committed-epoch
+    /// check needs no decode; it is fixed at publish and never rots.
+    std::map<core::TransactionId, StoredTxn> txns;
     /// Decisions recorded per transaction, per peer.
     std::map<core::TransactionId, std::map<core::ParticipantId, Decision>>
         decisions;
@@ -330,10 +326,7 @@ class DhtStore : public core::UpdateStore,
   /// quarantine, and is read-repaired in place from the verified copy
   /// (the repair transfer goes to kRepairEndpoint). kDataLoss when no
   /// replica holds the id, or copies exist but none verifies — at-rest
-  /// rot is persistent, so no retry can save it. With verify_checksums
-  /// off the first copy found is decoded unverified (falling back to
-  /// the decode index when the bytes are structural garbage) — the
-  /// corruption sweep's control arm.
+  /// rot is persistent, so no retry can save it.
   Result<TxnRead> ReadTxnVerified(core::ParticipantId peer,
                                   const core::TransactionId& id) const;
   /// Bulk-sweep variant: reads `node`'s own copy of `id` (recovery and
@@ -342,7 +335,7 @@ class DhtStore : public core::UpdateStore,
   Result<core::Transaction> ReadLocalOrRepair(
       core::ParticipantId peer, size_t node,
       const core::TransactionId& id) const;
-  /// Installs a transaction (decoded + wire blob) on one replica,
+  /// Installs a transaction's wire blob on one replica,
   /// applying at-rest corruption (storage.bit_flip) independently per
   /// copy when an injector is armed — rot on one replica never implies
   /// rot on another.

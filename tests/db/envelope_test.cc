@@ -1,7 +1,7 @@
-// The integrity envelope (db/serde): round-trips, policy semantics,
-// and the detection guarantee — any truncation or bit flip of a framed
-// buffer must surface as kCorruption under the strict policy, never as
-// a silently different payload.
+// The integrity envelope (db/serde): round-trips, rejection of
+// unframed bytes, and the detection guarantee — any truncation or bit
+// flip of a framed buffer must surface as kCorruption, never as a
+// silently different payload.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,8 +19,7 @@ TEST(EnvelopeTest, RoundTrip) {
     std::string framed;
     WrapEnvelope(&framed, payload);
     EXPECT_EQ(framed.size(), payload.size() + EnvelopeOverhead(payload.size()));
-    EXPECT_TRUE(HasEnvelopeHeader(framed));
-    auto out = UnwrapEnvelope(framed, EnvelopePolicy::kRequireFrame);
+    auto out = UnwrapEnvelope(framed);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(*out, payload);
   }
@@ -44,59 +43,23 @@ TEST(EnvelopeTest, SequentialFramesReadBack) {
   EXPECT_EQ(pos, buf.size());
 }
 
-TEST(EnvelopeTest, PolicyRequireFrameRejectsBareBytes) {
-  auto out = UnwrapEnvelope("not a frame", EnvelopePolicy::kRequireFrame);
+TEST(EnvelopeTest, UnframedBytesAreRejected) {
+  auto out = UnwrapEnvelope("not a frame");
   EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
-}
-
-TEST(EnvelopeTest, PolicyAllowUnframedPassesBareBytesThrough) {
-  auto out = UnwrapEnvelope("legacy row bytes", EnvelopePolicy::kAllowUnframed);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, "legacy row bytes");
-  // A *framed* buffer under the lenient policy is still verified.
-  std::string framed;
-  WrapEnvelope(&framed, "payload");
-  framed[framed.size() - 1] ^= 0x01;
-  EXPECT_EQ(UnwrapEnvelope(framed, EnvelopePolicy::kAllowUnframed)
-                .status()
-                .code(),
-            StatusCode::kCorruption);
-}
-
-TEST(EnvelopeTest, PolicyTrustUnverifiedSkipsOnlyTheChecksum) {
-  std::string framed;
-  WrapEnvelope(&framed, "payload");
-  // Flip a payload bit: structure intact, checksum broken.
-  framed[framed.size() - 1] ^= 0x01;
-  ASSERT_EQ(UnwrapEnvelope(framed, EnvelopePolicy::kRequireFrame)
-                .status()
-                .code(),
-            StatusCode::kCorruption);
-  auto loose = UnwrapEnvelope(framed, EnvelopePolicy::kTrustUnverified);
-  ASSERT_TRUE(loose.ok());
-  EXPECT_EQ(*loose, "payloae");  // the rot flows through, as designed
-  // Structural damage still fails even unverified.
-  std::string mangled = framed;
-  mangled[0] ^= 0x40;  // magic
-  EXPECT_FALSE(
-      UnwrapEnvelope(mangled, EnvelopePolicy::kTrustUnverified).ok());
 }
 
 TEST(EnvelopeTest, TrailingBytesAreRejected) {
   std::string framed;
   WrapEnvelope(&framed, "payload");
   framed.push_back('!');
-  EXPECT_EQ(UnwrapEnvelope(framed, EnvelopePolicy::kRequireFrame)
-                .status()
-                .code(),
-            StatusCode::kCorruption);
+  EXPECT_EQ(UnwrapEnvelope(framed).status().code(), StatusCode::kCorruption);
 }
 
 TEST(EnvelopeTest, UnsupportedVersionIsRejected) {
   std::string framed;
   WrapEnvelope(&framed, "payload");
   framed[2] = 0x7F;
-  auto out = UnwrapEnvelope(framed, EnvelopePolicy::kRequireFrame);
+  auto out = UnwrapEnvelope(framed);
   EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
 }
 
@@ -107,8 +70,7 @@ TEST(EnvelopeFuzzTest, EveryTruncationIsDetected) {
   std::string framed;
   WrapEnvelope(&framed, payload);
   for (size_t keep = 0; keep < framed.size(); ++keep) {
-    auto out = UnwrapEnvelope(framed.substr(0, keep),
-                              EnvelopePolicy::kRequireFrame);
+    auto out = UnwrapEnvelope(framed.substr(0, keep));
     EXPECT_FALSE(out.ok()) << "keep " << keep;
     EXPECT_EQ(out.status().code(), StatusCode::kCorruption) << "keep " << keep;
   }
@@ -124,7 +86,7 @@ TEST(EnvelopeFuzzTest, EveryBitFlipIsDetected) {
     for (size_t bit = 0; bit < framed.size() * 8; ++bit) {
       std::string bad = framed;
       bad[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-      auto out = UnwrapEnvelope(bad, EnvelopePolicy::kRequireFrame);
+      auto out = UnwrapEnvelope(bad);
       // A flip may corrupt the structure (magic, version, length) or
       // the bytes the checksum covers; it must never unwrap to a
       // payload other than the original. (A length-field flip can keep
@@ -145,7 +107,7 @@ TEST(EnvelopeFuzzTest, RandomGarbageNeverUnwrapsStrict) {
   for (int round = 0; round < 2000; ++round) {
     std::string junk(rng.NextBounded(64), '\0');
     for (char& c : junk) c = static_cast<char>(rng.NextBounded(256));
-    auto out = UnwrapEnvelope(junk, EnvelopePolicy::kRequireFrame);
+    auto out = UnwrapEnvelope(junk);
     if (out.ok()) {
       // Astronomically unlikely (needs magic + version + valid length +
       // matching CRC32C); if it ever fires, the RNG found a real frame.

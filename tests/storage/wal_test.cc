@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/fault_injector.h"
-#include "db/serde.h"
 
 namespace orchestra::storage {
 namespace {
@@ -39,13 +38,6 @@ class WalTest : public ::testing::Test {
 
   std::string path_;
 };
-
-TEST(Crc32Test, KnownVectors) {
-  EXPECT_EQ(Crc32(""), 0u);
-  EXPECT_EQ(Crc32("123456789"), 0xcbf43926u);
-  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
-            0x414fa339u);
-}
 
 TEST_F(WalTest, AppendAndReplay) {
   {
@@ -105,9 +97,9 @@ TEST_F(WalTest, MidLogCorruptionIsSkippedWithAccounting) {
     ASSERT_TRUE((*wal)->Sync().ok());
   }
   // Clobber the first record's envelope magic (offset 8: right after
-  // the v2 file header). Replay must resync at the second record and
+  // the file header). Replay must resync at the second record and
   // account for the region it skipped — availability with honesty,
-  // instead of v1's all-or-nothing kCorruption.
+  // instead of an all-or-nothing kCorruption.
   {
     std::FILE* f = std::fopen(path_.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
@@ -131,7 +123,6 @@ TEST_F(WalTest, MidLogCorruptionIsSkippedWithAccounting) {
   EXPECT_EQ(stats.records, 1);
   EXPECT_EQ(stats.skipped_regions, 1);
   EXPECT_GT(stats.skipped_bytes, 0);
-  EXPECT_FALSE(stats.legacy_format);
 }
 
 TEST_F(WalTest, CorruptionInsidePayloadIsDetectedAndSkipped) {
@@ -245,35 +236,23 @@ TEST_F(WalTest, TruncateTailInjectionDeliversPrefix) {
   }
 }
 
-// Hand-builds a v1 (headerless, CRC32-IEEE) log file.
-void WriteLegacyRecord(std::string* out, uint8_t type,
-                       std::string_view payload) {
-  std::string body;
-  body.push_back(static_cast<char>(type));
-  body.append(payload);
-  const uint32_t crc = Crc32(body);
-  out->append(reinterpret_cast<const char*>(&crc), 4);
-  db::PutVarint64(out, payload.size());
-  out->append(body);
+void WriteFile(const std::string& path, std::string_view contents) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ORCH_CHECK(f != nullptr);
+  ORCH_CHECK(std::fwrite(contents.data(), 1, contents.size(), f) ==
+             contents.size());
+  std::fclose(f);
 }
 
-TEST_F(WalTest, LegacyFileReplaysAndStaysLegacyOnAppend) {
-  {
-    std::string contents;
-    WriteLegacyRecord(&contents, 1, "old-first");
-    WriteLegacyRecord(&contents, 2, "old-second");
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(contents.data(), 1, contents.size(), f),
-              contents.size());
-    std::fclose(f);
-  }
+TEST_F(WalTest, TornHeaderIsRestampedAndKeepsLaterRecords) {
+  // A crash tore the header write: only a strict prefix of it landed,
+  // and no record can have followed. Open must restamp the header so
+  // that what is appended and synced afterwards survives replay.
+  WriteFile(path_, "ORC");
   {
     auto wal = WriteAheadLog::Open(path_);
-    ASSERT_TRUE(wal.ok());
-    EXPECT_TRUE((*wal)->legacy_format());
-    // Appends must continue in v1 so the file stays self-consistent.
-    ASSERT_TRUE((*wal)->Append(3, "appended-after-upgrade").ok());
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE((*wal)->Append(1, "hello").ok());
     ASSERT_TRUE((*wal)->Sync().ok());
   }
   auto wal = WriteAheadLog::Open(path_);
@@ -288,32 +267,26 @@ TEST_F(WalTest, LegacyFileReplaysAndStaysLegacyOnAppend) {
                       },
                       &stats)
                   .ok());
-  EXPECT_TRUE(stats.legacy_format);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].second, "old-first");
-  EXPECT_EQ(records[1].second, "old-second");
-  EXPECT_EQ(records[2].second, "appended-after-upgrade");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], (std::pair<uint8_t, std::string>{1, "hello"}));
+  EXPECT_EQ(stats.dropped_tail_bytes, 0);
+  EXPECT_EQ(stats.skipped_regions, 0);
 }
 
-TEST_F(WalTest, LegacyMidLogCorruptionIsStillReported) {
-  {
-    std::string contents;
-    WriteLegacyRecord(&contents, 1, "first-record-payload");
-    WriteLegacyRecord(&contents, 2, "second");
-    contents[8] = 'X';  // inside the first record's body
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(contents.data(), 1, contents.size(), f),
-              contents.size());
-    std::fclose(f);
+TEST_F(WalTest, HeaderlessFileIsRejectedAtOpen) {
+  // A non-empty file that does not start with (a prefix of) the header
+  // was not written by this log. Appending to it would bury its bytes
+  // in front of our records, so Open refuses it, whatever its length.
+  for (std::string_view contents :
+       {std::string_view("XY"), std::string_view("ORX"),
+        std::string_view("not a write-ahead log at all")}) {
+    WriteFile(path_, contents);
+    auto wal = WriteAheadLog::Open(path_);
+    ASSERT_FALSE(wal.ok()) << contents;
+    EXPECT_EQ(wal.status().code(), StatusCode::kCorruption) << contents;
+    EXPECT_EQ(std::filesystem::file_size(path_), contents.size())
+        << "Open must not write to a rejected file";
   }
-  // v1 records carry no resync magic, so a mid-log CRC mismatch keeps
-  // its historical strictness: the whole replay fails.
-  auto wal = WriteAheadLog::Open(path_);
-  ASSERT_TRUE(wal.ok());
-  auto status = (*wal)->Replay(
-      [](uint8_t, std::string_view) { return Status::OK(); });
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
 
 TEST_F(WalTest, VisitorErrorAborts) {

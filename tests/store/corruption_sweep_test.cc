@@ -2,8 +2,7 @@
 // injected at the storage and wire sites must decide bit-identically to
 // the fault-free baseline — every rotten buffer caught by a checksum
 // and recovered (re-read, failover, read-repair, re-fetch), none
-// consumed. The verify-off control arm proves the detection layer is
-// load-bearing, and a typo'd corruption site is a startup error.
+// consumed. A typo'd corruption site is a startup error.
 #include <gtest/gtest.h>
 
 #include "sim/cdss.h"
@@ -46,7 +45,6 @@ TEST_P(CorruptionSweepTest, CorruptedRunsMatchCorruptionFreeBaseline) {
   auto baseline = (*baseline_sim)->Run();
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   EXPECT_EQ(baseline->corrupt_reads_detected, 0);
-  EXPECT_EQ(baseline->undetected_corrupt_reads, 0);
 
   int64_t total_detected = 0;
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -61,8 +59,7 @@ TEST_P(CorruptionSweepTest, CorruptedRunsMatchCorruptionFreeBaseline) {
     total_detected += result->corrupt_reads_detected;
 
     // Corruption tolerance must be invisible in the outcome: identical
-    // decision counts, identical divergence ratio, and not one read
-    // served past a failing checksum.
+    // decision counts and identical divergence ratio.
     EXPECT_EQ(result->transactions_published,
               baseline->transactions_published)
         << "seed " << seed;
@@ -70,27 +67,9 @@ TEST_P(CorruptionSweepTest, CorruptedRunsMatchCorruptionFreeBaseline) {
     EXPECT_EQ(result->rejected, baseline->rejected) << "seed " << seed;
     EXPECT_EQ(result->deferred, baseline->deferred) << "seed " << seed;
     EXPECT_EQ(result->state_ratio, baseline->state_ratio) << "seed " << seed;
-    EXPECT_EQ(result->undetected_corrupt_reads, 0) << "seed " << seed;
   }
   // The sweep must actually have exercised the detection paths.
   EXPECT_GT(total_detected, 0);
-}
-
-// The control arm: same rot, checksums off. The run must demonstrably
-// consume corrupt bytes — otherwise the protected sweep above proves
-// nothing about the detection layer.
-TEST(CorruptionControlTest, VerifyOffConsumesRot) {
-  CdssConfig cfg = SweepConfig(StoreKind::kDht);
-  ArmCorruption(&cfg, 1, /*p=*/0.05);
-  cfg.verify_checksums = false;
-  cfg.scrub_interval_rounds = 0;  // the scrub would heal what rot lands
-  auto sim = Cdss::Make(cfg);
-  ASSERT_TRUE(sim.ok());
-  auto result = (*sim)->Run();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT((*sim)->fault_injector().corrupted(), 0);
-  EXPECT_GT(result->undetected_corrupt_reads, 0);
-  EXPECT_EQ(result->read_repairs, 0);
 }
 
 TEST(CorruptionConfigTest, UnknownCorruptionSiteIsAStartupError) {

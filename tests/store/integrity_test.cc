@@ -1,8 +1,9 @@
 // End-to-end integrity in the stores: the DHT's verified group reads
 // (failover past corrupt replicas, read-repair, quarantine of repeat
 // rot-servers, scrub), the central store's re-read of checksum-failed
-// rows, the verify-off control arm that consumes rot undetected, and
-// the typed kDataLoss a truncated decision log surfaces on recovery.
+// rows, and the typed errors a damaged decision log surfaces on
+// recovery (kDataLoss for lost rows, kCorruption for a malformed
+// marker).
 //
 // Corruption is injected through the deterministic fault injector; where
 // a test needs a *partial* rot pattern (some replicas corrupt, some
@@ -21,6 +22,8 @@
 #include "common/fault_injector.h"
 #include "common/metrics.h"
 #include "core/participant.h"
+#include "core/transaction.h"
+#include "db/serde.h"
 #include "net/sim_network.h"
 #include "storage/engine.h"
 #include "store/central_store.h"
@@ -34,7 +37,9 @@ using core::ParticipantId;
 using core::Transaction;
 using core::TrustPolicy;
 using orchestra::testing::Ins;
+using orchestra::testing::InstanceHasExactly;
 using orchestra::testing::MakeProteinCatalog;
+using orchestra::testing::T;
 using orchestra::testing::Txn;
 
 int64_t CounterValue(const std::string& name) {
@@ -135,6 +140,64 @@ TEST_F(DhtIntegrityTest, ReadRepairHealsACorruptPrimary) {
   EXPECT_EQ(scrub.unrecoverable, 0);
 }
 
+TEST_F(DhtIntegrityTest, RotInsideAValueIsCaughtOnlyByTheChecksum) {
+  // Flips that land inside a value string leave the frame and the
+  // transaction encoding well-formed: the rotten copy decodes to a
+  // different, valid transaction, and only the envelope checksum tells
+  // it apart. Find a seed that rots the primary's copy inside the value
+  // and leaves both backups clean.
+  const std::string function(32, 'f');
+  Transaction txn = Txn(1, 0, {Ins("rat", "p1", function.c_str(), 1)},
+                        /*antecedents=*/{}, /*epoch=*/1);
+  std::string encoded;
+  core::EncodeTransaction(&encoded, txn);
+  std::string wire;
+  db::WrapEnvelope(&wire, encoded);
+  const size_t value_at = wire.find(function);
+  ASSERT_NE(value_at, std::string::npos);
+  uint64_t seed = 0;
+  for (uint64_t s = 1; s < 5000 && seed == 0; ++s) {
+    FaultInjectorConfig cfg;
+    cfg.corruption_probability = 0.5;
+    cfg.corruption_sites = {"storage.bit_flip"};
+    cfg.seed = s;
+    FaultInjector probe(cfg);
+    std::string rotten = wire;
+    if (!probe.MaybeCorrupt("storage.bit_flip", &rotten)) continue;
+    bool inside_value = true;
+    for (size_t i = 0; i < wire.size(); ++i) {
+      if (rotten[i] != wire[i] &&
+          (i < value_at || i >= value_at + function.size())) {
+        inside_value = false;
+      }
+    }
+    std::string backup = wire;
+    if (inside_value && !probe.MaybeCorrupt("storage.bit_flip", &backup) &&
+        !probe.MaybeCorrupt("storage.bit_flip", &backup)) {
+      seed = s;
+    }
+  }
+  ASSERT_NE(seed, 0u);
+  ArmBitFlip(0.5, seed);
+  ASSERT_TRUE(store_->Publish(1, {txn}).ok());
+  ASSERT_EQ(injector_.corrupted(), 1);
+  injector_.Disable();
+
+  const int64_t detected_before =
+      CounterValue("integrity.corrupt_replica_reads");
+  const int64_t repairs_before = CounterValue("integrity.read_repairs");
+  auto report = P(2).Reconcile(store_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->accepted.size(), 1u);
+  // The rotten primary was caught at the store and failed over, so the
+  // reader applied the value that was written.
+  EXPECT_TRUE(InstanceHasExactly(P(2).instance(),
+                                 {T({"rat", "p1", function.c_str()})}));
+  EXPECT_EQ(CounterValue("integrity.corrupt_replica_reads"),
+            detected_before + 1);
+  EXPECT_EQ(CounterValue("integrity.read_repairs"), repairs_before + 1);
+}
+
 TEST_F(DhtIntegrityTest, ScrubFindsAndHealsRotBeforeAnyReaderTripsOnIt) {
   // Rot one backup replica (pattern {clean, corrupt, clean}): no read
   // prefers it, so only the scrub can find the rot.
@@ -220,36 +283,6 @@ TEST_F(QuarantineTest, ServingOneCorruptReplicaQuarantinesTheNode) {
   auto again = P(3).Reconcile(store_.get());
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->accepted.size() + again->deferred.size(), 1u);
-}
-
-class UnverifiedDhtTest : public DhtIntegrityTest {
- protected:
-  UnverifiedDhtTest()
-      : DhtIntegrityTest([] {
-          DhtStoreOptions opts;
-          opts.verify_checksums = false;
-          return opts;
-        }()) {}
-};
-
-TEST_F(UnverifiedDhtTest, ControlArmConsumesRotUndetected) {
-  ArmBitFlip(1.0, 7);
-  ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "x", 1)}).ok());
-  ASSERT_TRUE(P(1).Publish(store_.get()).ok());
-  ASSERT_EQ(injector_.corrupted(), 3);
-  injector_.Disable();
-
-  const int64_t undetected_before =
-      CounterValue("integrity.unverified_corrupt_reads");
-  const int64_t repairs_before = CounterValue("integrity.read_repairs");
-  // With verification off the read neither fails over nor heals — the
-  // rot flows to the reader, and only the accounting ledger (the strict
-  // check still computed) records what a checksummed deployment would
-  // have caught.
-  (void)P(2).Reconcile(store_.get());
-  EXPECT_GE(CounterValue("integrity.unverified_corrupt_reads"),
-            undetected_before + 1);
-  EXPECT_EQ(CounterValue("integrity.read_repairs"), repairs_before);
 }
 
 /// The paths by which a central reconciliation reads a stored row back
@@ -453,6 +486,40 @@ TEST(CentralDeclogIntegrityTest, TruncatedDecisionLogIsTypedDataLoss) {
             std::string::npos)
       << bundle.status().ToString();
   std::remove(wal_path.c_str());
+}
+
+// The decision marker has one format, "recno:count". A marker without
+// its count cannot be cross-checked against the decision log, so
+// recovery refuses it as corruption instead of trusting it unchecked.
+TEST(CentralDeclogIntegrityTest, MarkerWithoutCountIsTypedCorruption) {
+  net::SimNetwork network;
+  auto engine = storage::StorageEngine::InMemory();
+  CentralStore store(engine.get(), &network);
+  TrustPolicy p1(1);
+  TrustPolicy p2(2);
+  p1.TrustPeer(2, 1);
+  p2.TrustPeer(1, 1);
+  ASSERT_TRUE(store.RegisterParticipant(1, &p1).ok());
+  ASSERT_TRUE(store.RegisterParticipant(2, &p2).ok());
+  Transaction a = Txn(1, 0, {Ins("rat", "p1", "a", 1)});
+  ASSERT_TRUE(store.Publish(1, {a}).ok());
+  auto fetch = store.BeginReconciliation(2);
+  ASSERT_TRUE(fetch.ok());
+  ASSERT_TRUE(store.RecordDecisions(2, fetch->recno, {a.id}, {}).ok());
+  ASSERT_TRUE(store.FetchRecoveryState(2).ok());
+
+  // Strip the count: keep only the recno in front of the ':'.
+  auto marker = engine->Get("decmeta:2", "last_recno");
+  ASSERT_TRUE(marker.ok());
+  const size_t sep = marker->find(':');
+  ASSERT_NE(sep, std::string::npos) << *marker;
+  ASSERT_TRUE(engine->Put("decmeta:2", "last_recno", marker->substr(0, sep))
+                  .ok());
+
+  auto bundle = store.FetchRecoveryState(2);
+  ASSERT_FALSE(bundle.ok());
+  EXPECT_EQ(bundle.status().code(), StatusCode::kCorruption)
+      << bundle.status().ToString();
 }
 
 }  // namespace

@@ -57,8 +57,7 @@ TEST_F(ProvenancePersistTest, RowsRoundTripThroughEnvelopes) {
   const auto rows = engine_->ScanPrefix("prov:7", "");
   ASSERT_EQ(rows.size(), 3u);
   for (size_t i = 0; i < rows.size(); ++i) {
-    auto payload =
-        db::UnwrapEnvelope(rows[i].second, db::EnvelopePolicy::kRequireFrame);
+    auto payload = db::UnwrapEnvelope(rows[i].second);
     ASSERT_TRUE(payload.ok()) << payload.status().ToString();
     EXPECT_EQ(*payload, records[i].ToJson());
   }
@@ -77,8 +76,7 @@ TEST_F(ProvenancePersistTest, KeysScanInDecisionOrder) {
   ASSERT_EQ(rows.size(), 13u);
   std::vector<std::string> payloads;
   for (const auto& [key, value] : rows) {
-    auto payload =
-        db::UnwrapEnvelope(value, db::EnvelopePolicy::kRequireFrame);
+    auto payload = db::UnwrapEnvelope(value);
     ASSERT_TRUE(payload.ok());
     payloads.emplace_back(*payload);
   }

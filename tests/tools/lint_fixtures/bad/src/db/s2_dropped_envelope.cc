@@ -10,10 +10,10 @@ class Result {
   bool ok() const { return true; }
 };
 
-Result<int> UnwrapEnvelope(const char* framed, int policy);
+Result<int> UnwrapEnvelope(const char* framed);
 
 void Caller(const char* framed) {
-  UnwrapEnvelope(framed, 0);
+  UnwrapEnvelope(framed);
 }
 
 }  // namespace orchestra::db

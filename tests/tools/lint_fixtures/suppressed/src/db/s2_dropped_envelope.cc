@@ -8,11 +8,11 @@ class Result {
   bool ok() const { return true; }
 };
 
-Result<int> UnwrapEnvelope(const char* framed, int policy);
+Result<int> UnwrapEnvelope(const char* framed);
 
 void Caller(const char* framed) {
   // ORCH_LINT(allow:S2): fixture; this probe only warms the decode cache
-  UnwrapEnvelope(framed, 0);
+  UnwrapEnvelope(framed);
 }
 
 }  // namespace orchestra::db

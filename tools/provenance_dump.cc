@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
       if (table.rfind("prov:", 0) != 0) continue;
       for (const auto& [key, value] : engine->ScanPrefix(table, "")) {
         ++rows;
-        auto payload =
-            db::UnwrapEnvelope(value, db::EnvelopePolicy::kRequireFrame);
+        auto payload = db::UnwrapEnvelope(value);
         if (!payload.ok() || jsonl.find(*payload) == std::string::npos) ++bad;
       }
     }
