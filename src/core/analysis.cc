@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/string_util.h"
 #include "core/extension.h"
 #include "core/flatten.h"
 
@@ -124,6 +125,31 @@ void FindExtensionConflicts(const db::Catalog& catalog,
         analysis->up_ex[j]);
     if (!points.empty()) {
       analysis->conflicts.push_back(MakeAnalysisPair(i, j, std::move(points)));
+    }
+  }
+}
+
+void AppendFootprint(const db::Catalog& catalog,
+                     const std::vector<Update>& updates,
+                     std::vector<uint64_t>* keys) {
+  // RelKeyHash of RelKey{relation, tuple.Project(columns)}.
+  const auto add = [keys](std::string_view relation, const db::Tuple& tuple,
+                          const std::vector<size_t>& columns) {
+    uint64_t key = 0xcbf29ce484222325ULL;  // Tuple::Hash's seed
+    for (size_t c : columns) key = HashCombine(key, tuple[c].Hash());
+    keys->push_back(HashCombine(Fnv1a64(relation), key));
+  };
+  for (const Update& u : updates) {
+    const db::RelationSchema& schema =
+        *catalog.GetRelation(u.relation()).value();
+    for (const db::Tuple* tuple : {&u.old_tuple(), &u.new_tuple()}) {
+      if (tuple->empty()) continue;  // an insert's pre-image, a delete's post
+      add(u.relation(), *tuple, schema.key_columns());
+      for (const db::ForeignKey& fk : catalog.foreign_keys()) {
+        if (fk.child_relation == u.relation()) {
+          add(fk.parent_relation, *tuple, fk.child_columns);
+        }
+      }
     }
   }
 }

@@ -62,6 +62,18 @@ void FindExtensionConflicts(const db::Catalog& catalog,
                             const std::vector<TrustedTxn>& txns,
                             size_t first, ReconcileAnalysis* analysis);
 
+/// Appends to `keys` the footprint of `updates`: every (relation, key)
+/// they read or write, plus the foreign-key parent key of every child
+/// tuple they write or remove (an inserted child needs its parent; a
+/// vacated parent must leave no child behind). Two flattened update
+/// sets with disjoint footprints neither conflict nor change each
+/// other's applicability. Each key is appended as its RelKeyHash,
+/// computed without building the key, and may repeat; a hash collision
+/// can only make two footprints look like they meet.
+void AppendFootprint(const db::Catalog& catalog,
+                     const std::vector<Update>& updates,
+                     std::vector<uint64_t>* keys);
+
 /// Convenience: full analysis of `txns` (flatten + all-pairs conflicts).
 ReconcileAnalysis AnalyzeExtensions(const db::Catalog& catalog,
                                     const TransactionProvider& provider,

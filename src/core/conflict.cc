@@ -104,29 +104,32 @@ std::optional<ConflictPoint> UpdatesConflict(const db::RelationSchema& schema,
   return InsertVsModify(schema, b, a);
 }
 
-std::vector<ConflictPoint> SetsConflict(const db::Catalog& catalog,
-                                        const std::vector<Update>& a,
-                                        const std::vector<Update>& b) {
-  std::vector<ConflictPoint> out;
-  if (a.empty() || b.empty()) return out;
-  // Bucket b's updates by every key they touch, then probe with a's keys;
-  // conflicting pairs always share a touched key.
-  std::unordered_map<RelKey, std::vector<size_t>, RelKeyHash> buckets;
-  for (size_t i = 0; i < b.size(); ++i) {
+ConflictIndex::ConflictIndex(const db::Catalog& catalog,
+                             const std::vector<Update>& updates)
+    : catalog_(&catalog), updates_(&updates) {
+  // Conflicting pairs always share a touched key.
+  for (size_t i = 0; i < updates.size(); ++i) {
     const db::RelationSchema& schema =
-        *catalog.GetRelation(b[i].relation()).value();
-    for (RelKey& rk : b[i].TouchedKeys(schema)) {
-      buckets[std::move(rk)].push_back(i);
+        *catalog.GetRelation(updates[i].relation()).value();
+    for (RelKey& rk : updates[i].TouchedKeys(schema)) {
+      buckets_[std::move(rk)].push_back(i);
     }
   }
+}
+
+std::vector<ConflictPoint> ConflictIndex::Conflicts(
+    const std::vector<Update>& a) const {
+  std::vector<ConflictPoint> out;
+  if (a.empty() || buckets_.empty()) return out;
+  const std::vector<Update>& b = *updates_;
   std::unordered_set<ConflictPoint, ConflictPointHash> seen;
   std::unordered_set<uint64_t> tested;  // (i_a << 32 | i_b) pairs
   for (size_t ia = 0; ia < a.size(); ++ia) {
     const db::RelationSchema& schema =
-        *catalog.GetRelation(a[ia].relation()).value();
+        *catalog_->GetRelation(a[ia].relation()).value();
     for (const RelKey& rk : a[ia].TouchedKeys(schema)) {
-      auto it = buckets.find(rk);
-      if (it == buckets.end()) continue;
+      auto it = buckets_.find(rk);
+      if (it == buckets_.end()) continue;
       for (size_t ib : it->second) {
         if (!tested.insert((static_cast<uint64_t>(ia) << 32) | ib).second) {
           continue;
@@ -139,6 +142,13 @@ std::vector<ConflictPoint> SetsConflict(const db::Catalog& catalog,
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<ConflictPoint> SetsConflict(const db::Catalog& catalog,
+                                        const std::vector<Update>& a,
+                                        const std::vector<Update>& b) {
+  if (a.empty() || b.empty()) return {};
+  return ConflictIndex(catalog, b).Conflicts(a);
 }
 
 }  // namespace orchestra::core

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "db/schema.h"
@@ -62,10 +63,29 @@ struct ConflictPointHash {
 std::optional<ConflictPoint> UpdatesConflict(
     const db::RelationSchema& schema, const Update& a, const Update& b);
 
+/// One flattened update set bucketed by every key its updates touch, so
+/// that many sets can be tested against it while it is bucketed once
+/// (CheckState tests every extension against the round's own delta).
+/// Holds pointers into `catalog` and `updates`; both must outlive it.
+class ConflictIndex {
+ public:
+  ConflictIndex(const db::Catalog& catalog, const std::vector<Update>& updates);
+
+  bool empty() const { return updates_->empty(); }
+
+  /// Every conflict point between `a` and the indexed set, sorted and
+  /// deduplicated; equal to SetsConflict(catalog, a, updates).
+  std::vector<ConflictPoint> Conflicts(const std::vector<Update>& a) const;
+
+ private:
+  const db::Catalog* catalog_;
+  const std::vector<Update>* updates_;
+  std::unordered_map<RelKey, std::vector<size_t>, RelKeyHash> buckets_;
+};
+
 /// Finds every conflict point between two flattened update sets. Used
-/// pairwise on update extensions by FindConflicts (Fig. 5) and on
-/// (extension, own-delta) by CheckState. Cost O(|a| + |b|) expected via
-/// key-hash bucketing.
+/// pairwise on update extensions by FindConflicts (Fig. 5). Cost
+/// O(|a| + |b|) expected via key-hash bucketing.
 std::vector<ConflictPoint> SetsConflict(const db::Catalog& catalog,
                                         const std::vector<Update>& a,
                                         const std::vector<Update>& b);

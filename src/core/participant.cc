@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -13,6 +14,43 @@
 #include "core/flatten.h"
 
 namespace orchestra::core {
+
+namespace {
+
+/// Checks that every tuple of `txn` fits the catalog: a known relation
+/// and a tuple of that relation's arity and column types. Transactions
+/// enter the participant from the store only through here, so a
+/// malformed one is a typed Corruption instead of an abort deep inside
+/// flattening or key projection.
+Status CheckAgainstCatalog(const db::Catalog& catalog,
+                           const Transaction& txn) {
+  for (const Update& u : txn.updates) {
+    auto schema = catalog.GetRelation(u.relation());
+    if (!schema.ok()) {
+      return Status::Corruption("transaction " + txn.id.ToString() +
+                                " updates unknown relation " + u.relation());
+    }
+    const auto check = [&](const db::Tuple& tuple) {
+      Status valid = (*schema)->ValidateTuple(tuple);
+      if (valid.ok()) return valid;
+      return Status::Corruption("transaction " + txn.id.ToString() +
+                                " has a malformed tuple: " + valid.message());
+    };
+    if (!u.is_insert()) ORCH_RETURN_IF_ERROR(check(u.old_tuple()));
+    if (!u.is_delete()) ORCH_RETURN_IF_ERROR(check(u.new_tuple()));
+  }
+  return Status::OK();
+}
+
+Status CheckAgainstCatalog(const db::Catalog& catalog,
+                           const std::vector<Transaction>& txns) {
+  for (const Transaction& txn : txns) {
+    ORCH_RETURN_IF_ERROR(CheckAgainstCatalog(catalog, txn));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Participant::Participant(ParticipantId id, const db::Catalog* catalog,
                          TrustPolicy policy, ReconcileOptions options)
@@ -47,6 +85,8 @@ Result<std::unique_ptr<Participant>> Participant::BootstrapFrom(
 Result<std::unique_ptr<Participant>> Participant::FromBundle(
     ParticipantId id, const db::Catalog* catalog, TrustPolicy policy,
     UpdateStore* store, RecoveryBundle bundle, ReconcileOptions options) {
+  ORCH_RETURN_IF_ERROR(CheckAgainstCatalog(*catalog, bundle.applied));
+  ORCH_RETURN_IF_ERROR(CheckAgainstCatalog(*catalog, bundle.closure));
   auto participant =
       std::make_unique<Participant>(id, catalog, std::move(policy), options);
 
@@ -72,21 +112,18 @@ Result<std::unique_ptr<Participant>> Participant::FromBundle(
   participant->last_recno_ = bundle.recno;
 
   // Restore the deferred backlog and re-reconcile it, which rebuilds the
-  // dirty-value set and the open conflict groups.
+  // dirty-value set and the open conflict groups. No verdict is carried
+  // yet, so the run analyses the whole backlog.
   for (Transaction& txn : bundle.closure) {
     participant->txn_cache_.Put(std::move(txn));
   }
   for (const auto& [txn_id, priority] : bundle.undecided) {
-    participant->deferred_[txn_id] = DeferredInfo{priority};
+    participant->deferred_[txn_id] = DeferredInfo{priority, std::nullopt};
   }
   if (!participant->deferred_.empty()) {
-    ORCH_ASSIGN_OR_RETURN(std::vector<TrustedTxn> txns,
-                          participant->ReconsiderDeferred());
     ORCH_RETURN_IF_ERROR(participant
                              ->RunAndCommit(store, bundle.recno, bundle.epoch,
-                                            std::move(txns), 0,
-                                            bundle.undecided.size(),
-                                            /*local=*/nullptr)
+                                            /*fresh=*/{}, /*local=*/nullptr)
                              .status());
   }
   return participant;
@@ -200,21 +237,6 @@ Result<Epoch> Participant::Publish(UpdateStore* store) {
   return epoch;
 }
 
-Result<std::vector<TrustedTxn>> Participant::ReconsiderDeferred() {
-  std::vector<TrustedTxn> out;
-  out.reserve(deferred_.size());
-  for (const auto& [id, info] : deferred_) {
-    TrustedTxn t;
-    t.id = id;
-    t.priority = info.priority;
-    t.previously_deferred = true;
-    ORCH_ASSIGN_OR_RETURN(t.extension,
-                          ComputeExtension(txn_cache_, id, applied_));
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
 Result<ReconcileReport> Participant::Reconcile(UpdateStore* store) {
   TraceSpan span("participant.reconcile", sim_trace_.get());
   const StoreStats before = store->StatsFor(id_);
@@ -228,52 +250,50 @@ Result<ReconcileReport> Participant::Reconcile(UpdateStore* store) {
   // Fold the fetched bundle into the local transaction cache.
   {
     TraceSpan fold_span("reconcile.fold_cache", sim_trace_.get());
+    ORCH_RETURN_IF_ERROR(CheckAgainstCatalog(*catalog_, fetch.transactions));
     for (Transaction& txn : fetch.transactions) {
       txn_cache_.Put(std::move(txn));
     }
   }
 
   std::vector<TrustedTxn> txns;
-  txns.reserve(fetch.trusted.size() + deferred_.size());
-  size_t fetched = 0;
+  txns.reserve(fetch.trusted.size());
   // Transactions the store resent although this participant already
   // decided them: the store lost (never received) the decision — a crash
   // between applying and recording. Re-record them this round.
   std::vector<TransactionId> catch_up_applied;
   std::vector<TransactionId> catch_up_rejected;
-  for (const auto& [txn_id, priority] : fetch.trusted) {
-    if (applied_.count(txn_id) != 0) {
-      catch_up_applied.push_back(txn_id);
-      continue;
+  {
+    TraceSpan ext_span("reconcile.extensions", sim_trace_.get());
+    for (const auto& [txn_id, priority] : fetch.trusted) {
+      if (applied_.count(txn_id) != 0) {
+        catch_up_applied.push_back(txn_id);
+        continue;
+      }
+      if (rejected_.count(txn_id) != 0) {
+        catch_up_rejected.push_back(txn_id);
+        continue;
+      }
+      if (deferred_.count(txn_id) != 0) {
+        continue;  // still undecided here too; the deferred backlog covers it
+      }
+      TrustedTxn t;
+      t.id = txn_id;
+      t.priority = priority;
+      ORCH_ASSIGN_OR_RETURN(t.extension,
+                            ComputeExtension(txn_cache_, txn_id, applied_));
+      txns.push_back(std::move(t));
     }
-    if (rejected_.count(txn_id) != 0) {
-      catch_up_rejected.push_back(txn_id);
-      continue;
-    }
-    if (deferred_.count(txn_id) != 0) {
-      continue;  // still undecided here too; ReconsiderDeferred covers it
-    }
-    TrustedTxn t;
-    t.id = txn_id;
-    t.priority = priority;
-    ORCH_ASSIGN_OR_RETURN(t.extension,
-                          ComputeExtension(txn_cache_, txn_id, applied_));
-    txns.push_back(std::move(t));
-    ++fetched;
   }
-  ORCH_ASSIGN_OR_RETURN(std::vector<TrustedTxn> reconsidered,
-                        ReconsiderDeferred());
-  const size_t n_reconsidered = reconsidered.size();
-  for (TrustedTxn& t : reconsidered) txns.push_back(std::move(t));
 
   ORCH_ASSIGN_OR_RETURN(
       ReconcileReport report,
-      RunAndCommit(store, fetch.recno, fetch.epoch, std::move(txns), fetched,
-                   n_reconsidered, &local, /*analysis=*/nullptr,
-                   catch_up_applied, catch_up_rejected));
+      RunAndCommit(store, fetch.recno, fetch.epoch, std::move(txns), &local,
+                   /*shipped=*/std::nullopt, catch_up_applied,
+                   catch_up_rejected));
   report.store = store->StatsFor(id_) - before;
   report.fetch_stats = fetch.stats;
-  RecordFetchMetrics(fetched, n_reconsidered);
+  RecordFetchMetrics(report.fetched, report.reconsidered);
   return report;
 }
 
@@ -294,67 +314,305 @@ void Participant::RecordFetchMetrics(size_t fetched, size_t reconsidered) {
   reconsidered_txns.Add(static_cast<int64_t>(reconsidered));
 }
 
+void Participant::ForgetCarriedVerdicts() {
+  for (auto& [id, info] : deferred_) info.verdict.reset();
+  changed_keys_.clear();
+}
+
+std::vector<bool> Participant::SelectRerun(
+    const std::vector<TrustedTxn>& fresh,
+    const std::vector<std::vector<uint64_t>>& fresh_footprints,
+    const std::vector<uint64_t>& own_footprint) const {
+  const size_t d = deferred_.size();
+  std::vector<bool> rerun(d, false);
+  std::unordered_map<TransactionId, size_t, TransactionIdHash> index_of;
+  std::vector<const std::pair<const TransactionId, DeferredInfo>*> entries;
+  entries.reserve(d);
+  for (const auto& entry : deferred_) {
+    // Without a recorded footprint nothing can be shown independent of
+    // the rest, so everything runs (recovery, bootstrap, after
+    // ForgetCarriedVerdicts).
+    if (!entry.second.verdict) return std::vector<bool>(d, true);
+    index_of.emplace(entry.first, entries.size());
+    entries.push_back(&entry);
+  }
+
+  // Rule 4 groups deferred transactions into components that share a
+  // footprint key or an extension edge; a component runs whole or not
+  // at all, so its conflict groups and comparisons never split.
+  std::vector<size_t> parent(d);
+  std::iota(parent.begin(), parent.end(), size_t{0});
+  const auto root = [&parent](size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  const auto unite = [&](size_t a, size_t b) {
+    a = root(a);
+    b = root(b);
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  };
+  TxnIdSet fresh_ids;
+  for (const TrustedTxn& t : fresh) fresh_ids.insert(t.id);
+  std::unordered_map<uint64_t, size_t> holder;
+  for (size_t k = 0; k < d; ++k) {
+    const TransactionId& id = entries[k]->first;
+    const DeferredVerdict& verdict = *entries[k]->second.verdict;
+    // Rule 3: a first-time deferral runs again as a reconsidered input.
+    if (verdict.fresh) rerun[k] = true;
+    for (uint64_t key : verdict.footprint) {
+      auto [it, inserted] = holder.emplace(key, k);
+      if (!inserted) unite(k, it->second);
+    }
+    for (const TransactionId& member : verdict.extension) {
+      if (member == id) continue;
+      // Rule 2: an antecedent was applied or rejected since (which
+      // changes the extension or the CheckState verdict) or is fresh.
+      if (applied_.count(member) != 0 || rejected_.count(member) != 0 ||
+          fresh_ids.count(member) != 0) {
+        rerun[k] = true;
+      }
+      if (auto it = index_of.find(member); it != index_of.end()) {
+        unite(k, it->second);
+      }
+    }
+  }
+  // Rule 1: the footprint meets a key whose state changed since the
+  // previous run, the own delta, or a fresh input.
+  const auto touch = [&](const std::vector<uint64_t>& keys) {
+    for (uint64_t key : keys) {
+      if (auto it = holder.find(key); it != holder.end()) {
+        rerun[it->second] = true;
+      }
+    }
+  };
+  touch(changed_keys_);
+  touch(own_footprint);
+  for (const std::vector<uint64_t>& footprint : fresh_footprints) {
+    touch(footprint);
+  }
+  // Rule 2: a fresh transaction's extension contains it.
+  for (const TrustedTxn& t : fresh) {
+    for (const TransactionId& member : t.extension) {
+      if (auto it = index_of.find(member); it != index_of.end()) {
+        rerun[it->second] = true;
+      }
+    }
+  }
+  std::vector<bool> component_runs(d, false);
+  for (size_t k = 0; k < d; ++k) {
+    if (rerun[k]) component_runs[root(k)] = true;
+  }
+  for (size_t k = 0; k < d; ++k) rerun[k] = component_runs[root(k)];
+  return rerun;
+}
+
 Result<ReconcileReport> Participant::RunAndCommit(
     UpdateStore* store, int64_t recno, Epoch epoch,
-    std::vector<TrustedTxn> txns, size_t fetched, size_t reconsidered,
-    Stopwatch* local, const ReconcileAnalysis* analysis,
+    std::vector<TrustedTxn> fresh, Stopwatch* local,
+    std::optional<ReconcileAnalysis> shipped,
     const std::vector<TransactionId>& catch_up_applied,
     const std::vector<TransactionId>& catch_up_rejected) {
   ReconcileInput input;
   input.recno = recno;
-  input.txns = std::move(txns);
   input.provider = &txn_cache_;
-  input.analysis = analysis;
-  auto own_flat = Flatten(*catalog_, own_delta_);
-  if (own_flat.ok()) {
-    input.own_delta = *std::move(own_flat);
-  } else {
-    // The own delta was applied locally, so it must flatten; tolerate by
-    // passing it unflattened (conflict detection still works per key).
-    input.own_delta = own_delta_;
-  }
   input.applied = &applied_;
   input.rejected = &rejected_;
   input.dirty = &dirty_;
   input.collect_provenance = options_.record_provenance;
   input.trace = sim_trace_.get();
+  const size_t reconsidered = deferred_.size();
+  std::vector<uint64_t> own_footprint;
+  {
+    TraceSpan own_span("reconcile.own_delta", sim_trace_.get());
+    auto own_flat = Flatten(*catalog_, own_delta_);
+    if (own_flat.ok()) {
+      input.own_delta = *std::move(own_flat);
+    } else {
+      // The own delta was applied locally, so it must flatten; tolerate
+      // by passing it unflattened (conflict detection still works per
+      // key).
+      input.own_delta = own_delta_;
+    }
+    // Unflattened: every key whose state the delta may have changed.
+    AppendFootprint(*catalog_, own_delta_, &own_footprint);
+  }
+
+  // Fresh inputs are flattened first: their footprints (AppendFootprint)
+  // drive the carry rule. A shipped analysis already covers them.
+  const size_t fetched = fresh.size();
+  const bool has_shipped = shipped.has_value();
+  ReconcileAnalysis analysis =
+      has_shipped ? *std::move(shipped) : ReconcileAnalysis{};
+  input.txns = std::move(fresh);
+  {
+    TraceSpan analysis_span("reconcile.phase.analysis", sim_trace_.get());
+    FlattenExtensions(*catalog_, txn_cache_, input.txns, &analysis);
+  }
+  std::vector<std::vector<uint64_t>> footprints;
+  std::vector<bool> rerun;
+  {
+    TraceSpan carry_span("reconcile.carry", sim_trace_.get());
+    footprints.resize(fetched);
+    for (size_t i = 0; i < fetched; ++i) {
+      AppendFootprint(*catalog_, analysis.up_ex[i], &footprints[i]);
+    }
+    rerun = SelectRerun(input.txns, footprints, own_footprint);
+  }
+  // Reconsidered inputs follow the fresh ones in id order (deferred_
+  // order), exactly as a run over the whole backlog would see them.
+  {
+    TraceSpan ext_span("reconcile.extensions", sim_trace_.get());
+    size_t k = 0;
+    for (const auto& [id, info] : deferred_) {
+      if (!rerun[k++]) continue;
+      TrustedTxn t;
+      t.id = id;
+      t.priority = info.priority;
+      t.previously_deferred = true;
+      ORCH_ASSIGN_OR_RETURN(t.extension,
+                            ComputeExtension(txn_cache_, id, applied_));
+      input.txns.push_back(std::move(t));
+    }
+  }
+  const size_t n = input.txns.size();
+  {
+    TraceSpan analysis_span("reconcile.phase.analysis", sim_trace_.get());
+    FlattenExtensions(*catalog_, txn_cache_, input.txns, &analysis);
+    FindExtensionConflicts(*catalog_, txn_cache_, input.txns,
+                           has_shipped ? fetched : 0, &analysis);
+  }
+  input.analysis = &analysis;
 
   ReconcileOutcome outcome;
   {
     TraceSpan run_span("reconcile.run", sim_trace_.get());
     ORCH_ASSIGN_OR_RETURN(outcome, reconciler_.Run(input, &instance_));
   }
-  // Stamp the decision context the reconciler does not know.
-  for (ProvenanceRecord& rec : outcome.provenance) {
-    rec.peer = id_;
-    rec.epoch = epoch;
-  }
 
-  // Fold the outcome into durable and soft state.
-  UpdateVersionMap(outcome.applied_txns);
-  for (const TransactionId& txn_id : outcome.applied_txns) {
-    applied_.insert(txn_id);
-    deferred_.erase(txn_id);
-  }
-  for (const TransactionId& txn_id : outcome.rejected_roots) {
-    rejected_.insert(txn_id);
-    deferred_.erase(txn_id);
-  }
-  // Rebuild the deferred set: deferred roots keep (or gain) their info.
-  std::map<TransactionId, DeferredInfo> new_deferred;
-  for (size_t i = 0; i < input.txns.size(); ++i) {
-    // Outcome lists identify roots by id; use the input priorities.
-    const TrustedTxn& t = input.txns[i];
-    if (std::find(outcome.deferred_roots.begin(), outcome.deferred_roots.end(),
-                  t.id) != outcome.deferred_roots.end()) {
-      new_deferred[t.id] = DeferredInfo{t.priority};
+  size_t carried = 0;
+  {
+    TraceSpan fold_span("reconcile.fold_state", sim_trace_.get());
+    // Stamp the decision context the reconciler does not know.
+    for (ProvenanceRecord& rec : outcome.provenance) {
+      rec.peer = id_;
+      rec.epoch = epoch;
     }
+    // Verdicts of this run's deferred inputs, for later rounds to carry.
+    // Its decided inputs change what the next run sees: phase 5 wrote
+    // members of the accepted extensions, and every decided input leaves
+    // the comparisons. The footprints of their unflattened extensions
+    // cover both, so they are the keys the next run treats as changed.
+    const TxnIdSet deferred_now(outcome.deferred_roots.begin(),
+                                outcome.deferred_roots.end());
+    std::map<TransactionId, DeferredInfo> next_deferred;
+    std::vector<uint64_t> changed;
+    for (size_t i = 0; i < n; ++i) {
+      const TrustedTxn& t = input.txns[i];
+      if (deferred_now.count(t.id) == 0) {
+        for (const TransactionId& member : t.extension) {
+          if (auto txn = txn_cache_.Get(member); txn.ok()) {
+            AppendFootprint(*catalog_, (*txn)->updates, &changed);
+          }
+        }
+        continue;
+      }
+      DeferredVerdict verdict;
+      verdict.extension = t.extension;
+      if (i < fetched) {
+        verdict.footprint = std::move(footprints[i]);
+      } else {
+        AppendFootprint(*catalog_, analysis.up_ex[i], &verdict.footprint);
+      }
+      for (const Update& u : analysis.up_ex[i]) {
+        const db::RelationSchema& schema =
+            *catalog_->GetRelation(u.relation()).value();
+        for (RelKey& rk : u.TouchedKeys(schema)) {
+          verdict.dirty.push_back(std::move(rk));
+        }
+      }
+      verdict.fresh = i < fetched;
+      if (input.collect_provenance) verdict.record = outcome.provenance[i];
+      next_deferred.emplace(t.id, DeferredInfo{t.priority, std::move(verdict)});
+    }
+
+    // Merge the carried verdicts back in. Outputs keep the order of a
+    // run over the whole backlog: fresh inputs first, then every
+    // reconsidered transaction by id.
+    std::vector<TransactionId> deferred_roots;
+    std::vector<ProvenanceRecord> provenance;
+    for (size_t i = 0; i < fetched; ++i) {
+      if (deferred_now.count(input.txns[i].id) != 0) {
+        deferred_roots.push_back(input.txns[i].id);
+      }
+      if (input.collect_provenance) {
+        provenance.push_back(std::move(outcome.provenance[i]));
+      }
+    }
+    TxnIdSet carried_ids;
+    size_t k = 0;
+    size_t next_run = fetched;
+    for (auto& [id, info] : deferred_) {
+      if (rerun[k++]) {
+        if (deferred_now.count(id) != 0) deferred_roots.push_back(id);
+        if (input.collect_provenance) {
+          provenance.push_back(std::move(outcome.provenance[next_run]));
+        }
+        ++next_run;
+        continue;
+      }
+      ++carried;
+      carried_ids.insert(id);
+      deferred_roots.push_back(id);
+      if (input.collect_provenance) {
+        ProvenanceRecord rec = info.verdict->record;
+        rec.recno = recno;
+        rec.epoch = epoch;
+        provenance.push_back(std::move(rec));
+      }
+      for (const RelKey& rk : info.verdict->dirty) {
+        outcome.dirty_values.insert(rk);
+      }
+      next_deferred.emplace(id, std::move(info));
+    }
+    // A conflict group lies inside one component, so it is carried
+    // whole; both lists are ordered by ConflictPoint.
+    std::vector<ConflictGroup> groups;
+    groups.reserve(conflict_groups_.size() + outcome.conflict_groups.size());
+    auto ran = outcome.conflict_groups.begin();
+    for (ConflictGroup& group : conflict_groups_) {
+      if (carried_ids.count(group.options.front().txns.front()) == 0) {
+        continue;
+      }
+      for (; ran != outcome.conflict_groups.end() && ran->point < group.point;
+           ++ran) {
+        groups.push_back(std::move(*ran));
+      }
+      groups.push_back(std::move(group));
+    }
+    for (; ran != outcome.conflict_groups.end(); ++ran) {
+      groups.push_back(std::move(*ran));
+    }
+    outcome.deferred_roots = std::move(deferred_roots);
+    outcome.provenance = std::move(provenance);
+
+    // Fold the outcome into durable and soft state.
+    UpdateVersionMap(outcome.applied_txns);
+    for (const TransactionId& txn_id : outcome.applied_txns) {
+      applied_.insert(txn_id);
+    }
+    for (const TransactionId& txn_id : outcome.rejected_roots) {
+      rejected_.insert(txn_id);
+    }
+    deferred_ = std::move(next_deferred);
+    changed_keys_ = std::move(changed);
+    dirty_ = std::move(outcome.dirty_values);
+    conflict_groups_ = std::move(groups);
+    last_recno_ = recno;
+    own_delta_.clear();
   }
-  deferred_ = std::move(new_deferred);
-  dirty_ = std::move(outcome.dirty_values);
-  conflict_groups_ = std::move(outcome.conflict_groups);
-  last_recno_ = recno;
-  own_delta_.clear();
+  static Counter& carried_txns =
+      MetricsRegistry::Global().GetCounter("reconcile.carried_txns");
+  carried_txns.Add(static_cast<int64_t>(carried));
 
   // The local clock covers only client-side computation; decision
   // recording is store work and is timed by the store itself.
@@ -456,6 +714,7 @@ Result<ReconcileReport> Participant::RunAndCommit(
   report.epoch = epoch;
   report.fetched = fetched;
   report.reconsidered = reconsidered;
+  report.carried = carried;
   report.accepted = std::move(outcome.accepted_roots);
   report.rejected = std::move(outcome.rejected_roots);
   report.deferred = std::move(outcome.deferred_roots);
@@ -516,6 +775,8 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
   Stopwatch local;
   {
     TraceSpan fold_span("reconcile.fold_cache", sim_trace_.get());
+    ORCH_RETURN_IF_ERROR(
+        CheckAgainstCatalog(*catalog_, fetch.base.transactions));
     for (Transaction& txn : fetch.base.transactions) {
       txn_cache_.Put(std::move(txn));
     }
@@ -526,7 +787,7 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
   // decision; re-record them this round.
   bool analysis_valid = true;
   std::vector<TrustedTxn> txns;
-  txns.reserve(fetch.trusted_txns.size() + deferred_.size());
+  txns.reserve(fetch.trusted_txns.size());
   std::vector<TransactionId> catch_up_applied;
   std::vector<TransactionId> catch_up_rejected;
   for (TrustedTxn& t : fetch.trusted_txns) {
@@ -541,37 +802,25 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
       continue;
     }
     if (deferred_.count(t.id) != 0) {
-      analysis_valid = false;  // ReconsiderDeferred covers it
+      analysis_valid = false;  // the deferred backlog covers it
       continue;
     }
     txns.push_back(std::move(t));
   }
-  const size_t fetched = txns.size();
-  ORCH_ASSIGN_OR_RETURN(std::vector<TrustedTxn> reconsidered,
-                        ReconsiderDeferred());
-  const size_t n_reconsidered = reconsidered.size();
-  for (TrustedTxn& t : reconsidered) txns.push_back(std::move(t));
 
-  ReconcileAnalysis analysis;
-  const ReconcileAnalysis* analysis_ptr = nullptr;
-  if (analysis_valid) {
-    // Extend the network-computed analysis with the locally cached
-    // deferred backlog: flatten the tail, then find conflicts for pairs
-    // involving at least one reconsidered transaction.
-    analysis = std::move(fetch.analysis);
-    FlattenExtensions(*catalog_, txn_cache_, txns, &analysis);
-    FindExtensionConflicts(*catalog_, txn_cache_, txns, fetched, &analysis);
-    analysis_ptr = &analysis;
-  }
-
+  // RunAndCommit extends the network-computed analysis with the
+  // reconsidered transactions it runs: it flattens that tail and finds
+  // the conflicts of pairs involving at least one of them.
+  std::optional<ReconcileAnalysis> shipped;
+  if (analysis_valid) shipped = std::move(fetch.analysis);
   ORCH_ASSIGN_OR_RETURN(
       ReconcileReport report,
       RunAndCommit(store, fetch.base.recno, fetch.base.epoch, std::move(txns),
-                   fetched, n_reconsidered, &local, analysis_ptr,
-                   catch_up_applied, catch_up_rejected));
+                   &local, std::move(shipped), catch_up_applied,
+                   catch_up_rejected));
   report.store = store->StatsFor(id_) - before;
   report.fetch_stats = fetch.base.stats;
-  RecordFetchMetrics(fetched, n_reconsidered);
+  RecordFetchMetrics(report.fetched, report.reconsidered);
   return report;
 }
 
@@ -722,14 +971,16 @@ Result<ReconcileReport> Participant::ResolveConflict(
   // chosen option plus everything else still pending). The losers ride
   // along with that run's decision recording as catch-up rejections, so
   // the store sees one consolidated RecordDecisions call.
+  // The rejections change what every remaining verdict is compared
+  // against, so the whole backlog runs again.
   const StoreStats before = store->StatsFor(id_);
   Stopwatch local;
-  ORCH_ASSIGN_OR_RETURN(std::vector<TrustedTxn> txns, ReconsiderDeferred());
+  ForgetCarriedVerdicts();
   ORCH_ASSIGN_OR_RETURN(
       ReconcileReport report,
-      RunAndCommit(store, last_recno_, kNoEpoch, std::move(txns), 0,
-                   deferred_.size(), &local, /*analysis=*/nullptr,
-                   /*catch_up_applied=*/{}, /*catch_up_rejected=*/losers));
+      RunAndCommit(store, last_recno_, kNoEpoch, /*fresh=*/{}, &local,
+                   /*shipped=*/std::nullopt, /*catch_up_applied=*/{},
+                   /*catch_up_rejected=*/losers));
   report.store = store->StatsFor(id_) - before;
   // The losing options' explanations: recorded after the consolidated
   // decision recording inside RunAndCommit succeeded, same best-effort

@@ -28,6 +28,9 @@ struct ReconcileReport {
   Epoch epoch = kNoEpoch;
   size_t fetched = 0;       // newly relevant trusted transactions
   size_t reconsidered = 0;  // previously deferred transactions re-examined
+  /// Of `reconsidered`, the verdicts carried forward from the run that
+  /// last analysed them, because nothing they depend on changed.
+  size_t carried = 0;
   std::vector<TransactionId> accepted;
   std::vector<TransactionId> rejected;
   std::vector<TransactionId> deferred;
@@ -210,12 +213,45 @@ class Participant {
   const TxnIdSet& rejected() const { return rejected_; }
 
  private:
+  friend class ParticipantTestPeer;  // reaches ForgetCarriedVerdicts
+
+  /// What the run that last analysed a deferred transaction concluded
+  /// about it. Later rounds carry the verdict forward unanalysed while
+  /// nothing it depends on changes (see docs/ARCHITECTURE.md, "Soft
+  /// state").
+  struct DeferredVerdict {
+    /// Its extension, the footprint of its flattened extension
+    /// (AppendFootprint) and its dirty values (touched keys), as of
+    /// that run.
+    std::vector<TransactionId> extension;
+    std::vector<uint64_t> footprint;
+    std::vector<RelKey> dirty;
+    /// It was a fresh input of that run. Its cause (and any decisive
+    /// comparison) can change once it is reconsidered, so it runs again.
+    bool fresh = false;
+    /// That run's provenance record (unset when provenance is off).
+    ProvenanceRecord record;
+  };
   struct DeferredInfo {
     int priority = 0;
+    /// Unset until a run analyses the transaction (recovery, bootstrap
+    /// and ForgetCarriedVerdicts leave it unset): it must run.
+    std::optional<DeferredVerdict> verdict;
   };
 
-  /// Rebuilds TrustedTxn inputs for the previously deferred set.
-  Result<std::vector<TrustedTxn>> ReconsiderDeferred();
+  /// Drops every carried verdict, so that the next run analyses the
+  /// whole deferred backlog. Recovery, bootstrap and ResolveConflict
+  /// start from here.
+  void ForgetCarriedVerdicts();
+
+  /// The carry rule: marks, in deferred_ order, each deferred
+  /// transaction that must be analysed again this round. `fresh` are
+  /// this round's fresh inputs and `fresh_footprints` their
+  /// footprints; `own_footprint` is the own delta's.
+  std::vector<bool> SelectRerun(
+      const std::vector<TrustedTxn>& fresh,
+      const std::vector<std::vector<uint64_t>>& fresh_footprints,
+      const std::vector<uint64_t>& own_footprint) const;
 
   /// Shared tail of RecoverFromStore / BootstrapFrom: replays the
   /// bundle's applied history and re-reconciles its undecided backlog.
@@ -223,15 +259,18 @@ class Participant {
       ParticipantId id, const db::Catalog* catalog, TrustPolicy policy,
       UpdateStore* store, RecoveryBundle bundle, ReconcileOptions options);
 
-  /// Runs the reconciler over `txns` and folds the outcome into the
-  /// participant state; records decisions with the store. The catch-up
-  /// lists are decisions the participant already made but the store
-  /// evidently lost (it resent the transactions as undecided); they ride
-  /// along in the same RecordDecisions call.
+  /// Runs the reconciler over the `fresh` transactions plus the deferred
+  /// ones the carry rule selects, merges the carried verdicts back in,
+  /// folds the outcome into the participant state and records decisions
+  /// with the store. `shipped`, when set, is the store's analysis of
+  /// `fresh` (network-centric mode). The catch-up lists are decisions
+  /// the participant already made but the store evidently lost (it
+  /// resent the transactions as undecided); they ride along in the same
+  /// RecordDecisions call.
   Result<ReconcileReport> RunAndCommit(
       UpdateStore* store, int64_t recno, Epoch epoch,
-      std::vector<TrustedTxn> txns, size_t fetched, size_t reconsidered,
-      Stopwatch* local, const ReconcileAnalysis* analysis = nullptr,
+      std::vector<TrustedTxn> fresh, Stopwatch* local,
+      std::optional<ReconcileAnalysis> shipped = std::nullopt,
       const std::vector<TransactionId>& catch_up_applied = {},
       const std::vector<TransactionId>& catch_up_rejected = {});
 
@@ -266,6 +305,10 @@ class Participant {
   std::map<TransactionId, DeferredInfo> deferred_;
   RelKeySet dirty_;
   std::vector<ConflictGroup> conflict_groups_;
+  /// Keys whose state changed after the previous run analysed its
+  /// inputs: what its phase 5 applied, and the footprints of the inputs
+  /// it decided (they leave the next run's comparisons). Carry rule 1.
+  std::vector<uint64_t> changed_keys_;
   int64_t last_recno_ = 0;
   /// In-memory decision-provenance log (append-only soft state) and the
   /// simulated-time trace context (null unless BindSimTrace was called).

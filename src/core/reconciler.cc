@@ -33,10 +33,12 @@ struct ProvNote {
 
 // CheckState (Fig. 5): the per-transaction decision that can be made
 // before considering conflicts with other relevant transactions.
-// `note`, when non-null, receives the cause and its evidence.
+// `own_delta` indexes the flattened own delta once per run. `note`, when
+// non-null, receives the cause and its evidence.
 Decision CheckState(const db::Catalog& catalog, const db::Instance& instance,
-                    const ReconcileInput& input, const TrustedTxn& txn,
-                    const std::vector<Update>& up_ex, ProvNote* note) {
+                    const ReconcileInput& input, const ConflictIndex& own_delta,
+                    const TrustedTxn& txn, const std::vector<Update>& up_ex,
+                    ProvNote* note) {
   const std::vector<TransactionId>& extension = txn.extension;
   // Line 1: anything touching a dirty value is deferred so that a
   // previously deferred transaction can still be accepted later.
@@ -83,9 +85,8 @@ Decision CheckState(const db::Catalog& catalog, const db::Instance& instance,
   }
   // Line 7: conflicts with the participant's own delta for this
   // reconciliation lose outright — a peer always keeps its own version.
-  if (!input.own_delta.empty()) {
-    std::vector<ConflictPoint> own_points =
-        SetsConflict(catalog, up_ex, input.own_delta);
+  if (!own_delta.empty()) {
+    std::vector<ConflictPoint> own_points = own_delta.Conflicts(up_ex);
     if (!own_points.empty()) {
       if (note != nullptr) {
         note->cause = ProvenanceCause::kOwnDeltaConflict;
@@ -154,12 +155,13 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
 
   // --- Phase 1 (Fig. 4 lines 5-8): flatten extensions, check state. ---
   // Phases 1-2 (Fig. 4 lines 5-9): flatten extensions and find the
-  // direct, non-subsumed conflicts — either precomputed by the network
-  // (network-centric mode) or computed here (client-centric, §5.1).
-  phase_span.emplace("reconcile.phase.analysis", input.trace);
+  // direct, non-subsumed conflicts — either precomputed by the caller
+  // (Participant, which also merges the network's share in
+  // network-centric mode) or computed here.
   ReconcileAnalysis local_analysis;
   const ReconcileAnalysis* analysis = input.analysis;
   if (analysis == nullptr) {
+    phase_span.emplace("reconcile.phase.analysis", input.trace);
     local_analysis = AnalyzeExtensions(*catalog_, *input.provider, input.txns);
     analysis = &local_analysis;
   }
@@ -175,6 +177,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   conflict_pairs.Add(static_cast<int64_t>(analysis->conflicts.size()));
 
   phase_span.emplace("reconcile.phase.check_state", input.trace);
+  const ConflictIndex own_delta(*catalog_, input.own_delta);
   std::vector<Decision> decision(n, Decision::kUndecided);
   for (size_t i = 0; i < n; ++i) {
     if (!analysis->flatten_ok[i]) {
@@ -183,8 +186,8 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
       if (prov_on) notes[i].cause = ProvenanceCause::kFlattenInconsistent;
       continue;
     }
-    decision[i] = CheckState(*catalog_, *instance, input, input.txns[i],
-                             up_ex[i], note_of(i));
+    decision[i] = CheckState(*catalog_, *instance, input, own_delta,
+                             input.txns[i], up_ex[i], note_of(i));
   }
 
   std::vector<std::vector<size_t>> conflicts(n);
@@ -314,17 +317,38 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
   });
   TxnIdSet used;
   for (size_t i : accepted) {
-    std::vector<Update> footprint =
-        UpdateFootprint(*input.provider, input.txns[i].extension, used);
-    auto flat = Flatten(*catalog_, footprint);
-    Status applied_status =
-        flat.ok() ? ApplyFlattened(instance, *flat) : flat.status();
+    const std::vector<TransactionId>& extension = input.txns[i].extension;
+    // With no member applied yet, the footprint is the whole extension,
+    // which analysis already flattened; only an overlap with the Used
+    // set needs the remainder rebuilt and flattened.
+    const bool overlaps = std::any_of(
+        extension.begin(), extension.end(),
+        [&](const TransactionId& id) { return used.count(id) != 0; });
+    std::vector<Update> footprint;
+    std::vector<Update> rest;
+    const std::vector<Update>* flat = &up_ex[i];
+    Status applied_status;
+    if (overlaps) {
+      footprint = UpdateFootprint(*input.provider, extension, used);
+      auto flattened = Flatten(*catalog_, footprint);
+      if (flattened.ok()) {
+        rest = *std::move(flattened);
+        flat = &rest;
+      } else {
+        applied_status = flattened.status();
+        flat = nullptr;
+      }
+    }
+    if (flat != nullptr) applied_status = ApplyFlattened(instance, *flat);
     if (!applied_status.ok()) {
       // The flattened form can be stale when an extension member's
       // effect already reached the instance through a *different but
       // identical* accepted transaction (agreement is detected pairwise,
       // not across chains). Replaying the footprint step by step with
       // idempotent application absorbs the already-achieved prefix.
+      if (!overlaps) {
+        footprint = UpdateFootprint(*input.provider, extension, used);
+      }
       applied_status = Status::OK();
       for (const Update& u : footprint) {
         applied_status = ApplyFlattened(instance, {u});
@@ -345,7 +369,7 @@ Result<ReconcileOutcome> Reconciler::Run(const ReconcileInput& input,
       decision[i] = Decision::kReject;
       continue;
     }
-    for (const TransactionId& id : input.txns[i].extension) used.insert(id);
+    for (const TransactionId& id : extension) used.insert(id);
   }
   // ORCH_LINT(allow:D3): the assigned vector is sorted on the next line; hash order never escapes
   outcome.applied_txns.assign(used.begin(), used.end());

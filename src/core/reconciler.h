@@ -54,10 +54,11 @@ struct ReconcileInput {
   const TxnIdSet* rejected = nullptr;
   /// Dirty key values from the previous reconciliation's deferred set.
   const RelKeySet* dirty = nullptr;
-  /// Optional precomputed flattening/conflict analysis over `txns`
-  /// (network-centric reconciliation ships this from the store; see
-  /// core/analysis.h). When null, the reconciler computes it locally —
-  /// the client-centric mode of §5.1.
+  /// Optional precomputed flattening/conflict analysis over `txns` (see
+  /// core/analysis.h). Participant always passes one: it flattens the
+  /// fresh inputs before choosing which deferred ones to run, and in
+  /// network-centric mode the store ships the fresh inputs' share. When
+  /// null, the reconciler computes it locally.
   const ReconcileAnalysis* analysis = nullptr;
   /// Collect a ProvenanceRecord per input transaction into
   /// ReconcileOutcome::provenance. Decisions are identical either way;
