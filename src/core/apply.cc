@@ -4,15 +4,15 @@
 
 namespace orchestra::core {
 
-std::optional<db::Tuple> InstanceOverlay::Get(const std::string& relation,
-                                              const db::Tuple& key) const {
+const db::Tuple* InstanceOverlay::Get(const std::string& relation,
+                                      const db::Tuple& key) const {
   auto it = pending_.find(RelKey{relation, key});
-  if (it != pending_.end()) return it->second;
+  if (it != pending_.end()) {
+    return it->second.has_value() ? &*it->second : nullptr;
+  }
   auto table = base_->GetTable(relation);
-  if (!table.ok()) return std::nullopt;
-  auto tuple = (*table)->GetByKey(key);
-  if (!tuple.ok()) return std::nullopt;
-  return *std::move(tuple);
+  if (!table.ok()) return nullptr;
+  return (*table)->Find(key);
 }
 
 Status InstanceOverlay::Apply(const Update& update) {
@@ -24,7 +24,7 @@ Status InstanceOverlay::Apply(const Update& update) {
     case UpdateKind::kInsert: {
       ORCH_RETURN_IF_ERROR(schema.ValidateTuple(update.new_tuple()));
       const db::Tuple key = schema.KeyOf(update.new_tuple());
-      if (auto existing = Get(update.relation(), key)) {
+      if (const db::Tuple* existing = Get(update.relation(), key)) {
         if (*existing == update.new_tuple()) return Status::OK();  // agree
         return Status::Conflict("insert of " + update.new_tuple().ToString() +
                                 " collides with existing " +
@@ -36,8 +36,8 @@ Status InstanceOverlay::Apply(const Update& update) {
     }
     case UpdateKind::kDelete: {
       const db::Tuple key = schema.KeyOf(update.old_tuple());
-      auto existing = Get(update.relation(), key);
-      if (!existing) return Status::OK();  // already gone: deletes agree
+      const db::Tuple* existing = Get(update.relation(), key);
+      if (existing == nullptr) return Status::OK();  // already gone: agree
       if (*existing != update.old_tuple()) {
         return Status::Conflict("delete pre-image " +
                                 update.old_tuple().ToString() +
@@ -51,12 +51,14 @@ Status InstanceOverlay::Apply(const Update& update) {
       ORCH_RETURN_IF_ERROR(schema.ValidateTuple(update.new_tuple()));
       const db::Tuple old_key = schema.KeyOf(update.old_tuple());
       const db::Tuple new_key = schema.KeyOf(update.new_tuple());
-      auto existing = Get(update.relation(), old_key);
-      if (!existing) {
+      const db::Tuple* existing = Get(update.relation(), old_key);
+      if (existing == nullptr) {
         // Pre-image gone. If the exact post-image is present the
         // replacement has already taken effect (agreement).
-        auto target = Get(update.relation(), new_key);
-        if (target && *target == update.new_tuple()) return Status::OK();
+        const db::Tuple* target = Get(update.relation(), new_key);
+        if (target != nullptr && *target == update.new_tuple()) {
+          return Status::OK();
+        }
         return Status::Conflict("modify pre-image " +
                                 update.old_tuple().ToString() +
                                 " is absent from " + update.relation());
@@ -71,7 +73,7 @@ Status InstanceOverlay::Apply(const Update& update) {
                                 existing->ToString());
       }
       if (new_key != old_key) {
-        if (Get(update.relation(), new_key)) {
+        if (Get(update.relation(), new_key) != nullptr) {
           return Status::Conflict("modify target key " + new_key.ToString() +
                                   " is occupied in " + update.relation());
         }
@@ -96,7 +98,7 @@ Status InstanceOverlay::CheckForeignKeys() const {
           if (!v.is_null()) all_null = false;
         }
         if (all_null) continue;
-        if (!Get(fk->parent_relation, ref)) {
+        if (Get(fk->parent_relation, ref) == nullptr) {
           return Status::ConstraintViolation(
               "tuple " + state->ToString() + " in " + rel_key.relation +
               " references missing key " + ref.ToString() + " of " +
@@ -158,10 +160,9 @@ Status InstanceOverlay::CommitTo(db::Instance* target) const {
   for (const auto& [rel_key, state] : pending_) {
     if (!state.has_value()) continue;
     ORCH_ASSIGN_OR_RETURN(db::Table * table, target->GetTable(rel_key.relation));
-    if (table->ContainsKey(rel_key.key)) {
-      ORCH_ASSIGN_OR_RETURN(db::Tuple existing, table->GetByKey(rel_key.key));
-      if (existing == *state) continue;  // idempotent upsert
-      ORCH_RETURN_IF_ERROR(table->Replace(existing, *state));
+    if (const db::Tuple* existing = table->Find(rel_key.key)) {
+      if (*existing == *state) continue;  // idempotent upsert
+      ORCH_RETURN_IF_ERROR(table->Replace(*existing, *state));
     } else {
       ORCH_RETURN_IF_ERROR(table->Insert(*state));
     }

@@ -21,9 +21,10 @@ class InstanceOverlay {
   explicit InstanceOverlay(const db::Instance* base) : base_(base) {}
 
   /// The visible full tuple for (relation, key), honoring pending
-  /// changes; nullopt if absent or deleted in the overlay.
-  std::optional<db::Tuple> Get(const std::string& relation,
-                               const db::Tuple& key) const;
+  /// changes; nullptr if absent or deleted in the overlay. Valid until
+  /// the overlay or its base is next modified.
+  const db::Tuple* Get(const std::string& relation,
+                       const db::Tuple& key) const;
 
   /// Applies one net update with *idempotent agreement* semantics:
   ///  - insert of an already-present identical tuple is a no-op;

@@ -37,24 +37,24 @@ void FetchCache::InvalidateAbove(Epoch floor) {
   }
 }
 
-void FetchCache::MarkApplied(ParticipantId peer, const TransactionId& id) {
-  applied_[peer].insert(id);
+void FetchCache::MarkDecided(ParticipantId peer, const TransactionId& id) {
+  decided_[peer].insert(id);
 }
 
-bool FetchCache::KnownApplied(ParticipantId peer,
+bool FetchCache::KnownDecided(ParticipantId peer,
                               const TransactionId& id) const {
-  auto it = applied_.find(peer);
-  if (it == applied_.end() || it->second.count(id) == 0) return false;
+  auto it = decided_.find(peer);
+  if (it == decided_.end() || it->second.count(id) == 0) return false;
   ++stats_.suppressed;
   return true;
 }
 
 void FetchCache::ResetApplied(ParticipantId peer, TxnIdSet applied) {
-  applied_[peer] = std::move(applied);
+  decided_[peer] = std::move(applied);
 }
 
 void FetchCache::ForgetPeer(ParticipantId peer) {
-  applied_.erase(peer);
+  decided_.erase(peer);
   watermarks_.erase(peer);
 }
 

@@ -26,21 +26,31 @@ namespace orchestra::core {
 ///    never be cached. Epoch-keyed invalidation covers the defensive
 ///    cases (reaping, recovery).
 ///
-///  - *per-peer* bookkeeping: the ids the store has durably recorded as
-///    applied by each peer, plus the peer's fetch watermark. The
-///    applied set is a conservative overlay over the store's
-///    authoritative decision state — entries are added only at commit
-///    points (publish acked, decisions recorded, bootstrap adopted), so
-///    a hit can safely suppress a per-key lookup whose answer would be
-///    "already applied / not relevant", while a miss simply falls
-///    through to the authoritative check.
+///  - *per-peer* bookkeeping: the decided overlay — the ids whose fetch
+///    lookup the peer needs nothing from — plus the peer's fetch
+///    watermark. An id enters the overlay only at a commit point, once
+///    the store has durably recorded that the peer
+///      * applied it (publish acked, decisions recorded, bootstrap
+///        adopted) — its effects are in the peer's instance; or
+///      * rejected it in its current incarnation (decisions recorded) —
+///        every id a peer records as rejected came to it with its body,
+///        so it holds that body and computes any extension through it
+///        from its own transaction cache.
+///    A hit therefore suppresses a per-key lookup whose answer would be
+///    "not relevant" or a body the peer already has; a miss falls
+///    through to the authoritative check. A recovered or bootstrapped
+///    peer is a new incarnation that knows its rejections by id only,
+///    so recovery and bootstrap reset the overlay to the applied ids
+///    (ResetApplied). Network-centric fetches analyse the extension
+///    store-side and must put the suppressed rejected bodies back into
+///    their bundle from the store's own state.
 class FetchCache {
  public:
   struct Stats {
     int64_t hits = 0;        // arena lookups served without a decode
     int64_t misses = 0;      // arena lookups that had to decode
     int64_t admitted = 0;    // transactions decoded into the arena
-    int64_t suppressed = 0;  // per-key lookups skipped via applied sets
+    int64_t suppressed = 0;  // per-key lookups skipped via the overlay
   };
 
   /// --- Decoded-transaction arena --------------------------------------
@@ -58,14 +68,19 @@ class FetchCache {
 
   size_t arena_size() const { return arena_.size(); }
 
-  /// --- Per-peer applied sets and watermarks ---------------------------
+  /// --- Per-peer decided overlays and watermarks ---------------------
 
-  void MarkApplied(ParticipantId peer, const TransactionId& id);
-  /// True when the store has durably recorded `id` as applied by `peer`.
-  /// Counts a suppression on hit.
-  bool KnownApplied(ParticipantId peer, const TransactionId& id) const;
-  /// Replaces the peer's applied set wholesale (recovery/bootstrap hand
-  /// the authoritative set over in one piece).
+  /// Adds `id` to the peer's overlay. Only at a commit point, and only
+  /// for an id the store durably recorded as applied by `peer`, or as
+  /// rejected by it in its current incarnation.
+  void MarkDecided(ParticipantId peer, const TransactionId& id);
+  /// True when a lookup of `id` on behalf of `peer` can be skipped (the
+  /// peer applied it, or rejected it and holds it). Counts a suppression
+  /// on hit.
+  bool KnownDecided(ParticipantId peer, const TransactionId& id) const;
+  /// Replaces the peer's overlay with its authoritative applied set:
+  /// recovery and bootstrap start a new incarnation, which holds no
+  /// rejected bodies, so every rejected id leaves the overlay.
   void ResetApplied(ParticipantId peer, TxnIdSet applied);
   /// Drops everything known about the peer (its process restarted; the
   /// store re-learns from its own durable state).
@@ -80,7 +95,7 @@ class FetchCache {
   std::unordered_map<TransactionId, Transaction, TransactionIdHash> arena_;
   /// Epoch index over the arena, driving watermark-based invalidation.
   std::map<Epoch, std::vector<TransactionId>> by_epoch_;
-  std::unordered_map<ParticipantId, TxnIdSet> applied_;
+  std::unordered_map<ParticipantId, TxnIdSet> decided_;
   std::unordered_map<ParticipantId, Epoch> watermarks_;
   mutable Stats stats_;
 };

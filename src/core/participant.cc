@@ -194,21 +194,7 @@ Result<TransactionId> Participant::ExecuteTransaction(
   }
 
   // Advance the version and tombstone maps with the net effects.
-  for (const Update& u : flattened) {
-    const db::RelationSchema& schema =
-        *catalog_->GetRelation(u.relation()).value();
-    if (auto read = u.ReadKey(schema)) {
-      version_map_.erase(RelKey{u.relation(), *read});
-      if (u.is_delete()) {
-        tombstone_map_[RelKey{u.relation(), *read}] = txn_id;
-      }
-    }
-    if (auto write = u.WriteKey(schema)) {
-      RelKey rk{u.relation(), *write};
-      tombstone_map_.erase(rk);
-      version_map_[std::move(rk)] = txn_id;
-    }
-  }
+  AdvanceVersions(flattened, txn_id);
 
   Transaction txn;
   txn.id = txn_id;
@@ -737,21 +723,38 @@ void Participant::UpdateVersionMap(
               if (a->epoch != b->epoch) return a->epoch < b->epoch;
               return a->id < b->id;
             });
-  for (const Transaction* txn : txns) {
-    for (const Update& u : txn->updates) {
-      const db::RelationSchema& schema =
-          *catalog_->GetRelation(u.relation()).value();
-      if (auto read = u.ReadKey(schema)) {
-        version_map_.erase(RelKey{u.relation(), *read});
-        if (u.is_delete()) {
-          tombstone_map_[RelKey{u.relation(), *read}] = txn->id;
-        }
-      }
-      if (auto write = u.WriteKey(schema)) {
-        RelKey rk{u.relation(), *write};
-        tombstone_map_.erase(rk);
-        version_map_[std::move(rk)] = txn->id;
-      }
+  for (const Transaction* txn : txns) AdvanceVersions(txn->updates, txn->id);
+}
+
+void Participant::AdvanceVersions(const std::vector<Update>& updates,
+                                  const TransactionId& txn_id) {
+  // Updates come in runs of one relation; resolve its schema once per
+  // run, and build each RelKey once, moving it into the map.
+  const std::string* relation = nullptr;
+  const db::RelationSchema* schema = nullptr;
+  for (const Update& u : updates) {
+    if (relation == nullptr || u.relation() != *relation) {
+      relation = &u.relation();
+      schema = catalog_->GetRelation(*relation).value();
+    }
+    std::optional<db::Tuple> read = u.ReadKey(*schema);
+    std::optional<db::Tuple> write = u.WriteKey(*schema);
+    if (read && write && *read == *write) {
+      // A modify in place: only the key's last writer changes.
+      RelKey rk{*relation, *std::move(write)};
+      if (!tombstone_map_.empty()) tombstone_map_.erase(rk);
+      version_map_.insert_or_assign(std::move(rk), txn_id);
+      continue;
+    }
+    if (read) {
+      RelKey rk{*relation, *std::move(read)};
+      version_map_.erase(rk);
+      if (u.is_delete()) tombstone_map_.insert_or_assign(std::move(rk), txn_id);
+    }
+    if (write) {
+      RelKey rk{*relation, *std::move(write)};
+      if (!tombstone_map_.empty()) tombstone_map_.erase(rk);
+      version_map_.insert_or_assign(std::move(rk), txn_id);
     }
   }
 }

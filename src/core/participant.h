@@ -277,6 +277,12 @@ class Participant {
   /// Applies the version-map effects of applied transactions, in
   /// publication order, so future antecedent computation is correct.
   void UpdateVersionMap(const std::vector<TransactionId>& applied_txns);
+  /// Advances the version and tombstone maps over `updates`, written by
+  /// `txn_id`: a read key loses its version (a delete leaves a
+  /// tombstone), a write key takes `txn_id` as its version and clears
+  /// its tombstone.
+  void AdvanceVersions(const std::vector<Update>& updates,
+                       const TransactionId& txn_id);
 
   /// Bumps the process-wide metrics registry with one round's count and
   /// its fetched and reconsidered transaction totals.

@@ -57,7 +57,7 @@ struct StoreStats {
 enum class FetchMode {
   /// The reference: the scan window starts at epoch 0 (ignoring the
   /// peer's watermark), and every soft-state read is bypassed — the
-  /// decoded-transaction arena, the per-peer applied overlay and the
+  /// decoded-transaction arena, the per-peer decided overlay and the
   /// central stable floor — so each fetch is answered from the stores'
   /// durable state alone. Correct (the participant's catch-up machinery
   /// absorbs re-sent material) but its per-round cost grows with
@@ -67,7 +67,8 @@ enum class FetchMode {
   /// The shipping default: scan only epochs in (watermark, stable],
   /// serve decoded transactions from the shared arena (each committed
   /// transaction is decoded once across all peers and rounds), and
-  /// suppress lookups whose answer the applied overlay already knows.
+  /// suppress lookups whose answer the decided overlay already knows
+  /// (see core::FetchCache).
   kDelta,
 };
 
@@ -87,7 +88,7 @@ inline std::string_view FetchModeName(FetchMode mode) {
 struct FetchStats {
   int64_t decoded = 0;              // transactions decoded this fetch
   int64_t cache_hits = 0;           // decodes avoided via the arena
-  int64_t suppressed_lookups = 0;   // per-key lookups skipped (applied set)
+  int64_t suppressed_lookups = 0;   // per-key lookups skipped (overlay)
   int64_t batched_messages = 0;     // multi-get messages sent (DHT)
   int64_t corrupt_reads = 0;        // checksum-rejected replica/row reads
   int64_t read_repairs = 0;         // corrupt replicas healed from a good copy
@@ -108,9 +109,11 @@ struct FetchStats {
 /// Everything a participant needs from the store to run one
 /// reconciliation: the allocated reconciliation number, the stable epoch
 /// it covers, the fully trusted undecided transactions with their trust
-/// priorities, and a self-contained bundle of transactions covering the
-/// trusted transactions plus their antecedent closures (excluding
-/// transactions the participant already applied).
+/// priorities, and a bundle of transactions covering the trusted
+/// transactions plus their antecedent closures. The bundle leaves out
+/// transactions the participant already applied, and outside the kFull
+/// reference also those it rejected in its current incarnation: it holds
+/// their bodies and computes extensions through them from its cache.
 struct ReconcileFetch {
   int64_t recno = 0;
   Epoch epoch = kNoEpoch;

@@ -40,6 +40,14 @@ class Table {
   /// Full tuple for `key`, or NotFound.
   Result<Tuple> GetByKey(const Tuple& key) const;
 
+  /// The stored tuple for `key`, or nullptr: a probe that neither copies
+  /// the tuple nor builds an error message on a miss. Valid until the
+  /// table is next modified.
+  const Tuple* Find(const Tuple& key) const {
+    auto it = rows_.find(key);
+    return it == rows_.end() ? nullptr : &it->second;
+  }
+
   bool ContainsKey(const Tuple& key) const {
     return rows_.find(key) != rows_.end();
   }

@@ -230,7 +230,7 @@ Result<Epoch> CentralStore::Publish(ParticipantId peer,
   // publisher has accepted them durably (the staged "A" rows).
   for (const Transaction& txn : txns) {
     cache_.Admit(txn);
-    cache_.MarkApplied(peer, txn.id);
+    cache_.MarkDecided(peer, txn.id);
   }
 
   // One begin-publish round trip, the batch upload, one finish round
@@ -248,6 +248,11 @@ Result<Epoch> CentralStore::Publish(ParticipantId peer,
 }
 
 Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
+  return Fetch(peer, /*held=*/nullptr);
+}
+
+Result<ReconcileFetch> CentralStore::Fetch(ParticipantId peer,
+                                           std::vector<TransactionId>* held) {
   TraceSpan span("central.fetch");
   Stopwatch cpu;
   auto policy_it = policies_.find(peer);
@@ -358,13 +363,13 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
 
   // Trust predicates are evaluated inside the store so that only fully
   // trusted transactions and their antecedent closures are shipped. A
-  // known-applied hit suppresses the decision lookup whose answer must
-  // be "already decided" — the applied overlay only ever holds durably
-  // recorded accepts, so the filter outcome is unchanged.
+  // decided-overlay hit suppresses the decision lookup whose answer must
+  // be "already decided" — the overlay only ever holds durably recorded
+  // decisions, so the filter outcome is unchanged.
   TxnIdSet shipped;
   std::deque<TransactionId> pending;
   for (const Transaction& txn : relevant) {
-    if (!reference() && cache_.KnownApplied(peer, txn.id)) continue;
+    if (!reference() && cache_.KnownDecided(peer, txn.id)) continue;
     if (HasDecision(peer, txn.id)) continue;  // own or already decided
     const int priority = policy.PriorityOfTransaction(txn);
     if (priority <= 0) continue;
@@ -377,12 +382,18 @@ Result<ReconcileFetch> CentralStore::BeginReconciliation(ParticipantId peer) {
     }
   }
   // Antecedent closure, stopping at transactions the peer has already
-  // applied (their effects are in the peer's instance).
+  // applied (their effects are in the peer's instance) and, outside the
+  // reference, at those it rejected and holds: the peer computes the
+  // extension through them from its own cache. `held` collects those
+  // overlay stops for the network-centric bundle.
   while (!pending.empty()) {
     const TransactionId id = pending.front();
     pending.pop_front();
     if (shipped.count(id) != 0) continue;
-    if (!reference() && cache_.KnownApplied(peer, id)) continue;
+    if (!reference() && cache_.KnownDecided(peer, id)) {
+      if (held != nullptr) held->push_back(id);
+      continue;
+    }
     if (IsApplied(peer, id)) continue;
     ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));
     shipped.insert(id);
@@ -470,10 +481,12 @@ Status CentralStore::RecordDecisions(
       EpochKey(recno) + ":" +
           std::to_string(applied.size() + rejected.size())));
   ORCH_RETURN_IF_ERROR(engine_->Sync());
-  // Only now — past the sync — are the accepts durable enough for the
-  // suppression overlay. A failure above leaves the overlay untouched
+  // Only now — past the sync — are the decisions durable enough for the
+  // suppression overlay. The peer holds every id it rejects (each came
+  // to it with its body). A failure above leaves the overlay untouched
   // and the next fetch falls back to the engine's decision rows.
-  for (const TransactionId& id : applied) cache_.MarkApplied(peer, id);
+  for (const TransactionId& id : applied) cache_.MarkDecided(peer, id);
+  for (const TransactionId& id : rejected) cache_.MarkDecided(peer, id);
   const int64_t bytes =
       static_cast<int64_t>((applied.size() + rejected.size()) * 16);
   network_->Charge(peer, 2, bytes / 2);
@@ -588,8 +601,9 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
               return a.id < b.id;
             });
   // The scan above is the authoritative applied set; replace the
-  // conservative overlay with it so the recovered peer's first fetch
-  // suppresses everything it durably applied.
+  // overlay with it so the recovered peer's first fetch suppresses
+  // everything it durably applied, and ships again what it rejected (it
+  // knows those by id only).
   TxnIdSet applied_ids;
   for (const Transaction& txn : bundle.applied) applied_ids.insert(txn.id);
   cache_.ResetApplied(peer, std::move(applied_ids));
@@ -652,12 +666,27 @@ Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliatio
         "reconciliation needs the shared schema");
   }
   core::NetworkCentricFetch fetch;
-  ORCH_ASSIGN_OR_RETURN(fetch.base, BeginReconciliation(peer));
+  std::vector<TransactionId> held;
+  ORCH_ASSIGN_OR_RETURN(fetch.base, Fetch(peer, &held));
 
   // Server-side analysis: one more stored procedure's worth of work.
   Stopwatch cpu;
   core::TransactionMap bundle;
   for (const Transaction& txn : fetch.base.transactions) bundle.Put(txn);
+  // The fetch stopped at antecedents the peer rejected and holds, but
+  // ComputeExtensionFromBundle reads a missing member as applied. Put
+  // them back, with the closure the fetch would have walked past them,
+  // from the server's own rows: nothing more travels to the client.
+  std::deque<TransactionId> pending(held.begin(), held.end());
+  while (!pending.empty()) {
+    const TransactionId id = pending.front();
+    pending.pop_front();
+    if (bundle.Contains(id) || IsApplied(peer, id)) continue;
+    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));
+    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
+    // ORCH_LINT(allow:S1): TransactionMap::Put returns void (the rule keys on the name StorageEngine::Put shares)
+    bundle.Put(std::move(txn));
+  }
   for (const auto& [txn_id, priority] : fetch.base.trusted) {
     core::TrustedTxn t;
     t.id = txn_id;
@@ -733,10 +762,12 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
   // new peer's decisions, so the shared reader skips them.
   ORCH_RETURN_IF_ERROR(ReadUndecided(new_peer, policy, &bundle, &bytes));
   ORCH_RETURN_IF_ERROR(engine_->Sync());
-  // The adopted accepts just synced under the new peer's own name.
-  for (const Transaction& txn : bundle.applied) {
-    cache_.MarkApplied(new_peer, txn.id);
-  }
+  // The adopted accepts just synced under the new peer's own name. They
+  // replace its overlay: a bootstrapped peer holds none of the bodies an
+  // earlier incarnation rejected.
+  TxnIdSet adopted_ids;
+  for (const Transaction& txn : bundle.applied) adopted_ids.insert(txn.id);
+  cache_.ResetApplied(new_peer, std::move(adopted_ids));
 
   network_->Charge(new_peer, 2, bytes / 2);
   cpu_micros_[new_peer] +=

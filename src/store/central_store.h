@@ -57,7 +57,7 @@ struct CentralStoreOptions {
   int stuck_epoch_reap_threshold = 3;
   /// How reconciliation fetches are assembled. kFull is the reference:
   /// it scans from epoch 0 and bypasses the decoded-transaction arena,
-  /// the applied overlay and the stable floor, so every fetch reads the
+  /// the decided overlay and the stable floor, so every fetch reads the
   /// stored rows (and verifies their checksums). Decisions are identical
   /// across modes (see core::FetchMode).
   core::FetchMode fetch_mode = core::FetchMode::kDelta;
@@ -123,6 +123,10 @@ class CentralStore : public core::UpdateStore,
   /// redundant storage.
   Result<std::string> ReadTxnBlob(const std::string& txn_key) const;
 
+  /// BeginReconciliation, also reporting in `held` (when non-null) each
+  /// antecedent the closure skipped through the decided overlay.
+  Result<core::ReconcileFetch> Fetch(core::ParticipantId peer,
+                                     std::vector<core::TransactionId>* held);
   Result<core::Transaction> LoadTxn(const core::TransactionId& id) const;
   /// LoadTxn via the decoded-transaction arena: a hit skips both the
   /// engine read and the decode (the reference never looks); a miss
@@ -165,7 +169,7 @@ class CentralStore : public core::UpdateStore,
   /// Soft state: open-epoch observation counts driving the reaper.
   std::unordered_map<core::Epoch, int> epoch_strikes_;
   /// Soft state: the shared decoded-transaction arena and per-peer
-  /// applied overlays, read only outside the reference. Mutable because
+  /// decided overlays, read only outside the reference. Mutable because
   /// recovery reads (FetchRecoveryState) refresh it.
   mutable core::FetchCache cache_;
   /// Largest epoch with every epoch at or below it terminal (done or

@@ -429,7 +429,7 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
   MutateGroup(ekey, [&](NodeState& node) { node.epoch_done.insert(epoch); });
   // The publisher's implicit self-accepts just committed with the epoch;
   // future fetches need not ask their controllers.
-  for (const Transaction& txn : txns) cache_.MarkApplied(peer, txn.id);
+  for (const Transaction& txn : txns) cache_.MarkDecided(peer, txn.id);
   DirectSend(peer, 8);  // ack to publisher (commit already durable)
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
@@ -443,6 +443,10 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
 }
 
 Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
+  return Fetch(peer, /*trail=*/nullptr);
+}
+
+Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
   Stopwatch cpu;
   auto policy_it = policies_.find(peer);
   if (policy_it == policies_.end()) {
@@ -453,7 +457,7 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   const core::TrustPolicy& policy = *policy_it->second;
   const size_t my_node = NodeOfPeer(peer);
   // The kFull reference scans from epoch 0 and never consults the
-  // applied overlay; everything else below is shared by both modes.
+  // decided overlay; everything else below is shared by both modes.
   const bool reference = options_.fetch_mode == core::FetchMode::kFull;
   const core::FetchCache::Stats cache_before = cache_.stats();
   // Integrity counter snapshots: the deltas over this fetch become the
@@ -598,9 +602,11 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   // into one multi-get request and one accumulated reply per primary
   // owner; entries are still *processed* in arrival order, so the
   // shipped transactions come out in breadth-first sequence. Outside the
-  // reference, lookups whose reply must be "not relevant" — the peer
-  // durably applied the transaction — are suppressed before any message
-  // is sent.
+  // reference, lookups the peer needs nothing from are suppressed before
+  // any message is sent: the peer durably applied the transaction (the
+  // reply would be "not relevant"), or rejected it and holds its body
+  // (the reply would ship that body again). `trail` records what the
+  // network-centric bundle must put back.
   //
   // Each level is one overlap with a lane per owner, carrying its
   // multi-get, verified-read probes, reply and payload. Level k+1 waits
@@ -613,7 +619,10 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
     std::vector<std::pair<TransactionId, bool>> level;
     for (const auto& [id, as_antecedent] : frontier) {
       if (!requested.insert(id).second) continue;
-      if (!reference && cache_.KnownApplied(peer, id)) continue;  // 'A'
+      if (!reference && cache_.KnownDecided(peer, id)) {
+        if (trail != nullptr && as_antecedent) trail->held.push_back(id);
+        continue;
+      }
       level.emplace_back(id, as_antecedent);
     }
     frontier.clear();
@@ -713,6 +722,7 @@ Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
   }
   fetch.stats.suppressed_lookups =
       cache_.stats().suppressed - cache_before.suppressed;
+  if (trail != nullptr) trail->requested = std::move(requested);
 
   // Commit the new watermark at the coordinator group only now that the
   // fetch is fully assembled: a lost message anywhere above must not
@@ -804,10 +814,12 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
   MutateGroup(pkey, [&](NodeState& node) {
     node.coordinated[peer].decided_recno = recno;
   });
-  // Only now — past the completion witness — are the accepts durable
-  // enough for the suppression overlay. A failure above leaves the
+  // Only now — past the completion witness — are the decisions durable
+  // enough for the suppression overlay. The peer holds every id it
+  // rejects (each came to it with its body). A failure above leaves the
   // overlay untouched and the next fetch asks the controllers again.
-  for (const TransactionId& id : applied) cache_.MarkApplied(peer, id);
+  for (const TransactionId& id : applied) cache_.MarkDecided(peer, id);
+  for (const TransactionId& id : rejected) cache_.MarkDecided(peer, id);
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
   return Status::OK();
@@ -913,8 +925,9 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
   core::TxnIdSet applied_ids;
   for (const Transaction& txn : bundle.applied) applied_ids.insert(txn.id);
   // The sweep above is the authoritative applied set; replace the
-  // conservative overlay with it so the recovered peer's first fetch
-  // suppresses everything it durably applied.
+  // overlay with it so the recovered peer's first fetch suppresses
+  // everything it durably applied, and ships again what it rejected (it
+  // knows those by id only).
   cache_.ResetApplied(peer, applied_ids);
   ORCH_RETURN_IF_ERROR(
       ReadUndecided(peer, policy, decided, applied_ids, &bundle));
@@ -998,12 +1011,14 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
         "reconciliation needs the shared schema");
   }
   core::NetworkCentricFetch fetch;
-  ORCH_ASSIGN_OR_RETURN(fetch.base, BeginReconciliation(peer));
+  FetchTrail trail;
+  ORCH_ASSIGN_OR_RETURN(fetch.base, Fetch(peer, &trail));
 
   Stopwatch cpu;
   const size_t my_node = NodeOfPeer(peer);
   core::TransactionMap bundle;
   for (const Transaction& txn : fetch.base.transactions) bundle.Put(txn);
+  RestoreHeld(peer, trail, &bundle);
 
   // Each trusted transaction's controller assembles its extension by
   // querying the antecedents' controllers (controller-to-controller
@@ -1085,6 +1100,45 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
   return fetch;
 }
 
+void DhtStore::RestoreHeld(ParticipantId peer, const FetchTrail& trail,
+                           core::TransactionMap* bundle) const {
+  // The fetch stopped at antecedents the peer rejected and holds, but
+  // ComputeExtensionFromBundle reads a missing member as applied. Put
+  // them back with the closure the walk would have shipped past them:
+  // ids not requested at all, and not applied. Their controllers answer
+  // the extension queries charged below, so no message is added here.
+  std::vector<TransactionId> pending = trail.held;
+  while (!pending.empty()) {
+    const TransactionId id = pending.back();
+    pending.pop_back();
+    if (bundle->Contains(id)) continue;
+    // The first replica whose copy verifies holds the body and the
+    // peer's recorded verdict. None means churn took the transaction;
+    // the suppressed lookup could not have shipped it either.
+    const std::string key = "txn:" + id.ToString();
+    for (size_t node : ReadOrderFor(key)) {
+      const NodeState& n = nodes_[node];
+      auto it = n.txns.find(id);
+      if (it == n.txns.end()) continue;
+      auto txn = DecodeWire(it->second.wire);
+      if (!txn.ok()) continue;
+      auto dec_it = n.decisions.find(id);
+      if (dec_it != n.decisions.end()) {
+        auto peer_it = dec_it->second.find(peer);
+        if (peer_it != dec_it->second.end() &&
+            peer_it->second.verdict == 'A') {
+          break;
+        }
+      }
+      for (const TransactionId& ante : txn->antecedents) {
+        if (trail.requested.count(ante) == 0) pending.push_back(ante);
+      }
+      bundle->Put(*std::move(txn));
+      break;
+    }
+  }
+}
+
 Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
                                                  ParticipantId source_peer) {
   Stopwatch cpu;
@@ -1158,11 +1212,13 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
               if (a.epoch != b.epoch) return a.epoch < b.epoch;
               return a.id < b.id;
             });
-  // The adopted accepts landed on every replica of their groups.
-  for (const TransactionId& id : adopted) cache_.MarkApplied(new_peer, id);
+  // The adopted accepts landed on every replica of their groups. They
+  // replace the new peer's overlay: a bootstrapped peer holds none of
+  // the bodies an earlier incarnation rejected.
+  const core::TxnIdSet adopted_ids(adopted.begin(), adopted.end());
+  cache_.ResetApplied(new_peer, adopted_ids);
 
   // Undecided trusted transactions within the adopted window.
-  const core::TxnIdSet adopted_ids(adopted.begin(), adopted.end());
   ORCH_RETURN_IF_ERROR(
       ReadUndecided(new_peer, policy, adopted_ids, adopted_ids, &bundle));
   cpu_micros_[new_peer] += cpu.ElapsedMicros();

@@ -73,7 +73,7 @@ struct DhtStoreOptions {
   size_t replication_factor = 3;
   /// How reconciliation fetches are assembled. Both modes coalesce
   /// same-controller lookups into per-owner multi-get messages; kFull,
-  /// the reference, scans from epoch 0 and never consults the applied
+  /// the reference, scans from epoch 0 and never consults the decided
   /// overlay. Decisions are identical across modes (see core::FetchMode).
   core::FetchMode fetch_mode = core::FetchMode::kDelta;
   /// A node whose replica fails read verification this many times is
@@ -348,6 +348,23 @@ class DhtStore : public core::UpdateStore,
   /// threshold counts integrity.quarantined_nodes once.
   void ScoreCorruptServe(size_t node) const;
 
+  /// What a fetch's closure walk skipped, for the network-centric
+  /// bundle: the antecedents suppressed through the decided overlay, and
+  /// every id the walk requested or suppressed.
+  struct FetchTrail {
+    std::vector<core::TransactionId> held;
+    core::TxnIdSet requested;
+  };
+  /// BeginReconciliation, also filling `trail` when non-null.
+  Result<core::ReconcileFetch> Fetch(core::ParticipantId peer,
+                                     FetchTrail* trail);
+  /// Network-centric tail: adds to `bundle` each transaction in
+  /// `trail.held` the peer has not applied, with the antecedent closure
+  /// the fetch would have shipped past it, read from the controllers'
+  /// own replicas.
+  void RestoreHeld(core::ParticipantId peer, const FetchTrail& trail,
+                   core::TransactionMap* bundle) const;
+
   /// Ships `wire` to `peer` as an actual payload (retransmitting loss
   /// like TryDirectSend); in-flight corruption is silent and comes back
   /// in the delivered bytes.
@@ -391,7 +408,7 @@ class DhtStore : public core::UpdateStore,
   std::unordered_map<core::ParticipantId, const core::TrustPolicy*> policies_;
   /// Soft state: unfinished-epoch observation counts driving the reaper.
   std::unordered_map<core::Epoch, int> epoch_strikes_;
-  /// Soft state: per-peer applied overlays behind lookup suppression
+  /// Soft state: per-peer decided overlays behind lookup suppression
   /// (always written, read only outside the reference). DHT nodes
   /// already hold decoded transactions, so the arena half of the cache
   /// is unused here. Mutable because recovery reads (FetchRecoveryState)

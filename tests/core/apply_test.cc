@@ -132,11 +132,14 @@ TEST_F(ApplyTest, SwapCycleFails) {
 TEST_F(ApplyTest, OverlayGetSeesPendingChanges) {
   Seed({T({"rat", "p1", "a"})});
   InstanceOverlay overlay(&instance_);
-  EXPECT_EQ(overlay.Get("F", T({"rat", "p1"})), T({"rat", "p1", "a"}));
+  ASSERT_NE(overlay.Get("F", T({"rat", "p1"})), nullptr);
+  EXPECT_EQ(*overlay.Get("F", T({"rat", "p1"})), T({"rat", "p1", "a"}));
+  EXPECT_EQ(overlay.Get("F", T({"rat", "p9"})), nullptr);
   ASSERT_TRUE(overlay.Apply(Mod("rat", "p1", "a", "b", 1)).ok());
-  EXPECT_EQ(overlay.Get("F", T({"rat", "p1"})), T({"rat", "p1", "b"}));
+  ASSERT_NE(overlay.Get("F", T({"rat", "p1"})), nullptr);
+  EXPECT_EQ(*overlay.Get("F", T({"rat", "p1"})), T({"rat", "p1", "b"}));
   ASSERT_TRUE(overlay.Apply(Del("rat", "p1", "b", 1)).ok());
-  EXPECT_EQ(overlay.Get("F", T({"rat", "p1"})), std::nullopt);
+  EXPECT_EQ(overlay.Get("F", T({"rat", "p1"})), nullptr);
   // Base instance untouched until commit.
   EXPECT_TRUE(InstanceHasExactly(instance_, {T({"rat", "p1", "a"})}));
 }

@@ -1,6 +1,6 @@
 // Unit tests for the FetchCache behind incremental (delta) fetch: the
 // shared decoded-transaction arena with epoch-keyed invalidation, and
-// the per-peer applied sets / watermarks that suppress redundant
+// the per-peer decided overlays / watermarks that suppress redundant
 // per-key lookups.
 #include <gtest/gtest.h>
 
@@ -62,37 +62,74 @@ TEST(FetchCacheTest, InvalidateAboveDropsEverythingPastTheFloor) {
 TEST(FetchCacheTest, AppliedSetsArePerPeer) {
   FetchCache cache;
   const TransactionId id{3, 9};
-  EXPECT_FALSE(cache.KnownApplied(1, id));
+  EXPECT_FALSE(cache.KnownDecided(1, id));
   EXPECT_EQ(cache.stats().suppressed, 0);
 
-  cache.MarkApplied(1, id);
-  EXPECT_TRUE(cache.KnownApplied(1, id));
+  cache.MarkDecided(1, id);
+  EXPECT_TRUE(cache.KnownDecided(1, id));
   EXPECT_EQ(cache.stats().suppressed, 1);
   // A different peer's overlay is untouched.
-  EXPECT_FALSE(cache.KnownApplied(2, id));
+  EXPECT_FALSE(cache.KnownDecided(2, id));
+}
+
+// A rejected id the peer holds lives in the same overlay as the applied
+// ones: one probe answers both, and a hit counts one suppression.
+TEST(FetchCacheTest, RejectedIdsShareTheOverlayAndItsProbe) {
+  FetchCache cache;
+  const TransactionId applied{3, 1};
+  const TransactionId rejected{4, 2};
+  cache.MarkDecided(1, applied);
+  cache.MarkDecided(1, rejected);
+  EXPECT_TRUE(cache.KnownDecided(1, rejected));
+  EXPECT_EQ(cache.stats().suppressed, 1);
+  EXPECT_TRUE(cache.KnownDecided(1, applied));
+  EXPECT_EQ(cache.stats().suppressed, 2);
+  // A miss counts nothing.
+  EXPECT_FALSE(cache.KnownDecided(1, {4, 3}));
+  EXPECT_FALSE(cache.KnownDecided(2, rejected));
+  EXPECT_EQ(cache.stats().suppressed, 2);
 }
 
 TEST(FetchCacheTest, ResetAppliedReplacesTheOverlayWholesale) {
   FetchCache cache;
-  cache.MarkApplied(1, {1, 1});
-  cache.MarkApplied(1, {1, 2});
+  cache.MarkDecided(1, {1, 1});
+  cache.MarkDecided(1, {1, 2});
 
   TxnIdSet authoritative;
   authoritative.insert({2, 5});
   cache.ResetApplied(1, std::move(authoritative));
-  EXPECT_FALSE(cache.KnownApplied(1, {1, 1}));
-  EXPECT_FALSE(cache.KnownApplied(1, {1, 2}));
-  EXPECT_TRUE(cache.KnownApplied(1, {2, 5}));
+  EXPECT_FALSE(cache.KnownDecided(1, {1, 1}));
+  EXPECT_FALSE(cache.KnownDecided(1, {1, 2}));
+  EXPECT_TRUE(cache.KnownDecided(1, {2, 5}));
+}
+
+// Recovery and bootstrap hand over the applied set only: a new
+// incarnation of the peer knows its rejections by id, without bodies,
+// so every rejected id must leave the overlay.
+TEST(FetchCacheTest, ResetAppliedDropsRejectedIds) {
+  FetchCache cache;
+  const TransactionId applied{2, 1};
+  const TransactionId rejected{3, 1};
+  cache.MarkDecided(1, applied);
+  cache.MarkDecided(1, rejected);
+
+  TxnIdSet authoritative;
+  authoritative.insert(applied);
+  cache.ResetApplied(1, std::move(authoritative));
+  EXPECT_FALSE(cache.KnownDecided(1, rejected));
+  EXPECT_TRUE(cache.KnownDecided(1, applied));
 }
 
 TEST(FetchCacheTest, ForgetPeerDropsOverlayAndWatermark) {
   FetchCache cache;
-  cache.MarkApplied(4, {1, 1});
+  cache.MarkDecided(4, {1, 1});  // applied
+  cache.MarkDecided(4, {2, 7});  // rejected and held
   cache.SetWatermark(4, 12);
   ASSERT_EQ(cache.Watermark(4), 12);
 
   cache.ForgetPeer(4);
-  EXPECT_FALSE(cache.KnownApplied(4, {1, 1}));
+  EXPECT_FALSE(cache.KnownDecided(4, {1, 1}));
+  EXPECT_FALSE(cache.KnownDecided(4, {2, 7}));
   EXPECT_EQ(cache.Watermark(4), 0);
 }
 

@@ -32,6 +32,15 @@ TEST(TableTest, InsertAndGet) {
   EXPECT_EQ(*got, Row("rat", "p1", "immune"));
 }
 
+TEST(TableTest, FindProbesWithoutCopying) {
+  Table table(MakeF());
+  ASSERT_TRUE(table.Insert(Row("rat", "p1", "immune")).ok());
+  const Tuple* hit = table.Find(Key("rat", "p1"));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, Row("rat", "p1", "immune"));
+  EXPECT_EQ(table.Find(Key("rat", "p2")), nullptr);
+}
+
 TEST(TableTest, InsertRejectsDuplicateKey) {
   Table table(MakeF());
   ASSERT_TRUE(table.Insert(Row("rat", "p1", "immune")).ok());
