@@ -51,20 +51,26 @@ bool FetchCache::KnownDecided(ParticipantId peer,
 
 void FetchCache::ResetApplied(ParticipantId peer, TxnIdSet applied) {
   decided_[peer] = std::move(applied);
+  pending_.erase(peer);
 }
 
 void FetchCache::ForgetPeer(ParticipantId peer) {
   decided_.erase(peer);
-  watermarks_.erase(peer);
+  pending_.erase(peer);
 }
 
-void FetchCache::SetWatermark(ParticipantId peer, Epoch epoch) {
-  watermarks_[peer] = epoch;
+void FetchCache::SetPendingWindow(ParticipantId peer, int64_t recno,
+                                  Epoch stable) {
+  pending_[peer] = PendingWindow{recno, stable};
 }
 
-Epoch FetchCache::Watermark(ParticipantId peer) const {
-  auto it = watermarks_.find(peer);
-  return it == watermarks_.end() ? 0 : it->second;
+std::optional<Epoch> FetchCache::TakePendingWindow(ParticipantId peer,
+                                                   int64_t recno) {
+  auto it = pending_.find(peer);
+  if (it == pending_.end() || it->second.recno != recno) return std::nullopt;
+  const Epoch stable = it->second.stable;
+  pending_.erase(it);
+  return stable;
 }
 
 }  // namespace orchestra::core

@@ -1,7 +1,9 @@
 #ifndef ORCHESTRA_CORE_FETCH_CACHE_H_
 #define ORCHESTRA_CORE_FETCH_CACHE_H_
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -27,9 +29,12 @@ namespace orchestra::core {
 ///    cases (reaping, recovery).
 ///
 ///  - *per-peer* bookkeeping: the decided overlay — the ids whose fetch
-///    lookup the peer needs nothing from — plus the peer's fetch
-///    watermark. An id enters the overlay only at a commit point, once
-///    the store has durably recorded that the peer
+///    lookup the peer needs nothing from — plus the peer's pending
+///    window: the stable epoch its last fetch read up to, which the
+///    store commits as the peer's watermark only together with the
+///    decisions that consumed the window. An id enters the overlay only
+///    at a commit point, once the store has durably recorded that the
+///    peer
 ///      * applied it (publish acked, decisions recorded, bootstrap
 ///        adopted) — its effects are in the peer's instance; or
 ///      * rejected it in its current incarnation (decisions recorded) —
@@ -40,10 +45,11 @@ namespace orchestra::core {
 ///    "not relevant" or a body the peer already has; a miss falls
 ///    through to the authoritative check. A recovered or bootstrapped
 ///    peer is a new incarnation that knows its rejections by id only,
-///    so recovery and bootstrap reset the overlay to the applied ids
-///    (ResetApplied). Network-centric fetches analyse the extension
-///    store-side and must put the suppressed rejected bodies back into
-///    their bundle from the store's own state.
+///    and that never saw its predecessor's last fetch, so recovery and
+///    bootstrap reset the overlay to the applied ids and drop the
+///    pending window (ResetApplied). Network-centric fetches analyse
+///    the extension store-side and must put the suppressed rejected
+///    bodies back into their bundle from the store's own state.
 class FetchCache {
  public:
   struct Stats {
@@ -68,7 +74,7 @@ class FetchCache {
 
   size_t arena_size() const { return arena_.size(); }
 
-  /// --- Per-peer decided overlays and watermarks ---------------------
+  /// --- Per-peer decided overlays and pending windows ----------------
 
   /// Adds `id` to the peer's overlay. Only at a commit point, and only
   /// for an id the store durably recorded as applied by `peer`, or as
@@ -78,16 +84,23 @@ class FetchCache {
   /// peer applied it, or rejected it and holds it). Counts a suppression
   /// on hit.
   bool KnownDecided(ParticipantId peer, const TransactionId& id) const;
-  /// Replaces the peer's overlay with its authoritative applied set:
-  /// recovery and bootstrap start a new incarnation, which holds no
-  /// rejected bodies, so every rejected id leaves the overlay.
+  /// Replaces the peer's overlay with its authoritative applied set and
+  /// drops its pending window: recovery and bootstrap start a new
+  /// incarnation, which holds no rejected bodies (so every rejected id
+  /// leaves the overlay) and will record nothing against the window its
+  /// predecessor fetched.
   void ResetApplied(ParticipantId peer, TxnIdSet applied);
   /// Drops everything known about the peer (its process restarted; the
   /// store re-learns from its own durable state).
   void ForgetPeer(ParticipantId peer);
 
-  void SetWatermark(ParticipantId peer, Epoch epoch);
-  Epoch Watermark(ParticipantId peer) const;
+  /// Holds the window the peer's fetch `recno` consumed, up to stable
+  /// epoch `stable`, replacing any earlier one.
+  void SetPendingWindow(ParticipantId peer, int64_t recno, Epoch stable);
+  /// Removes and returns the stable epoch of the peer's pending window
+  /// when that window was fetched under `recno`; nullopt (keeping any
+  /// window of another recno) otherwise.
+  std::optional<Epoch> TakePendingWindow(ParticipantId peer, int64_t recno);
 
   const Stats& stats() const { return stats_; }
 
@@ -96,7 +109,11 @@ class FetchCache {
   /// Epoch index over the arena, driving watermark-based invalidation.
   std::map<Epoch, std::vector<TransactionId>> by_epoch_;
   std::unordered_map<ParticipantId, TxnIdSet> decided_;
-  std::unordered_map<ParticipantId, Epoch> watermarks_;
+  struct PendingWindow {
+    int64_t recno = 0;
+    Epoch stable = 0;
+  };
+  std::unordered_map<ParticipantId, PendingWindow> pending_;
   mutable Stats stats_;
 };
 

@@ -198,7 +198,10 @@ class UpdateStore {
   /// Starts a reconciliation for `peer`: allocates a reconciliation
   /// number, determines the latest stable epoch (§5.2.1), and returns
   /// the newly relevant transactions. Each published transaction is
-  /// returned to a given peer at most once across reconciliations.
+  /// returned to a given peer at most once across reconciliations whose
+  /// decisions were recorded. A store may return a window again until
+  /// then (the DHT store advances the watermark only with the recorded
+  /// decisions); the participant re-records what it already decided.
   virtual Result<ReconcileFetch> BeginReconciliation(ParticipantId peer) = 0;
 
   /// Durably records the outcome of reconciliation `recno`: the

@@ -486,8 +486,8 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
 
     // Prior watermark and recno from this peer's coordinator group. The
     // recno is allocated now (a failure later burns it, harmlessly); the
-    // watermark is committed only once the whole fetch has been
-    // assembled.
+    // watermark moves only when the decisions on this window are
+    // recorded (RecordDecisions' completion witness).
     head.Lane(1);
     ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 16));
     coord_entry = nodes_[CoordinatorNode(peer)].coordinated[peer];
@@ -612,13 +612,22 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
   // multi-get, verified-read probes, reply and payload. Level k+1 waits
   // for level k's replies, which name its ids: that wait is the paper's
   // antecedent-chain round trip.
-  TxnIdSet requested;
+  //
+  // An id is asked about once, with one exception: a root the controller
+  // refused ("untrusted", or "not relevant" because the peer rejected
+  // it) is asked again when it turns up as the antecedent of a trusted
+  // transaction, whose extension needs its body (Fig. 5, line 3).
+  RequestLog requested;
   std::vector<std::pair<TransactionId, bool>> frontier;
   for (const TransactionId& id : published) frontier.emplace_back(id, false);
   while (!frontier.empty()) {
     std::vector<std::pair<TransactionId, bool>> level;
     for (const auto& [id, as_antecedent] : frontier) {
-      if (!requested.insert(id).second) continue;
+      auto [it, inserted] = requested.try_emplace(id, true);
+      if (!inserted) {
+        if (it->second || !as_antecedent) continue;
+        it->second = true;  // a refused root, now wanted as an antecedent
+      }
       if (!reference && cache_.KnownDecided(peer, id)) {
         if (trail != nullptr && as_antecedent) trail->held.push_back(id);
         continue;
@@ -675,11 +684,13 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
       }
       if (decided == 'A' || (!as_antecedent && decided != 0)) {
         reply_bytes += 8;  // "not relevant"
+        if (decided != 'A') requested[id] = false;
         continue;
       }
       const int priority = policy.PriorityOfTransaction(txn);
       if (!as_antecedent && priority <= 0) {
         reply_bytes += 8;  // "untrusted"
+        requested[id] = false;
         continue;
       }
       reply_bytes += 8;  // per-txn header; the blob rides the payload
@@ -724,15 +735,11 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
       cache_.stats().suppressed - cache_before.suppressed;
   if (trail != nullptr) trail->requested = std::move(requested);
 
-  // Commit the new watermark at the coordinator group only now that the
-  // fetch is fully assembled: a lost message anywhere above must not
-  // advance it, or the window (prev, stable] would be skipped forever.
-  // So it waits for the last level's replies.
-  ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 24));
-  coord_entry.epoch = stable;
-  MutateGroup(pkey,
-              [&](NodeState& node) { node.coordinated[peer] = coord_entry; });
-  DirectSend(peer, 8);  // ack
+  // The window (prev, stable] becomes the peer's watermark only with the
+  // completion witness of the decisions made on it. Until then a lost
+  // message, a failed recording or a crash leaves the watermark where it
+  // was, and the next fetch walks the window again.
+  cache_.SetPendingWindow(peer, fetch.recno, stable);
   fetch.stats.corrupt_reads = CorruptReplicaReads().value() - corrupt_before;
   fetch.stats.read_repairs = ReadRepairs().value() - repairs_before;
   fetch.stats.failover_probes = probe_ctr.value() - probes_before;
@@ -807,12 +814,22 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
     }
   }
   // Last message: the coordinator's completion witness, sent once every
-  // multi-put was acknowledged. Until it lands, recovery reports the
-  // reconciliation as interrupted (last_decided_recno < recno).
+  // multi-put was acknowledged. It also carries the watermark past the
+  // window fetch `recno` read, so the watermark advances only together
+  // with the decisions that consumed that window (max: it never moves
+  // back). Until it lands, recovery reports the reconciliation as
+  // interrupted (last_decided_recno < recno) and the next fetch walks
+  // the window again.
   const std::string pkey = "peer:" + std::to_string(peer);
-  ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 24));
+  {
+    net::SimNetwork::Overlap witness(network_, peer, "dht.record.witness");
+    ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 24));
+  }
+  const std::optional<Epoch> window = cache_.TakePendingWindow(peer, recno);
   MutateGroup(pkey, [&](NodeState& node) {
-    node.coordinated[peer].decided_recno = recno;
+    CoordEntry& entry = node.coordinated[peer];
+    entry.decided_recno = recno;
+    if (window.has_value()) entry.epoch = std::max(entry.epoch, *window);
   });
   // Only now — past the completion witness — are the decisions durable
   // enough for the suppression overlay. The peer holds every id it
@@ -1105,8 +1122,9 @@ void DhtStore::RestoreHeld(ParticipantId peer, const FetchTrail& trail,
   // The fetch stopped at antecedents the peer rejected and holds, but
   // ComputeExtensionFromBundle reads a missing member as applied. Put
   // them back with the closure the walk would have shipped past them:
-  // ids not requested at all, and not applied. Their controllers answer
-  // the extension queries charged below, so no message is added here.
+  // ids not requested at all (or only as a refused root), and not
+  // applied. Their controllers answer the extension queries charged
+  // below, so no message is added here.
   std::vector<TransactionId> pending = trail.held;
   while (!pending.empty()) {
     const TransactionId id = pending.back();
@@ -1131,7 +1149,10 @@ void DhtStore::RestoreHeld(ParticipantId peer, const FetchTrail& trail,
         }
       }
       for (const TransactionId& ante : txn->antecedents) {
-        if (trail.requested.count(ante) == 0) pending.push_back(ante);
+        auto asked = trail.requested.find(ante);
+        if (asked == trail.requested.end() || !asked->second) {
+          pending.push_back(ante);
+        }
       }
       bundle->Put(*std::move(txn));
       break;

@@ -41,9 +41,10 @@ namespace orchestra::store {
 /// peer waits for the slowest lane. So a phase costs its longest chain,
 /// not its message count. The phases follow each other: the fetch head,
 /// the epoch scan, each BFS level of the antecedent closure (a level's
-/// ids come from the previous level's replies), the watermark commit.
-/// Antecedent-chain round trips therefore dominate reconciliation cost,
-/// as the paper reports.
+/// ids come from the previous level's replies); then, once the peer has
+/// decided, the per-owner decision puts and the completion witness,
+/// which also carries the peer's new watermark. Antecedent-chain round
+/// trips therefore dominate reconciliation cost, as the paper reports.
 ///
 /// The store survives node churn: every controller's state is
 /// replicated across the key's *replica group* — the key's first
@@ -196,7 +197,9 @@ class DhtStore : public core::UpdateStore,
   /// Peer coordinator entry. `decided_recno` is the last reconciliation
   /// whose decisions were recorded in full — updated only after every
   /// transaction controller acknowledged, it is the completion witness
-  /// recovery uses to detect an interrupted reconciliation.
+  /// recovery uses to detect an interrupted reconciliation. `epoch`, the
+  /// watermark, moves in the same write: a fetch's window is consumed
+  /// only once its decisions are recorded.
   struct CoordEntry {
     int64_t recno = 0;
     core::Epoch epoch = 0;
@@ -348,12 +351,18 @@ class DhtStore : public core::UpdateStore,
   /// threshold counts integrity.quarantined_nodes once.
   void ScoreCorruptServe(size_t node) const;
 
+  /// Every id a fetch's closure walk requested or suppressed, mapped to
+  /// false while its only answer was a refused root ("untrusted", or
+  /// "not relevant" as a rejection) that an antecedent request must
+  /// still override.
+  using RequestLog =
+      std::unordered_map<core::TransactionId, bool, core::TransactionIdHash>;
   /// What a fetch's closure walk skipped, for the network-centric
   /// bundle: the antecedents suppressed through the decided overlay, and
-  /// every id the walk requested or suppressed.
+  /// the walk's request log.
   struct FetchTrail {
     std::vector<core::TransactionId> held;
-    core::TxnIdSet requested;
+    RequestLog requested;
   };
   /// BeginReconciliation, also filling `trail` when non-null.
   Result<core::ReconcileFetch> Fetch(core::ParticipantId peer,

@@ -1,7 +1,7 @@
 // Unit tests for the FetchCache behind incremental (delta) fetch: the
 // shared decoded-transaction arena with epoch-keyed invalidation, and
-// the per-peer decided overlays / watermarks that suppress redundant
-// per-key lookups.
+// the per-peer decided overlays that suppress redundant per-key lookups
+// and the pending windows a store commits with the decisions.
 #include <gtest/gtest.h>
 
 #include "core/fetch_cache.h"
@@ -120,24 +120,44 @@ TEST(FetchCacheTest, ResetAppliedDropsRejectedIds) {
   EXPECT_TRUE(cache.KnownDecided(1, applied));
 }
 
-TEST(FetchCacheTest, ForgetPeerDropsOverlayAndWatermark) {
+TEST(FetchCacheTest, ForgetPeerDropsOverlayAndPendingWindow) {
   FetchCache cache;
   cache.MarkDecided(4, {1, 1});  // applied
   cache.MarkDecided(4, {2, 7});  // rejected and held
-  cache.SetWatermark(4, 12);
-  ASSERT_EQ(cache.Watermark(4), 12);
+  cache.SetPendingWindow(4, /*recno=*/3, /*stable=*/12);
 
   cache.ForgetPeer(4);
   EXPECT_FALSE(cache.KnownDecided(4, {1, 1}));
   EXPECT_FALSE(cache.KnownDecided(4, {2, 7}));
-  EXPECT_EQ(cache.Watermark(4), 0);
+  EXPECT_EQ(cache.TakePendingWindow(4, 3), std::nullopt);
 }
 
-TEST(FetchCacheTest, WatermarksStartAtZero) {
+// The window is committed at most once, and only by the recording of
+// the fetch that read it.
+TEST(FetchCacheTest, PendingWindowIsTakenOnceUnderItsRecno) {
   FetchCache cache;
-  EXPECT_EQ(cache.Watermark(9), 0);
-  cache.SetWatermark(9, 4);
-  EXPECT_EQ(cache.Watermark(9), 4);
+  EXPECT_EQ(cache.TakePendingWindow(9, 1), std::nullopt);
+  cache.SetPendingWindow(9, /*recno=*/2, /*stable=*/4);
+  EXPECT_EQ(cache.TakePendingWindow(9, 1), std::nullopt);  // another recno
+  EXPECT_EQ(cache.TakePendingWindow(8, 2), std::nullopt);  // another peer
+  EXPECT_EQ(cache.TakePendingWindow(9, 2), std::optional<Epoch>(4));
+  EXPECT_EQ(cache.TakePendingWindow(9, 2), std::nullopt);  // taken
+
+  // A later fetch replaces a window nobody recorded.
+  cache.SetPendingWindow(9, 3, 5);
+  cache.SetPendingWindow(9, 4, 6);
+  EXPECT_EQ(cache.TakePendingWindow(9, 3), std::nullopt);
+  EXPECT_EQ(cache.TakePendingWindow(9, 4), std::optional<Epoch>(6));
+}
+
+// A recovered or bootstrapped incarnation records under its own recno,
+// which can equal the interrupted fetch's: the reset must drop the
+// window that fetch left, or that recording would commit it unseen.
+TEST(FetchCacheTest, ResetAppliedDropsThePendingWindow) {
+  FetchCache cache;
+  cache.SetPendingWindow(5, /*recno=*/7, /*stable=*/11);
+  cache.ResetApplied(5, TxnIdSet{});
+  EXPECT_EQ(cache.TakePendingWindow(5, 7), std::nullopt);
 }
 
 }  // namespace

@@ -45,25 +45,36 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
   // Per peer track, walked in record order. RecordDecisions runs inside
   // the participant's reconcile.record_decisions span: its per-owner
   // multi-puts inside the dht.record.puts overlap, then the completion
-  // witness, which must follow the overlap, not ride in it.
+  // witness in its own dht.record.witness phase, which must follow the
+  // overlap, not ride in it. The witness also carries the watermark, so
+  // from the end of the epoch scan to the puts, nothing but the BFS
+  // levels may send: the fetch has no sequential tail trip.
   struct Track {
     bool open = false;              // inside a puts or level overlap
     long long open_max_recv = -1;   // latest reply inside it
     std::vector<long long> open_sends;
     bool puts_closed = false;       // inside record_decisions, puts done
     long long puts_max_recv = -1;
+    bool in_witness = false;        // inside dht.record.witness
     int witness_sends = 0;
     long long level_max_recv = -1;  // the previous BFS level's last reply
+    bool fetch_tail = false;        // past the epoch scan, before the puts
   };
   std::map<long, Track> tracks;
   int witnesses = 0;
   int chained_levels = 0;
   int parallel_puts = 0;
+  int fetch_tails = 0;
   for (const testing::ParsedEvent& e : events) {
     Track& t = tracks[e.tid];
     const bool puts = e.name == "dht.record.puts";
     const bool level = e.name == "dht.fetch.level";
     if (e.name == "dht.fetch.head") t.level_max_recv = -1;  // a new fetch
+    if (e.name == "dht.fetch.scan" && e.phase == 'E') t.fetch_tail = true;
+    if (puts && e.phase == 'B' && t.fetch_tail) {
+      t.fetch_tail = false;
+      ++fetch_tails;
+    }
     if (e.name == "reconcile.record_decisions") {
       if (e.phase == 'E' && t.puts_closed) {
         EXPECT_GT(t.witness_sends, 0)
@@ -72,6 +83,13 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
       }
       t.puts_closed = false;
       t.witness_sends = 0;
+      continue;
+    }
+    if (e.name == "dht.record.witness") {
+      EXPECT_TRUE(t.puts_closed)
+          << "peer " << e.tid << ": completion witness outside a "
+          << "recording, or before its puts";
+      t.in_witness = e.phase == 'B';
       continue;
     }
     if ((puts || level) && e.phase == 'B') {
@@ -103,9 +121,15 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
       continue;
     }
     if (e.name == "net.send") {
+      EXPECT_FALSE(t.fetch_tail && !t.open)
+          << "peer " << e.tid << ": a sequential trip between the fetch's "
+          << "last BFS level and its decision puts";
       if (t.open) {
         t.open_sends.push_back(e.ts);
       } else if (t.puts_closed) {
+        EXPECT_TRUE(t.in_witness)
+            << "peer " << e.tid << ": a send after the puts outside the "
+            << "completion witness";
         EXPECT_GE(e.ts, t.puts_max_recv)
             << "peer " << e.tid << ": completion witness sent before "
             << "every per-owner put was acknowledged";
@@ -118,6 +142,7 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
   }
   // The checks above ran on real protocol traffic.
   EXPECT_GE(witnesses, static_cast<int>(cfg.participants * cfg.rounds) / 2);
+  EXPECT_GE(fetch_tails, static_cast<int>(cfg.participants * cfg.rounds) / 2);
   EXPECT_GT(chained_levels, 0);
   EXPECT_GT(parallel_puts, 0);
 }
@@ -127,16 +152,20 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
 // sending the same lookups is charged. Five peers count less than before
 // the decided overlay skipped antecedents the peer rejected and holds:
 // messages were {577, 582, 619, 630, 509, 589, 612, 619} and bytes
-// {59866, 59657, 60159, 61212, 59593, 60845, 64359, 59916}.
+// {59866, 59657, 60159, 61212, 59593, 60845, 64359, 59916}. Every peer
+// counts less again since the completion witness carries the watermark
+// and the fetch's own watermark commit and its ack are gone: messages
+// were {572, 582, 619, 630, 507, 577, 603, 599} and bytes {59647, 59657,
+// 60159, 61212, 59437, 60235, 63821, 59012}.
 TEST(DhtOverlapTest, MessageCountsMatchStopAndWait) {
   auto cdss = Cdss::Make(TieredDhtConfig());
   ASSERT_TRUE(cdss.ok()) << cdss.status().ToString();
   auto result = (*cdss)->Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const std::vector<int64_t> kMessages = {572, 582, 619, 630,
-                                          507, 577, 603, 599};
-  const std::vector<int64_t> kBytes = {59647, 59657, 60159, 61212,
-                                       59437, 60235, 63821, 59012};
+  const std::vector<int64_t> kMessages = {542, 546, 583, 594,
+                                          489, 547, 573, 563};
+  const std::vector<int64_t> kBytes = {59023, 58889, 59391, 60444,
+                                       59101, 59611, 63197, 58244};
   std::vector<int64_t> messages;
   std::vector<int64_t> bytes;
   for (size_t i = 0; i < (*cdss)->participant_count(); ++i) {

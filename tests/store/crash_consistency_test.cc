@@ -153,10 +153,14 @@ TEST_P(CrashConsistencyTest, StickyCrashMidPublishIsReapedAndRepublishable) {
   EXPECT_EQ(drained->fetched, 0u);  // exactly once, even after the crash
 }
 
-// Satellite: decisions are recorded keyed by reconciliation number, and
-// the store exposes the last fully recorded recno. A recovery bundle
-// whose last_decided_recno trails recno pinpoints a participant that
-// crashed between fetching and recording.
+// Decisions are recorded keyed by reconciliation number, and the store
+// exposes the last fully recorded recno: a recovery bundle whose
+// last_decided_recno trails recno pinpoints a participant that crashed
+// between fetching and recording. The interrupted window's transaction
+// then reaches the peer exactly once on either store: the central store
+// advanced its watermark with the fetch and hands it back as undecided
+// in the bundle; the DHT advances its watermark only with the recorded
+// decisions, so its next fetch walks the window again.
 TEST_P(CrashConsistencyTest, LastDecidedRecnoTracksRecordedDecisions) {
   Transaction a = Txn(1, 0, {Ins("rat", "p1", "a", 1)});
   ASSERT_TRUE(store_->Publish(1, {a}).ok());
@@ -169,15 +173,56 @@ TEST_P(CrashConsistencyTest, LastDecidedRecnoTracksRecordedDecisions) {
   auto interrupted = store_->FetchRecoveryState(2);
   ASSERT_TRUE(interrupted.ok());
   EXPECT_LT(interrupted->last_decided_recno, fetch->recno);
-  EXPECT_EQ(interrupted->undecided.size(), 1u);
+  auto refetch = store_->BeginReconciliation(2);
+  ASSERT_TRUE(refetch.ok());
+  EXPECT_EQ(interrupted->undecided.size() + refetch->trusted.size(), 1u);
 
-  ASSERT_TRUE(store_->RecordDecisions(2, fetch->recno, {a.id}, {}).ok());
+  ASSERT_TRUE(store_->RecordDecisions(2, refetch->recno, {a.id}, {}).ok());
   auto recorded = store_->FetchRecoveryState(2);
   ASSERT_TRUE(recorded.ok());
-  EXPECT_EQ(recorded->last_decided_recno, fetch->recno);
+  EXPECT_EQ(recorded->last_decided_recno, refetch->recno);
   EXPECT_EQ(recorded->undecided.size(), 0u);
   ASSERT_EQ(recorded->applied.size(), 1u);
   EXPECT_EQ(recorded->applied[0].id, a.id);
+  auto drained = store_->BeginReconciliation(2);
+  ASSERT_TRUE(drained.ok());
+  EXPECT_TRUE(drained->trusted.empty());
+}
+
+// The crash window with a deferred backlog. The recovered peer re-runs
+// its backlog and records it under the recno of the fetch it never
+// recorded. That recording must not consume the window the fetch read,
+// which no incarnation decided: the window still reaches the peer, in
+// the recovery bundle (central) or in the next fetch (DHT).
+TEST_P(CrashConsistencyTest, RecoveredBacklogRunKeepsTheUnrecordedWindow) {
+  // Peers 2 and 3 give one protein different functions at the same
+  // priority: peer 1 defers both.
+  ASSERT_TRUE(P(2).ExecuteTransaction({Ins("rat", "p1", "two", 2)}).ok());
+  ASSERT_TRUE(P(2).Publish(store_.get()).ok());
+  ASSERT_TRUE(P(3).ExecuteTransaction({Ins("rat", "p1", "three", 3)}).ok());
+  ASSERT_TRUE(P(3).Publish(store_.get()).ok());
+  auto first = P(1).Reconcile(store_.get());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->deferred.size(), 2u);
+
+  // A new window, which peer 1 fetches and then crashes.
+  ASSERT_TRUE(P(2).ExecuteTransaction({Ins("rat", "p2", "new", 2)}).ok());
+  ASSERT_TRUE(P(2).Publish(store_.get()).ok());
+  auto fetch = store_->BeginReconciliation(1);
+  ASSERT_TRUE(fetch.ok());
+  ASSERT_EQ(fetch->trusted.size(), 1u);
+
+  auto recovered = Participant::RecoverFromStore(1, &catalog_, *policies_[0],
+                                                 store_.get());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Participant& peer = **recovered;
+  auto report = peer.Reconcile(store_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(peer.deferred_count(), 2u);
+  EXPECT_TRUE(InstanceHasExactly(peer.instance(), {T({"rat", "p2", "new"})}));
+  auto drained = peer.Reconcile(store_.get());
+  ASSERT_TRUE(drained.ok());
+  EXPECT_EQ(drained->fetched, 0u);  // delivered exactly once
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStores, CrashConsistencyTest,

@@ -131,6 +131,28 @@ TEST_P(StoreConformanceTest, AntecedentClosureDelivered) {
   EXPECT_TRUE(InstanceHasExactly(P(3).instance(), {T({"rat", "p1", "b"})}));
 }
 
+TEST_P(StoreConformanceTest, UntrustedRootStillShipsAsAntecedent) {
+  // Peer 9 trusts only p3. p2 inserts; p3 accepts and revises it; peer 9
+  // then reconciles once over both. The insert is an untrusted root of
+  // that window and the antecedent of the trusted revision: it must
+  // arrive, or the revision's extension cannot be computed.
+  TrustPolicy policy(9);
+  policy.TrustPeer(3, 1);
+  ASSERT_TRUE(store_->RegisterParticipant(9, &policy).ok());
+  core::Participant peer(9, &catalog_, policy);
+
+  ASSERT_TRUE(P(2).ExecuteTransaction({Ins("rat", "p1", "z", 2)}).ok());
+  ASSERT_TRUE(P(2).PublishAndReconcile(store_.get()).ok());
+  ASSERT_TRUE(P(3).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(3).ExecuteTransaction({Mod("rat", "p1", "z", "y", 3)}).ok());
+  ASSERT_TRUE(P(3).PublishAndReconcile(store_.get()).ok());
+
+  auto report = peer.Reconcile(store_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->accepted.size(), 1u);
+  EXPECT_TRUE(InstanceHasExactly(peer.instance(), {T({"rat", "p1", "y"})}));
+}
+
 TEST_P(StoreConformanceTest, DecisionsPreventRedelivery) {
   ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "mine", 1)}).ok());
   ASSERT_TRUE(P(1).PublishAndReconcile(store_.get()).ok());
