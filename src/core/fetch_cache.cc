@@ -30,13 +30,6 @@ void FetchCache::InvalidateEpoch(Epoch epoch) {
   by_epoch_.erase(it);
 }
 
-void FetchCache::InvalidateAbove(Epoch floor) {
-  for (auto it = by_epoch_.upper_bound(floor); it != by_epoch_.end();
-       it = by_epoch_.erase(it)) {
-    for (const TransactionId& id : it->second) arena_.erase(id);
-  }
-}
-
 void FetchCache::MarkDecided(ParticipantId peer, const TransactionId& id) {
   decided_[peer].insert(id);
 }
@@ -51,11 +44,6 @@ bool FetchCache::KnownDecided(ParticipantId peer,
 
 void FetchCache::ResetApplied(ParticipantId peer, TxnIdSet applied) {
   decided_[peer] = std::move(applied);
-  pending_.erase(peer);
-}
-
-void FetchCache::ForgetPeer(ParticipantId peer) {
-  decided_.erase(peer);
   pending_.erase(peer);
 }
 

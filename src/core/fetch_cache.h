@@ -25,8 +25,7 @@ namespace orchestra::core {
 ///    on every later reconciliation, keyed by (epoch, txn id). Only
 ///    transactions under a committed epoch may be admitted — residue of
 ///    an aborted publish can be overwritten by a republish and must
-///    never be cached. Epoch-keyed invalidation covers the defensive
-///    cases (reaping, recovery).
+///    never be cached.
 ///
 ///  - *per-peer* bookkeeping: the decided overlay — the ids whose fetch
 ///    lookup the peer needs nothing from — plus the peer's pending
@@ -68,9 +67,8 @@ class FetchCache {
   /// transaction's epoch is committed.
   void Admit(Transaction txn);
 
-  /// Drops every cached transaction of `epoch` / of epochs > `floor`.
+  /// Drops every cached transaction of `epoch`.
   void InvalidateEpoch(Epoch epoch);
-  void InvalidateAbove(Epoch floor);
 
   size_t arena_size() const { return arena_.size(); }
 
@@ -90,9 +88,6 @@ class FetchCache {
   /// leaves the overlay) and will record nothing against the window its
   /// predecessor fetched.
   void ResetApplied(ParticipantId peer, TxnIdSet applied);
-  /// Drops everything known about the peer (its process restarted; the
-  /// store re-learns from its own durable state).
-  void ForgetPeer(ParticipantId peer);
 
   /// Holds the window the peer's fetch `recno` consumed, up to stable
   /// epoch `stable`, replacing any earlier one.
@@ -106,7 +101,7 @@ class FetchCache {
 
  private:
   std::unordered_map<TransactionId, Transaction, TransactionIdHash> arena_;
-  /// Epoch index over the arena, driving watermark-based invalidation.
+  /// Epoch index over the arena, driving InvalidateEpoch.
   std::map<Epoch, std::vector<TransactionId>> by_epoch_;
   std::unordered_map<ParticipantId, TxnIdSet> decided_;
   struct PendingWindow {

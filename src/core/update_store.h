@@ -133,7 +133,9 @@ struct ReconcileFetch {
 struct RecoveryBundle {
   int64_t recno = 0;
   Epoch epoch = kNoEpoch;  // the peer's reconciliation watermark
-  /// Last reconciliation whose decisions were recorded in full. When
+  /// Last reconciliation whose decisions were recorded in full (the
+  /// central store: the recno of its last decision-log row, with every
+  /// id that recno's rows list checked against the decision rows). When
   /// this trails `recno`, the peer crashed between fetching
   /// reconciliation `recno` and recording its outcome; the store's
   /// decision log is complete only through `last_decided_recno`.

@@ -198,7 +198,7 @@ class Cdss {
   store::DhtStore* dht_store() { return dht_; }
   /// The central store's storage engine when StoreKind::kCentral was
   /// configured, else nullptr. Tools and tests use it to inspect the
-  /// durable tables ("prov:<peer>", "declog:<peer>") directly.
+  /// durable per-peer tables ("dec:", "declog:", "prov:") directly.
   storage::StorageEngine* engine() { return engine_.get(); }
   /// The simulated-time tracer when sim_trace is on, else nullptr.
   Tracer* sim_tracer() {

@@ -164,13 +164,6 @@ size_t StorageEngine::TableSize(std::string_view table) const {
   return table_it == tables_.end() ? 0 : table_it->second.size();
 }
 
-std::vector<std::string> StorageEngine::TableNames() const {
-  std::vector<std::string> out;
-  out.reserve(tables_.size());
-  for (const auto& [name, rows] : tables_) out.push_back(name);
-  return out;
-}
-
 Result<int64_t> StorageEngine::NextSequence(std::string_view name) {
   if (injector_ != nullptr) {
     ORCH_RETURN_IF_ERROR(injector_->MaybeFail("storage.sequence"));

@@ -59,12 +59,6 @@ class StorageEngine {
   /// Number of keys in `table`.
   size_t TableSize(std::string_view table) const;
 
-  /// Names of every (non-empty or previously written) table, in name
-  /// order. Diagnostic — tools use it to discover per-peer table
-  /// families ("prov:<peer>", "declog:<peer>") without knowing the peer
-  /// set.
-  std::vector<std::string> TableNames() const;
-
   /// Returns the next value of the named sequence (1, 2, 3, ...). The
   /// allocation is durable before it is returned.
   Result<int64_t> NextSequence(std::string_view name);
@@ -92,7 +86,8 @@ class StorageEngine {
   /// Accounting from the recovery replay (zero-valued for in-memory
   /// engines). A nonzero skipped_regions means recovered state has a
   /// gap; stores with completeness witnesses (the central store's
-  /// decision-log marker) cross-check and surface kDataLoss.
+  /// decision-log rows, each listing one recording's ids) cross-check
+  /// and surface kDataLoss.
   const WriteAheadLog::ReplayStats& replay_stats() const {
     return replay_stats_;
   }

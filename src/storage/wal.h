@@ -24,8 +24,8 @@ namespace orchestra::storage {
 ///   - a corrupted record *mid-log* is skipped by scanning forward to
 ///     the next envelope magic, with the skip counted in ReplayStats —
 ///     replay itself stays available, and callers that cannot tolerate
-///     a gap (e.g. the central store's decision-log marker cross-check)
-///     turn a nonzero skip count into a typed kDataLoss error.
+///     a gap (e.g. the central store's check of its decision-log rows
+///     against the decision rows) turn the gap into a typed kDataLoss.
 class WriteAheadLog {
  public:
   /// Outcome accounting for one Replay pass.

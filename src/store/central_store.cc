@@ -43,6 +43,15 @@ std::string CentralStore::EpochKey(Epoch epoch) {
   return buf;
 }
 
+std::string CentralStore::FreeRecordingKey(const std::string& table,
+                                           int64_t recno) const {
+  char buf[48];
+  for (int64_t n = 0;; ++n) {
+    std::snprintf(buf, sizeof(buf), "%016" PRId64 ":%06" PRId64, recno, n);
+    if (!engine_->Contains(table, buf)) return buf;
+  }
+}
+
 TransactionId CentralStore::ParseTxnKey(const std::string& key) {
   // TxnKey is "%010u:%016u" — fixed-width decimal, ':' at offset 10.
   TransactionId id;
@@ -71,6 +80,9 @@ namespace {
 /// row is rotten beyond what redundancy can fix — vanishingly unlikely
 /// under any realistic corruption probability.
 constexpr int kRowReadAttempts = 4;
+/// A declog entry: the verdict byte, then the fixed-width TxnKey.
+constexpr size_t kTxnKeySize = 27;
+constexpr size_t kDeclogEntrySize = 1 + kTxnKeySize;
 }  // namespace
 
 Result<std::string> CentralStore::ReadTxnBlob(
@@ -408,11 +420,9 @@ Result<ReconcileFetch> CentralStore::Fetch(ParticipantId peer,
   fetch.stats.decoded =
       reference() ? decoded : after.misses - cache_before.misses;
 
-  // Record the reconciliation and advance the peer's epoch watermark
-  // only now that the fetch is assembled: a failure anywhere above must
-  // not move the watermark, or the window (prev, stable] would be lost.
-  ORCH_RETURN_IF_ERROR(engine_->Put("recons:" + std::to_string(peer),
-                                    EpochKey(fetch.recno), EpochKey(stable)));
+  // Advance the peer's epoch watermark only now that the fetch is
+  // assembled: a failure anywhere above must not move the watermark, or
+  // the window (prev, stable] would be lost.
   ORCH_RETURN_IF_ERROR(
       engine_->Put("peers", std::to_string(peer), EpochKey(stable)));
 
@@ -459,27 +469,27 @@ Status CentralStore::RecordDecisions(
   decisions.Add(static_cast<int64_t>(applied.size() + rejected.size()));
   Stopwatch cpu;
   const std::string dec_table = "dec:" + std::to_string(peer);
+  std::string entries;
+  entries.reserve((applied.size() + rejected.size()) * kDeclogEntrySize);
+  for (const auto& [ids, verdict] :
+       {std::pair{&applied, "A"}, std::pair{&rejected, "R"}}) {
+    for (const TransactionId& id : *ids) {
+      const std::string key = TxnKey(id);
+      ORCH_RETURN_IF_ERROR(engine_->Put(dec_table, key, verdict));
+      entries += verdict;
+      entries += key;
+    }
+  }
+  // Written last, as one enveloped row: the witness that this call
+  // recorded all of its decisions. Recovery reads the last row's recno
+  // to detect an interrupted reconciliation, and checks each id it lists
+  // against the point rows to detect decisions lost to a corrupt WAL
+  // region (replay skips the bad region and keeps the intact row).
   const std::string log_table = "declog:" + std::to_string(peer);
-  for (const TransactionId& id : applied) {
-    ORCH_RETURN_IF_ERROR(engine_->Put(dec_table, TxnKey(id), "A"));
-    ORCH_RETURN_IF_ERROR(
-        engine_->Put(log_table, EpochKey(recno) + ":" + TxnKey(id), "A"));
-  }
-  for (const TransactionId& id : rejected) {
-    ORCH_RETURN_IF_ERROR(engine_->Put(dec_table, TxnKey(id), "R"));
-    ORCH_RETURN_IF_ERROR(
-        engine_->Put(log_table, EpochKey(recno) + ":" + TxnKey(id), "R"));
-  }
-  // Written last: this marker is the witness that reconciliation `recno`
-  // recorded all of its decisions. Recovery compares it against the
-  // recno sequence to detect an interrupted reconciliation, and against
-  // the decision count appended here to detect declog rows lost to a
-  // corrupt WAL region (replay skips the bad region; without the count
-  // the marker would vouch for decisions that no longer exist).
-  ORCH_RETURN_IF_ERROR(engine_->Put(
-      "decmeta:" + std::to_string(peer), "last_recno",
-      EpochKey(recno) + ":" +
-          std::to_string(applied.size() + rejected.size())));
+  std::string row;
+  db::WrapEnvelope(&row, entries);
+  ORCH_RETURN_IF_ERROR(
+      engine_->Put(log_table, FreeRecordingKey(log_table, recno), row));
   ORCH_RETURN_IF_ERROR(engine_->Sync());
   // Only now — past the sync — are the decisions durable enough for the
   // suppression overlay. The peer holds every id it rejects (each came
@@ -505,25 +515,19 @@ Status CentralStore::RecordProvenance(
   static Counter& drops =
       MetricsRegistry::Global().GetCounter("store.central.provenance_drops");
   Stopwatch cpu;
-  // Provenance is advisory (see UpdateStore::RecordProvenance): rows that
-  // fail to land are counted and dropped, never surfaced as a failed
-  // reconciliation. The rows ride the RecordDecisions batch — no extra
-  // sync or network charge — so a crash can lose the explanation while
-  // keeping the decision, which is the intended asymmetry.
+  // Provenance is advisory (see UpdateStore::RecordProvenance): a row
+  // that fails to land is counted and dropped, never surfaced as a
+  // failed reconciliation. The row rides the RecordDecisions batch — no
+  // extra sync or network charge — so a crash can lose the explanation
+  // while keeping the decision, which is the intended asymmetry.
   const std::string prov_table = "prov:" + std::to_string(peer);
-  char idx[24];
-  for (size_t i = 0; i < records.size(); ++i) {
-    std::snprintf(idx, sizeof(idx), "%06zu", i);
-    std::string blob;
-    db::WrapEnvelope(&blob, records[i].ToJson());
-    Status put =
-        engine_->Put(prov_table, EpochKey(recno) + ":" + idx, blob);
-    if (!put.ok()) {
-      drops.Add(static_cast<int64_t>(records.size() - i));
-      break;
-    }
-    stored.Increment();
-  }
+  std::string row;
+  db::WrapEnvelope(&row, core::ToJsonLines(records));
+  Counter& outcome =
+      engine_->Put(prov_table, FreeRecordingKey(prov_table, recno), row).ok()
+          ? stored
+          : drops;
+  outcome.Add(static_cast<int64_t>(records.size()));
   cpu_micros_[peer] += cpu.ElapsedMicros();
   return Status::OK();
 }
@@ -542,49 +546,51 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
   ORCH_ASSIGN_OR_RETURN(std::string watermark,
                         engine_->Get("peers", std::to_string(peer)));
   bundle.epoch = std::strtoll(watermark.c_str(), nullptr, 10);
-  // Last reconciliation whose decisions were recorded in full. A value
-  // below bundle.recno means the peer crashed between fetching a
-  // reconciliation and recording its outcome.
-  auto last_recno = engine_->Get("decmeta:" + std::to_string(peer),
-                                 "last_recno");
-  if (last_recno.ok()) {
-    // The marker is "recno:count"; strtoll stops at the ':'.
-    const size_t sep = last_recno->find(':');
-    if (sep == std::string::npos) {
-      return Status::Corruption("decision marker for peer " +
-                                std::to_string(peer) + " lacks its count: \"" +
-                                *last_recno + "\"");
+  // Last reconciliation whose decisions were recorded in full: the recno
+  // of the last declog row. A value below bundle.recno means the peer
+  // crashed between fetching a reconciliation and recording its outcome.
+  // Every id that recno's rows list must still have its dec: row: replay
+  // of a corrupt WAL region can drop decision Puts while the log row
+  // (written later, in an intact record) survives, and resuming from it
+  // would treat lost decisions as recorded. Only presence is checked: a
+  // later Bootstrap legitimately replaces a rejection with the source's
+  // accept.
+  const std::string dec_table = "dec:" + std::to_string(peer);
+  const auto log = engine_->ScanRange("declog:" + std::to_string(peer), "", "");
+  if (!log.empty()) {
+    bundle.last_decided_recno =
+        std::strtoll(log.back().first.c_str(), nullptr, 10);
+  }
+  const std::string prefix = EpochKey(bundle.last_decided_recno) + ":";
+  int64_t listed = 0;
+  int64_t lost = 0;
+  for (auto row = log.rbegin();
+       row != log.rend() && row->first.rfind(prefix, 0) == 0; ++row) {
+    auto entries = db::UnwrapEnvelope(row->second);
+    if (!entries.ok() || entries->size() % kDeclogEntrySize != 0) {
+      return Status::DataLoss("decision log row " + row->first + " of peer " +
+                              std::to_string(peer) + " failed verification");
     }
-    bundle.last_decided_recno = std::strtoll(last_recno->c_str(), nullptr, 10);
-    if (bundle.last_decided_recno > 0) {
-      // Cross-check the marker's decision count against the declog rows
-      // that actually survived. Replay of a corrupt WAL region can drop
-      // decision Puts while the marker (written later, in an intact
-      // record) survives — silently resuming from such a marker would
-      // re-run reconciliation `last_decided_recno` as if it were
-      // decided. Surface the shortfall as typed data loss instead.
-      const int64_t expected =
-          std::strtoll(last_recno->c_str() + sep + 1, nullptr, 10);
-      const int64_t found = static_cast<int64_t>(
-          engine_->ScanPrefix("declog:" + std::to_string(peer),
-                              EpochKey(bundle.last_decided_recno) + ":")
-              .size());
-      if (found < expected) {
-        return Status::DataLoss(
-            "decision log for peer " + std::to_string(peer) +
-            " reconciliation " + std::to_string(bundle.last_decided_recno) +
-            " lost " + std::to_string(expected - found) + " of " +
-            std::to_string(expected) +
-            " recorded decisions (corrupt WAL region dropped on replay)");
+    for (size_t at = 0; at < entries->size(); at += kDeclogEntrySize) {
+      ++listed;
+      if (!engine_->Contains(dec_table, entries->substr(at + 1, kTxnKeySize))) {
+        ++lost;
       }
     }
+  }
+  if (lost > 0) {
+    return Status::DataLoss(
+        "decision log for peer " + std::to_string(peer) + " reconciliation " +
+        std::to_string(bundle.last_decided_recno) + " lost " +
+        std::to_string(lost) + " of " + std::to_string(listed) +
+        " recorded decisions (corrupt WAL region dropped on replay)");
   }
 
   // Recorded decisions. Rejected rows need only the id, which the key
   // itself encodes; applied rows load through the arena.
   int64_t bytes = 0;
   for (const auto& [txn_key, decision] :
-       engine_->ScanRange("dec:" + std::to_string(peer), "", "")) {
+       engine_->ScanRange(dec_table, "", "")) {
     const TransactionId id = ParseTxnKey(txn_key);
     if (decision == "A") {
       ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));

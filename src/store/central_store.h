@@ -25,12 +25,16 @@ namespace orchestra::store {
 ///   txn        txn-key -> enveloped encoded Transaction
 ///   epochs     epoch   -> "open"/"done"/"aborted"
 ///   epoch_txns epoch:txn-key -> ""
-///   dec:<p>    txn-key -> "A" | "R"     (peer p's recorded decisions)
-///   declog:<p> recno:txn-key -> "A"|"R" (decisions keyed by recno, §5.2.1)
-///   decmeta:<p> "last_recno" -> recno:count
-///              (last *fully* recorded recno and its decision count)
-///   recons:<p> recno -> epoch           (peer p's reconciliation log)
+///   dec:<p>    txn-key -> "A" | "R"     (peer p's verdicts, point lookups)
+///   declog:<p> recno:n -> enveloped ("A"|"R" txn-key)*
+///              (one row per RecordDecisions call, §5.2.1: the witness
+///              that the call's decisions were recorded in full)
+///   prov:<p>   recno:n -> enveloped provenance JSONL
+///              (one row per RecordProvenance call)
 ///   peers      peer -> last reconciliation epoch
+/// `n` is the first free suffix under `recno`, so a second recording
+/// under one recno (a user resolution, a recovered backlog run) lands
+/// beside the first and never overwrites it.
 /// Sequences: "epoch", "recno:<p>".
 ///
 /// Publishing is stage-then-commit: the whole batch is validated and
@@ -111,6 +115,8 @@ class CentralStore : public core::UpdateStore,
   /// Order-preserving key for a transaction.
   static std::string TxnKey(const core::TransactionId& id);
   static std::string EpochKey(core::Epoch epoch);
+  /// `recno:n` for the first `n` with no row yet under `recno` in `table`.
+  std::string FreeRecordingKey(const std::string& table, int64_t recno) const;
   /// Inverse of TxnKey (the key format is fixed-width decimal).
   static core::TransactionId ParseTxnKey(const std::string& key);
 

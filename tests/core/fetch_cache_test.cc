@@ -47,18 +47,6 @@ TEST(FetchCacheTest, InvalidateEpochDropsOnlyThatEpoch) {
   EXPECT_EQ(cache.Lookup({2, 1}), nullptr);
 }
 
-TEST(FetchCacheTest, InvalidateAboveDropsEverythingPastTheFloor) {
-  FetchCache cache;
-  cache.Admit(MakeTxn(1, 1, 2));
-  cache.Admit(MakeTxn(1, 2, 3));
-  cache.Admit(MakeTxn(1, 3, 5));
-  cache.InvalidateAbove(3);
-  EXPECT_EQ(cache.arena_size(), 2u);
-  EXPECT_NE(cache.Lookup({1, 1}), nullptr);
-  EXPECT_NE(cache.Lookup({1, 2}), nullptr);
-  EXPECT_EQ(cache.Lookup({1, 3}), nullptr);
-}
-
 TEST(FetchCacheTest, AppliedSetsArePerPeer) {
   FetchCache cache;
   const TransactionId id{3, 9};
@@ -118,18 +106,6 @@ TEST(FetchCacheTest, ResetAppliedDropsRejectedIds) {
   cache.ResetApplied(1, std::move(authoritative));
   EXPECT_FALSE(cache.KnownDecided(1, rejected));
   EXPECT_TRUE(cache.KnownDecided(1, applied));
-}
-
-TEST(FetchCacheTest, ForgetPeerDropsOverlayAndPendingWindow) {
-  FetchCache cache;
-  cache.MarkDecided(4, {1, 1});  // applied
-  cache.MarkDecided(4, {2, 7});  // rejected and held
-  cache.SetPendingWindow(4, /*recno=*/3, /*stable=*/12);
-
-  cache.ForgetPeer(4);
-  EXPECT_FALSE(cache.KnownDecided(4, {1, 1}));
-  EXPECT_FALSE(cache.KnownDecided(4, {2, 7}));
-  EXPECT_EQ(cache.TakePendingWindow(4, 3), std::nullopt);
 }
 
 // The window is committed at most once, and only by the recording of

@@ -162,6 +162,31 @@ TEST_P(BootstrapTest, UnregisteredPeersFail) {
   EXPECT_FALSE(store_->Bootstrap(4, 99).ok());
 }
 
+// Bootstrapping a peer over its own history adopts the source's
+// accepts, including one the peer itself had rejected: the adopted
+// verdict replaces the rejection, which is not a lost decision, so the
+// peer still recovers.
+TEST_P(BootstrapTest, BootstrapOverARejectionStillRecovers) {
+  ASSERT_TRUE(P(1).ExecuteTransaction({Ins("rat", "p1", "one", 1)}).ok());
+  ASSERT_TRUE(P(1).Publish(store_.get()).ok());
+  ASSERT_TRUE(P(2).ExecuteTransaction({Ins("rat", "p1", "two", 2)}).ok());
+  ASSERT_TRUE(P(2).Publish(store_.get()).ok());
+  // Peer 3 defers the two clashing inserts, then rejects both; peer 1,
+  // its bootstrap source, has applied its own.
+  ASSERT_TRUE(P(3).Reconcile(store_.get()).ok());
+  ASSERT_EQ(P(3).deferred_count(), 2u);
+  ASSERT_TRUE(P(3).ResolveConflict(store_.get(), 0, std::nullopt).ok());
+  ASSERT_EQ(P(3).rejected_count(), 2u);
+
+  auto fresh = Participant::BootstrapFrom(3, &catalog_, PolicyFor(3),
+                                          store_.get(), 1);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto recovered =
+      Participant::RecoverFromStore(3, &catalog_, PolicyFor(3), store_.get());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE((*recovered)->instance() == (*fresh)->instance());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStores, BootstrapTest,
                          ::testing::Values(Kind::kCentral, Kind::kDht),
                          [](const ::testing::TestParamInfo<Kind>& info) {

@@ -1,11 +1,14 @@
 // Crash consistency under injected faults: atomic (stage-then-commit)
 // publishing, stuck-epoch reaping, republish of aborted epochs, WAL
-// replay after a faulted run, and the recno-keyed decision log that
-// lets recovery distinguish an interrupted reconciliation. The failure
-// model is the fault injector's: transient faults (one lost call) and
-// sticky faults (a crashed process whose cleanup never runs).
+// replay after a faulted run, the recno-keyed decision log that lets
+// recovery distinguish an interrupted reconciliation, and recovery from
+// every crash point of one reconciliation. The failure model is the
+// fault injector's: transient faults (one lost call) and sticky faults
+// (a crashed process whose cleanup never runs).
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <unistd.h>
@@ -26,7 +29,9 @@ using core::Participant;
 using core::ParticipantId;
 using core::ReconcileRetryOptions;
 using core::Transaction;
+using core::TransactionId;
 using core::TrustPolicy;
+using core::TxnIdSet;
 using orchestra::testing::Ins;
 using orchestra::testing::InstanceHasExactly;
 using orchestra::testing::MakeProteinCatalog;
@@ -306,6 +311,164 @@ TEST(WalCrashConsistencyTest, FaultedRunSurvivesWalReplay) {
   EXPECT_EQ((*recovered)->instance().TotalTuples(),
             bob.instance().TotalTuples());
   std::remove(wal_path.c_str());
+}
+
+/// A WAL-backed central confederation of peers 1..3, each trusting the
+/// others at priority 1. Peer 1 has reconciled once, deferring a
+/// two-way conflict; a second window then brings it one transaction to
+/// accept and one to reject.
+struct WalWorld {
+  explicit WalWorld(const std::string& tag)
+      : catalog(MakeProteinCatalog()),
+        wal_path((std::filesystem::temp_directory_path() /
+                  ("recording_crash_" + std::to_string(::getpid()) + "_" +
+                   tag + ".wal"))
+                     .string()) {
+    std::remove(wal_path.c_str());
+    for (ParticipantId id = 1; id <= 3; ++id) {
+      auto policy = std::make_unique<TrustPolicy>(id);
+      for (ParticipantId other = 1; other <= 3; ++other) {
+        if (other != id) policy->TrustPeer(other, 1);
+      }
+      peers.push_back(std::make_unique<Participant>(id, &catalog, *policy));
+      policies.push_back(std::move(policy));
+    }
+    OpenStore();
+    Publish(2, Ins("rat", "p1", "two", 2));
+    Publish(3, Ins("rat", "p1", "three", 3));
+    Publish(2, Ins("rat", "p2", "x", 2));
+    ORCH_CHECK(P(1).Reconcile(store.get()).ok());
+    Publish(2, Ins("rat", "p3", "y", 2));
+    Publish(3, Ins("rat", "p2", "other", 3));  // clashes with applied x
+  }
+  ~WalWorld() {
+    store.reset();
+    engine.reset();
+    std::remove(wal_path.c_str());
+  }
+
+  Participant& P(ParticipantId id) { return *peers[id - 1]; }
+
+  void Publish(ParticipantId id, core::Update update) {
+    ORCH_CHECK(P(id).ExecuteTransaction({std::move(update)}).ok());
+    ORCH_CHECK(P(id).Publish(store.get()).ok());
+  }
+
+  /// (Re)opens the engine from the WAL and a store over it, first
+  /// dropping any open ones as a crash of the store process does.
+  void OpenStore() {
+    store.reset();
+    engine.reset();
+    auto reopened = storage::StorageEngine::OpenDurable(wal_path);
+    ORCH_CHECK(reopened.ok(), "%s", reopened.status().ToString().c_str());
+    engine = std::move(*reopened);
+    engine->set_fault_injector(&injector);
+    store = std::make_unique<CentralStore>(engine.get(), &network);
+    for (const auto& policy : policies) {
+      ORCH_CHECK(store->RegisterParticipant(policy->self(), policy.get()).ok());
+    }
+  }
+
+  db::Catalog catalog;
+  const std::string wal_path;
+  net::SimNetwork network;
+  FaultInjector injector;
+  std::unique_ptr<storage::StorageEngine> engine;
+  std::unique_ptr<CentralStore> store;
+  std::vector<std::unique_ptr<TrustPolicy>> policies;
+  std::vector<std::unique_ptr<Participant>> peers;
+};
+
+/// The ids peer `peer` durably applied, read from its "dec:" rows.
+TxnIdSet DurablyApplied(const storage::StorageEngine& engine,
+                        ParticipantId peer) {
+  TxnIdSet applied;
+  for (const auto& [key, verdict] :
+       engine.ScanPrefix("dec:" + std::to_string(peer), "")) {
+    if (verdict != "A") continue;
+    TransactionId id;
+    ORCH_CHECK(std::sscanf(key.c_str(), "%10u:%16" SCNu64, &id.origin,
+                           &id.seq) == 2,
+               "%s", key.c_str());
+    applied.insert(id);
+  }
+  return applied;
+}
+
+/// Reconciles until a round fetches nothing new.
+void Drain(Participant& peer, core::UpdateStore* store) {
+  for (int round = 0; round < 4; ++round) {
+    auto report = peer.Reconcile(store);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    if (report->fetched == 0) return;
+  }
+  FAIL() << "peer " << peer.id() << " did not drain";
+}
+
+// Every crash point of one reconciliation on the WAL-backed central
+// store. A fault-free twin counts the storage calls peer 1's second
+// Reconcile makes (its fetch's, then its recording's: the decision
+// rows, the decision-log row, the sync and the provenance row). Then,
+// for each call i, a fresh world crashes there (a sticky fault: nothing
+// after it lands), the store restarts from its WAL and the peer
+// recovers through Participant::RecoverFromStore.
+TEST(WalCrashConsistencyTest, EveryCrashPointOfOneReconciliationRecovers) {
+  WalWorld twin("twin");
+  FaultInjectorConfig counting;
+  counting.site_prefix = "storage.";
+  counting.fail_at_call = int64_t{1} << 40;  // arms the count, never fires
+  twin.injector.Configure(counting);
+  auto target = twin.P(1).Reconcile(twin.store.get());
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  const int64_t calls = twin.injector.calls();
+  twin.injector.Configure(FaultInjectorConfig{});
+  ASSERT_EQ(target->accepted.size(), 1u);
+  ASSERT_EQ(target->rejected.size(), 1u);
+  ASSERT_EQ(twin.P(1).deferred_count(), 2u);
+  Drain(twin.P(1), twin.store.get());
+  const int64_t prev_recno = target->recno - 1;
+
+  bool crashed_before_log = false;
+  bool crashed_after_log = false;
+  for (int64_t i = 1; i <= calls; ++i) {
+    SCOPED_TRACE("crash at storage call " + std::to_string(i) + " of " +
+                 std::to_string(calls));
+    WalWorld w(std::to_string(i));
+    FaultInjectorConfig crash = counting;
+    crash.fail_at_call = i;
+    crash.sticky = true;
+    w.injector.Configure(crash);
+    auto crashed = w.P(1).Reconcile(w.store.get());
+    EXPECT_TRUE(crashed.ok() ||
+                crashed.status().code() == StatusCode::kUnavailable)
+        << crashed.status().ToString();
+    ASSERT_GT(w.injector.injected(), 0);
+    w.injector.Configure(FaultInjectorConfig{});
+    w.OpenStore();
+
+    auto bundle = w.store->FetchRecoveryState(1);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    EXPECT_TRUE(bundle->last_decided_recno == prev_recno ||
+                bundle->last_decided_recno == target->recno)
+        << bundle->last_decided_recno;
+    crashed_before_log |= bundle->last_decided_recno == prev_recno;
+    crashed_after_log |= bundle->last_decided_recno == target->recno;
+
+    auto recovered = Participant::RecoverFromStore(1, &w.catalog,
+                                                   *w.policies[0],
+                                                   w.store.get());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    Participant& peer = **recovered;
+    EXPECT_EQ(peer.applied(), DurablyApplied(*w.engine, 1));
+    Drain(peer, w.store.get());
+    EXPECT_TRUE(peer.instance() == twin.P(1).instance());
+    EXPECT_EQ(peer.applied(), twin.P(1).applied());
+    EXPECT_EQ(peer.rejected(), twin.P(1).rejected());
+    EXPECT_EQ(peer.deferred_count(), twin.P(1).deferred_count());
+  }
+  // The sweep reached both sides of the recording's witness row.
+  EXPECT_TRUE(crashed_before_log);
+  EXPECT_TRUE(crashed_after_log);
 }
 
 }  // namespace

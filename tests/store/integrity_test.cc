@@ -1,9 +1,8 @@
 // End-to-end integrity in the stores: the DHT's verified group reads
 // (failover past corrupt replicas, read-repair, quarantine of repeat
 // rot-servers, scrub), the central store's re-read of checksum-failed
-// rows, and the typed errors a damaged decision log surfaces on
-// recovery (kDataLoss for lost rows, kCorruption for a malformed
-// marker).
+// rows, and the typed kDataLoss a damaged decision log surfaces on
+// recovery (a lost decision row, or a log row that fails its envelope).
 //
 // Corruption is injected through the deterministic fault injector; where
 // a test needs a *partial* rot pattern (some replicas corrupt, some
@@ -420,9 +419,9 @@ INSTANTIATE_TEST_SUITE_P(
       return "Unknown";
     });
 
-// Satellite (a): replay of a WAL whose corrupt region swallowed decision
-// log rows must surface typed data loss on recovery, not silently
-// resume from a marker that vouches for decisions that no longer exist.
+// Replay of a WAL whose corrupt region swallowed a decision row must
+// surface typed data loss on recovery, not silently resume from a log
+// row that vouches for decisions that no longer exist.
 TEST(CentralDeclogIntegrityTest, TruncatedDecisionLogIsTypedDataLoss) {
   db::Catalog catalog = MakeProteinCatalog();
   net::SimNetwork network;
@@ -455,10 +454,10 @@ TEST(CentralDeclogIntegrityTest, TruncatedDecisionLogIsTypedDataLoss) {
     ASSERT_TRUE(store.FetchRecoveryState(2).ok());
   }
 
-  // Flip a bit inside the first declog Put record. Replay detects the
-  // broken envelope, skips the region, and resyncs at the next record —
-  // the decision row is gone but the decmeta marker (written later, in
-  // an intact record) survives.
+  // Flip a bit inside the first dec:2 Put record (a's verdict). Replay
+  // detects the broken envelope, skips the region, and resyncs at the
+  // next record — a's point row is gone but the declog row (written
+  // later, in an intact record) still lists it.
   std::string contents;
   {
     std::ifstream in(wal_path, std::ios::binary);
@@ -466,7 +465,7 @@ TEST(CentralDeclogIntegrityTest, TruncatedDecisionLogIsTypedDataLoss) {
     contents.assign(std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>());
   }
-  const size_t at = contents.find("declog:2");
+  const size_t at = contents.find("dec:2");
   ASSERT_NE(at, std::string::npos);
   contents[at] ^= 0x01;
   {
@@ -488,10 +487,10 @@ TEST(CentralDeclogIntegrityTest, TruncatedDecisionLogIsTypedDataLoss) {
   std::remove(wal_path.c_str());
 }
 
-// The decision marker has one format, "recno:count". A marker without
-// its count cannot be cross-checked against the decision log, so
-// recovery refuses it as corruption instead of trusting it unchecked.
-TEST(CentralDeclogIntegrityTest, MarkerWithoutCountIsTypedCorruption) {
+// A declog row is the one witness of its recording, so a row whose
+// envelope fails cannot vouch for anything: recovery refuses it as
+// typed data loss instead of trusting or skipping it.
+TEST(CentralDeclogIntegrityTest, DeclogRowWithBrokenEnvelopeIsTypedDataLoss) {
   net::SimNetwork network;
   auto engine = storage::StorageEngine::InMemory();
   CentralStore store(engine.get(), &network);
@@ -508,17 +507,16 @@ TEST(CentralDeclogIntegrityTest, MarkerWithoutCountIsTypedCorruption) {
   ASSERT_TRUE(store.RecordDecisions(2, fetch->recno, {a.id}, {}).ok());
   ASSERT_TRUE(store.FetchRecoveryState(2).ok());
 
-  // Strip the count: keep only the recno in front of the ':'.
-  auto marker = engine->Get("decmeta:2", "last_recno");
-  ASSERT_TRUE(marker.ok());
-  const size_t sep = marker->find(':');
-  ASSERT_NE(sep, std::string::npos) << *marker;
-  ASSERT_TRUE(engine->Put("decmeta:2", "last_recno", marker->substr(0, sep))
-                  .ok());
+  // Rot the last byte of the one row: the payload, not the frame header.
+  auto rows = engine->ScanPrefix("declog:2", "");
+  ASSERT_EQ(rows.size(), 1u);
+  std::string rotten = rows[0].second;
+  rotten.back() ^= 0x01;
+  ASSERT_TRUE(engine->Put("declog:2", rows[0].first, rotten).ok());
 
   auto bundle = store.FetchRecoveryState(2);
   ASSERT_FALSE(bundle.ok());
-  EXPECT_EQ(bundle.status().code(), StatusCode::kCorruption)
+  EXPECT_EQ(bundle.status().code(), StatusCode::kDataLoss)
       << bundle.status().ToString();
 }
 

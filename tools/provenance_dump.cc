@@ -6,10 +6,11 @@
 //   out.jsonl defaults to stdout. The summary goes to stderr so the
 //   JSONL stream stays machine-readable.
 //
-// For the central store the tool also re-reads the durable "prov:<peer>"
-// tables, verifies every row's CRC envelope, and checks the payloads
-// match what the participants recorded — a round-trip audit of the
-// persistence path.
+// For the central store the tool also re-reads each peer's durable
+// "prov:<peer>" table, verifies every row's CRC envelope, and checks
+// that the payloads, concatenated in key order, equal that peer's
+// in-memory log byte for byte — a round-trip audit of the persistence
+// path that also catches lost or overwritten rows.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -54,11 +55,13 @@ int main(int argc, char** argv) {
 
   // Participant logs, in peer order then record order — the canonical
   // deterministic serialization (also what the determinism test diffs).
+  std::vector<std::string> peer_jsonl;
   std::string jsonl;
   size_t records = 0;
   for (size_t i = 0; i < (*cdss)->participant_count(); ++i) {
     const auto& log = (*cdss)->participant(i).provenance_log();
-    jsonl += core::ToJsonLines(log);
+    peer_jsonl.push_back(core::ToJsonLines(log));
+    jsonl += peer_jsonl.back();
     records += log.size();
   }
 
@@ -82,17 +85,22 @@ int main(int argc, char** argv) {
   if (storage::StorageEngine* engine = (*cdss)->engine(); engine != nullptr) {
     size_t rows = 0;
     size_t bad = 0;
-    for (const std::string& table : engine->TableNames()) {
-      if (table.rfind("prov:", 0) != 0) continue;
-      for (const auto& [key, value] : engine->ScanPrefix(table, "")) {
+    for (size_t i = 0; i < peer_jsonl.size(); ++i) {
+      const core::ParticipantId peer = (*cdss)->participant(i).id();
+      // A row that fails verification adds nothing, so the peer's
+      // concatenation then differs from its log.
+      std::string stored;
+      for (const auto& [key, value] :
+           engine->ScanPrefix("prov:" + std::to_string(peer), "")) {
         ++rows;
         auto payload = db::UnwrapEnvelope(value);
-        if (!payload.ok() || jsonl.find(*payload) == std::string::npos) ++bad;
+        if (payload.ok()) stored += *payload;
       }
+      if (stored != peer_jsonl[i]) ++bad;
     }
     std::fprintf(stderr,
-                 "durable audit: %zu enveloped rows, %zu failed "
-                 "verification or diverged from the in-memory log\n",
+                 "durable audit: %zu enveloped rows, %zu peers whose rows "
+                 "failed verification or differ from the in-memory log\n",
                  rows, bad);
     if (bad != 0) return 1;
   }
