@@ -1,7 +1,5 @@
 #include "core/fetch_cache.h"
 
-#include <algorithm>
-
 namespace orchestra::core {
 
 const Transaction* FetchCache::Lookup(const TransactionId& id) const {
@@ -16,18 +14,7 @@ const Transaction* FetchCache::Lookup(const TransactionId& id) const {
 
 void FetchCache::Admit(Transaction txn) {
   const TransactionId id = txn.id;
-  const Epoch epoch = txn.epoch;
-  auto [it, inserted] = arena_.emplace(id, std::move(txn));
-  if (!inserted) return;
-  by_epoch_[epoch].push_back(id);
-  ++stats_.admitted;
-}
-
-void FetchCache::InvalidateEpoch(Epoch epoch) {
-  auto it = by_epoch_.find(epoch);
-  if (it == by_epoch_.end()) return;
-  for (const TransactionId& id : it->second) arena_.erase(id);
-  by_epoch_.erase(it);
+  if (arena_.emplace(id, std::move(txn)).second) ++stats_.admitted;
 }
 
 void FetchCache::MarkDecided(ParticipantId peer, const TransactionId& id) {

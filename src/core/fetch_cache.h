@@ -2,10 +2,8 @@
 #define ORCHESTRA_CORE_FETCH_CACHE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "core/extension.h"
 #include "core/ids.h"
@@ -67,9 +65,6 @@ class FetchCache {
   /// transaction's epoch is committed.
   void Admit(Transaction txn);
 
-  /// Drops every cached transaction of `epoch`.
-  void InvalidateEpoch(Epoch epoch);
-
   size_t arena_size() const { return arena_.size(); }
 
   /// --- Per-peer decided overlays and pending windows ----------------
@@ -101,8 +96,6 @@ class FetchCache {
 
  private:
   std::unordered_map<TransactionId, Transaction, TransactionIdHash> arena_;
-  /// Epoch index over the arena, driving InvalidateEpoch.
-  std::map<Epoch, std::vector<TransactionId>> by_epoch_;
   std::unordered_map<ParticipantId, TxnIdSet> decided_;
   struct PendingWindow {
     int64_t recno = 0;

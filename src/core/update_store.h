@@ -22,7 +22,12 @@ namespace orchestra::core {
 /// store-side computation. Together they make up the "Store Time" bars
 /// of the paper's Figures 10 and 12.
 struct StoreStats {
+  /// Simulated time the peer waited on the store's network: overlapped
+  /// sends cost their slowest lane (net::NetStats::micros).
   int64_t sim_network_micros = 0;
+  /// The same messages charged stop-and-wait: the plain sum of their
+  /// costs (net::NetStats::wire_micros).
+  int64_t wire_micros = 0;
   int64_t store_cpu_micros = 0;
   int64_t messages = 0;
   int64_t bytes = 0;
@@ -34,6 +39,7 @@ struct StoreStats {
 
   friend StoreStats operator-(StoreStats a, const StoreStats& b) {
     a.sim_network_micros -= b.sim_network_micros;
+    a.wire_micros -= b.wire_micros;
     a.store_cpu_micros -= b.store_cpu_micros;
     a.messages -= b.messages;
     a.bytes -= b.bytes;
@@ -42,6 +48,7 @@ struct StoreStats {
   }
   friend StoreStats operator+(StoreStats a, const StoreStats& b) {
     a.sim_network_micros += b.sim_network_micros;
+    a.wire_micros += b.wire_micros;
     a.store_cpu_micros += b.store_cpu_micros;
     a.messages += b.messages;
     a.bytes += b.bytes;
@@ -133,12 +140,16 @@ struct ReconcileFetch {
 struct RecoveryBundle {
   int64_t recno = 0;
   Epoch epoch = kNoEpoch;  // the peer's reconciliation watermark
-  /// Last reconciliation whose decisions were recorded in full (the
+  /// Last reconciliation whose decisions were recorded in full. The
   /// central store: the recno of its last decision-log row, with every
-  /// id that recno's rows list checked against the decision rows). When
-  /// this trails `recno`, the peer crashed between fetching
-  /// reconciliation `recno` and recording its outcome; the store's
-  /// decision log is complete only through `last_decided_recno`.
+  /// id that recno's rows list checked against the decision rows. The
+  /// DHT: the recno of the last completion witness, which travels beside
+  /// the decision puts and counts them; when fewer decisions carry that
+  /// recno than the witness counted, a put was lost and the witness's
+  /// predecessor is reported. When this trails `recno`, the peer crashed
+  /// between fetching reconciliation `recno` and recording its outcome;
+  /// the store's decision log is complete only through
+  /// `last_decided_recno`.
   int64_t last_decided_recno = 0;
   std::vector<Transaction> applied;
   std::vector<TransactionId> rejected;

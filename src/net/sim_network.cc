@@ -73,9 +73,11 @@ int64_t SimNetwork::Charge(uint32_t endpoint, int64_t hops, int64_t bytes) {
   } else {
     stats.micros += micros;
   }
+  stats.wire_micros += micros;
   stats.messages += hops;
   stats.bytes += hops * bytes;
   global_.micros += micros;
+  global_.wire_micros += micros;
   global_.messages += hops;
   global_.bytes += hops * bytes;
   net_messages.Add(hops);

@@ -31,13 +31,20 @@ struct NetStats {
   /// spent waiting on the network: sends inside an Overlap cost the
   /// slowest lane, not their sum. global().micros is the plain sum of
   /// every message's cost, overlapped or not (the wire's total busy
-  /// time).
+  /// time), which is also the sum of every endpoint's `wire_micros`.
   int64_t micros = 0;
+  /// Stop-and-wait time: the plain sum of the costs of every message
+  /// charged to the endpoint, overlapped or not — what the endpoint
+  /// would have waited had it sent each message only after the previous
+  /// one's reply. Overlapping moves `micros`, never this. In global()
+  /// it equals `micros`.
+  int64_t wire_micros = 0;
   int64_t messages = 0;
   int64_t bytes = 0;
 
   friend NetStats operator-(NetStats a, const NetStats& b) {
     a.micros -= b.micros;
+    a.wire_micros -= b.wire_micros;
     a.messages -= b.messages;
     a.bytes -= b.bytes;
     return a;

@@ -786,6 +786,7 @@ core::StoreStats CentralStore::StatsFor(ParticipantId peer) const {
   const net::NetStats net = network_->StatsFor(peer);
   core::StoreStats stats;
   stats.sim_network_micros = net.micros;
+  stats.wire_micros = net.wire_micros;
   stats.messages = net.messages;
   stats.bytes = net.bytes;
   auto cpu_it = cpu_micros_.find(peer);

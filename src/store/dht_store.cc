@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -736,9 +737,9 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
   if (trail != nullptr) trail->requested = std::move(requested);
 
   // The window (prev, stable] becomes the peer's watermark only with the
-  // completion witness of the decisions made on it. Until then a lost
-  // message, a failed recording or a crash leaves the watermark where it
-  // was, and the next fetch walks the window again.
+  // completion witness of the decisions made on it. Until the witness
+  // lands, a lost message or a crash leaves the watermark where it was,
+  // and the next fetch walks the window again.
   cache_.SetPendingWindow(peer, fetch.recno, stable);
   fetch.stats.corrupt_reads = CorruptReplicaReads().value() - corrupt_before;
   fetch.stats.read_repairs = ReadRepairs().value() - repairs_before;
@@ -792,18 +793,50 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
     if (inserted) owner_order.push_back(owner);
     it->second.push_back(i);
   }
+  // One concurrent phase: the coordinator's completion witness and the
+  // multi-puts go to independent groups at once, one lane each, and a
+  // message lost on one lane stops no other. The witness leaves first,
+  // so it is sent even when a put is lost. It carries the watermark past
+  // the window fetch `recno` read (max: it never moves back) and the
+  // number of decisions this recording lists, summed over recordings
+  // that share the recno. It may therefore land while a put is lost:
+  // recovery counts the decisions tagged `recno` and reports the
+  // reconciliation as interrupted when they fall short of the witness
+  // (FetchRecoveryState). A lost decision is not lost for good: the
+  // live peer re-sends a failed recording with its next one, and a
+  // recovering peer gets the id back as undecided, since recovery
+  // rescans every epoch up to the watermark.
+  const std::string pkey = "peer:" + std::to_string(peer);
+  Status recorded;
   {
-    // The multi-puts go to independent controller groups at once, one
-    // lane per owner.
     net::SimNetwork::Overlap puts(network_, peer, "dht.record.puts");
+    puts.Lane(nodes_.size());  // past every owner's lane
+    recorded = TryReplicatedSend(peer, my_node, pkey, 24);
+    if (recorded.ok()) {
+      const std::optional<Epoch> window = cache_.TakePendingWindow(peer, recno);
+      const auto count = static_cast<int64_t>(outcomes.size());
+      MutateGroup(pkey, [&](NodeState& node) {
+        CoordEntry& entry = node.coordinated[peer];
+        if (entry.decided_recno != recno) {
+          entry.prev_decided_recno = entry.decided_recno;
+          entry.decided_recno = recno;
+          entry.decided_count = 0;
+        }
+        entry.decided_count += count;
+        if (window.has_value()) entry.epoch = std::max(entry.epoch, *window);
+      });
+    }
     for (size_t owner : owner_order) {
       const std::vector<size_t>& members = batch[owner];
       const std::string route_key =
           "txn:" + outcomes[members.front()].first.ToString();
       puts.Lane(owner);
-      ORCH_RETURN_IF_ERROR(TryReplicatedSend(
-          peer, my_node, route_key,
-          static_cast<int64_t>(24 * members.size())));
+      Status sent = TryReplicatedSend(
+          peer, my_node, route_key, static_cast<int64_t>(24 * members.size()));
+      if (!sent.ok()) {
+        if (recorded.ok()) recorded = std::move(sent);
+        continue;
+      }
       for (size_t i : members) {
         const TransactionId id = outcomes[i].first;
         const char verdict = outcomes[i].second;
@@ -813,28 +846,12 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
       }
     }
   }
-  // Last message: the coordinator's completion witness, sent once every
-  // multi-put was acknowledged. It also carries the watermark past the
-  // window fetch `recno` read, so the watermark advances only together
-  // with the decisions that consumed that window (max: it never moves
-  // back). Until it lands, recovery reports the reconciliation as
-  // interrupted (last_decided_recno < recno) and the next fetch walks
-  // the window again.
-  const std::string pkey = "peer:" + std::to_string(peer);
-  {
-    net::SimNetwork::Overlap witness(network_, peer, "dht.record.witness");
-    ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 24));
-  }
-  const std::optional<Epoch> window = cache_.TakePendingWindow(peer, recno);
-  MutateGroup(pkey, [&](NodeState& node) {
-    CoordEntry& entry = node.coordinated[peer];
-    entry.decided_recno = recno;
-    if (window.has_value()) entry.epoch = std::max(entry.epoch, *window);
-  });
-  // Only now — past the completion witness — are the decisions durable
-  // enough for the suppression overlay. The peer holds every id it
-  // rejects (each came to it with its body). A failure above leaves the
-  // overlay untouched and the next fetch asks the controllers again.
+  ORCH_RETURN_IF_ERROR(recorded);
+  // Only now — with the witness and every put landed — are the
+  // decisions durable enough for the suppression overlay. The peer holds
+  // every id it rejects (each came to it with its body). A failure above
+  // leaves the overlay untouched and the next fetch asks the controllers
+  // again.
   for (const TransactionId& id : applied) cache_.MarkDecided(peer, id);
   for (const TransactionId& id : rejected) cache_.MarkDecided(peer, id);
   cpu_micros_[peer] += cpu.ElapsedMicros();
@@ -880,6 +897,8 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
   // The coordinator read and the node sweep need no reply of each other:
   // one overlap, with a lane for the coordinator and one per node.
   core::TxnIdSet decided;
+  std::optional<CoordEntry> coord;
+  int64_t witnessed = 0;  // distinct decisions tagged coord->decided_recno
   {
     net::SimNetwork::Overlap sweep(network_, peer, "dht.recover.sweep");
     // Watermark, recno and completion witness from the peer coordinator
@@ -889,10 +908,10 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
         peer, "peer:" + std::to_string(peer),
         [&](const NodeState& n) { return n.coordinated.count(peer) != 0; });
     if (holder.has_value()) {
-      const CoordEntry& entry = nodes_[*holder].coordinated.at(peer);
-      bundle.recno = entry.recno;
-      bundle.epoch = entry.epoch;
-      bundle.last_decided_recno = entry.decided_recno;
+      coord = nodes_[*holder].coordinated.at(peer);
+      bundle.recno = coord->recno;
+      bundle.epoch = coord->epoch;
+      bundle.last_decided_recno = coord->decided_recno;
       const auto route = ring_.Route(NodeOfPeer(peer), ring_.IdOf(*holder));
       network_->Charge(peer, route.hops + 1, 24);
     }
@@ -916,6 +935,10 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
         auto peer_it = dec_it->second.find(peer);
         if (peer_it == dec_it->second.end()) continue;
         if (!decided.insert(id).second) continue;  // already from a replica
+        if (coord.has_value() &&
+            peer_it->second.recno == coord->decided_recno) {
+          ++witnessed;
+        }
         if (peer_it->second.verdict == 'A') {
           ORCH_ASSIGN_OR_RETURN(Transaction txn,
                                 ReadLocalOrRepair(peer, node, id));
@@ -930,6 +953,12 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
       network_->Charge(peer, route.hops, 16);
       network_->Charge(peer, 1, bytes);  // reply
     }
+  }
+  // The witness went out beside its puts, not after them: when fewer
+  // decisions carry its recno than it counted, a put was lost and the
+  // last recording known complete is the one before.
+  if (coord.has_value() && witnessed < coord->decided_count) {
+    bundle.last_decided_recno = coord->prev_decided_recno;
   }
   std::sort(bundle.applied.begin(), bundle.applied.end(),
             [](const Transaction& a, const Transaction& b) {
@@ -1195,7 +1224,7 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
       network_->Charge(new_peer, route.hops + 1, 24);
     }
     MutateGroup("peer:" + std::to_string(new_peer), [&](NodeState& node) {
-      node.coordinated[new_peer] = CoordEntry{0, bundle.epoch, 0};
+      node.coordinated[new_peer] = CoordEntry{.epoch = bundle.epoch};
     });
     const auto route2 =
         ring_.Route(my_node, ring_.IdOf(CoordinatorNode(new_peer)));
@@ -1416,7 +1445,12 @@ void DhtStore::RepairReplication() {
       CoordEntry& merged = coord_union[p];
       merged.recno = std::max(merged.recno, entry.recno);
       merged.epoch = std::max(merged.epoch, entry.epoch);
-      merged.decided_recno = std::max(merged.decided_recno, entry.decided_recno);
+      if (std::tie(entry.decided_recno, entry.decided_count) >
+          std::tie(merged.decided_recno, merged.decided_count)) {
+        merged.decided_recno = entry.decided_recno;
+        merged.decided_count = entry.decided_count;
+        merged.prev_decided_recno = entry.prev_decided_recno;
+      }
     }
   }
   for (const auto& [p, entry] : coord_union) {
@@ -1553,6 +1587,7 @@ core::StoreStats DhtStore::StatsFor(ParticipantId peer) const {
   const net::NetStats net = network_->StatsFor(peer);
   core::StoreStats stats;
   stats.sim_network_micros = net.micros;
+  stats.wire_micros = net.wire_micros;
   stats.messages = net.messages;
   stats.bytes = net.bytes;
   auto cpu_it = cpu_micros_.find(peer);

@@ -42,9 +42,10 @@ namespace orchestra::store {
 /// not its message count. The phases follow each other: the fetch head,
 /// the epoch scan, each BFS level of the antecedent closure (a level's
 /// ids come from the previous level's replies); then, once the peer has
-/// decided, the per-owner decision puts and the completion witness,
-/// which also carries the peer's new watermark. Antecedent-chain round
-/// trips therefore dominate reconciliation cost, as the paper reports.
+/// decided, one recording phase: the per-owner decision puts and the
+/// completion witness, which also carries the peer's new watermark, in
+/// flight together. Antecedent-chain round trips therefore dominate
+/// reconciliation cost, as the paper reports.
 ///
 /// The store survives node churn: every controller's state is
 /// replicated across the key's *replica group* — the key's first
@@ -194,16 +195,24 @@ class DhtStore : public core::UpdateStore,
     int64_t recno = 0;
   };
 
-  /// Peer coordinator entry. `decided_recno` is the last reconciliation
-  /// whose decisions were recorded in full — updated only after every
-  /// transaction controller acknowledged, it is the completion witness
-  /// recovery uses to detect an interrupted reconciliation. `epoch`, the
-  /// watermark, moves in the same write: a fetch's window is consumed
-  /// only once its decisions are recorded.
+  /// Peer coordinator entry, written by the completion witness each
+  /// RecordDecisions sends alongside its decision puts. `decided_recno`
+  /// is the last reconciliation whose witness landed, `decided_count`
+  /// the number of decisions its recordings listed (summed over
+  /// recordings sharing that recno), and `prev_decided_recno` the
+  /// witnessed recno before it. The witness does not wait for the puts,
+  /// so it alone does not prove them landed: recovery counts the
+  /// decisions tagged `decided_recno` and, when they fall short of
+  /// `decided_count`, reports `prev_decided_recno` instead, showing the
+  /// reconciliation as interrupted. `epoch`, the watermark, moves in the
+  /// same write: a fetch's window is consumed once its decisions are
+  /// recorded.
   struct CoordEntry {
     int64_t recno = 0;
     core::Epoch epoch = 0;
     int64_t decided_recno = 0;
+    int64_t decided_count = 0;
+    int64_t prev_decided_recno = 0;
   };
 
   /// One transaction replica as a node stores it (see NodeState::txns).

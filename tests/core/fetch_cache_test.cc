@@ -1,7 +1,7 @@
 // Unit tests for the FetchCache behind incremental (delta) fetch: the
-// shared decoded-transaction arena with epoch-keyed invalidation, and
-// the per-peer decided overlays that suppress redundant per-key lookups
-// and the pending windows a store commits with the decisions.
+// shared decoded-transaction arena, and the per-peer decided overlays
+// that suppress redundant per-key lookups and the pending windows a
+// store commits with the decisions.
 #include <gtest/gtest.h>
 
 #include "core/fetch_cache.h"
@@ -31,20 +31,6 @@ TEST(FetchCacheTest, LookupMissesThenHitsAfterAdmit) {
   EXPECT_EQ(hit->epoch, 3);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.arena_size(), 1u);
-}
-
-TEST(FetchCacheTest, InvalidateEpochDropsOnlyThatEpoch) {
-  FetchCache cache;
-  cache.Admit(MakeTxn(1, 1, 3));
-  cache.Admit(MakeTxn(1, 2, 4));
-  cache.Admit(MakeTxn(2, 1, 4));
-  ASSERT_EQ(cache.arena_size(), 3u);
-
-  cache.InvalidateEpoch(4);
-  EXPECT_EQ(cache.arena_size(), 1u);
-  EXPECT_NE(cache.Lookup({1, 1}), nullptr);
-  EXPECT_EQ(cache.Lookup({1, 2}), nullptr);
-  EXPECT_EQ(cache.Lookup({2, 1}), nullptr);
 }
 
 TEST(FetchCacheTest, AppliedSetsArePerPeer) {

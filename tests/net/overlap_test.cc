@@ -1,7 +1,8 @@
 // SimNetwork::Overlap: scatter-gather accounting. Lanes run side by
 // side, charges within a lane run in sequence, a nested overlap closes
 // into its parent's lane, and the endpoint's link bounds the whole scope
-// from below (the serialization floor). Counts never change.
+// from below (the serialization floor). Counts and per-endpoint wire
+// time never change.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -32,6 +33,27 @@ TEST(OverlapTest, TwoLanesCostTheSlowerLane) {
   EXPECT_EQ(network.StatsFor(1).messages, 8);
   // The global total stays the sum of every message's cost.
   EXPECT_EQ(network.global().micros, 8 * kHop);
+}
+
+TEST(OverlapTest, WireTimeIsStopAndWaitPerEndpoint) {
+  SimNetwork network;
+  {
+    SimNetwork::Overlap overlap(&network, 1);
+    overlap.Lane(0);
+    network.Charge(1, 3, 0);
+    overlap.Lane(1);
+    network.Charge(1, 2, 0);
+  }
+  network.Charge(2, 4, 0);  // no overlap: both clocks agree
+  // Overlapping moves the waited time, never the wire time.
+  EXPECT_EQ(network.StatsFor(1).micros, 3 * kHop);
+  EXPECT_EQ(network.StatsFor(1).wire_micros, 5 * kHop);
+  EXPECT_EQ(network.StatsFor(2).micros, 4 * kHop);
+  EXPECT_EQ(network.StatsFor(2).wire_micros, 4 * kHop);
+  // The global total is the per-endpoint wire times, summed.
+  EXPECT_EQ(network.global().micros, network.StatsFor(1).wire_micros +
+                                         network.StatsFor(2).wire_micros);
+  EXPECT_EQ(network.global().wire_micros, network.global().micros);
 }
 
 TEST(OverlapTest, NestedFanOutCostsOneHopInsideItsLane) {

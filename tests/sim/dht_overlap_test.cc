@@ -43,30 +43,34 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
   ASSERT_TRUE(testing::SpansNestPerTrack(events));
 
   // Per peer track, walked in record order. RecordDecisions runs inside
-  // the participant's reconcile.record_decisions span: its per-owner
-  // multi-puts inside the dht.record.puts overlap, then the completion
-  // witness in its own dht.record.witness phase, which must follow the
-  // overlap, not ride in it. The witness also carries the watermark, so
-  // from the end of the epoch scan to the puts, nothing but the BFS
-  // levels may send: the fetch has no sequential tail trip.
+  // the participant's reconcile.record_decisions span as one concurrent
+  // phase: the completion witness and the per-owner multi-puts all
+  // travel in the dht.record.puts overlap, which fills the whole
+  // recording; the witness has no dht.record.witness phase of its own.
+  // The witness also carries the watermark, so from the end of the
+  // epoch scan to the puts, nothing but the BFS levels may send: the
+  // fetch has no sequential tail trip.
   struct Track {
     bool open = false;              // inside a puts or level overlap
     long long open_max_recv = -1;   // latest reply inside it
     std::vector<long long> open_sends;
-    bool puts_closed = false;       // inside record_decisions, puts done
-    long long puts_max_recv = -1;
-    bool in_witness = false;        // inside dht.record.witness
-    int witness_sends = 0;
+    bool in_record = false;         // inside reconcile.record_decisions
+    long long record_begin = -1;
+    int puts_in_record = 0;
+    long long puts_begin = -1;
+    long long puts_end = -1;
     long long level_max_recv = -1;  // the previous BFS level's last reply
     bool fetch_tail = false;        // past the epoch scan, before the puts
   };
   std::map<long, Track> tracks;
-  int witnesses = 0;
+  int recordings = 0;
   int chained_levels = 0;
   int parallel_puts = 0;
   int fetch_tails = 0;
   for (const testing::ParsedEvent& e : events) {
     Track& t = tracks[e.tid];
+    EXPECT_NE(e.name, "dht.record.witness")
+        << "peer " << e.tid << ": the witness left the recording overlap";
     const bool puts = e.name == "dht.record.puts";
     const bool level = e.name == "dht.fetch.level";
     if (e.name == "dht.fetch.head") t.level_max_recv = -1;  // a new fetch
@@ -76,26 +80,28 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
       ++fetch_tails;
     }
     if (e.name == "reconcile.record_decisions") {
-      if (e.phase == 'E' && t.puts_closed) {
-        EXPECT_GT(t.witness_sends, 0)
-            << "peer " << e.tid << ": no completion witness after the puts";
-        ++witnesses;
+      if (e.phase == 'B') {
+        t.in_record = true;
+        t.record_begin = e.ts;
+        t.puts_in_record = 0;
+      } else {
+        // The recording lasts exactly as long as its one overlap.
+        EXPECT_EQ(t.puts_in_record, 1) << "peer " << e.tid;
+        EXPECT_EQ(t.puts_begin, t.record_begin) << "peer " << e.tid;
+        EXPECT_EQ(t.puts_end, e.ts) << "peer " << e.tid;
+        t.in_record = false;
+        ++recordings;
       }
-      t.puts_closed = false;
-      t.witness_sends = 0;
-      continue;
-    }
-    if (e.name == "dht.record.witness") {
-      EXPECT_TRUE(t.puts_closed)
-          << "peer " << e.tid << ": completion witness outside a "
-          << "recording, or before its puts";
-      t.in_witness = e.phase == 'B';
       continue;
     }
     if ((puts || level) && e.phase == 'B') {
       t.open = true;
       t.open_max_recv = -1;
       t.open_sends.clear();
+      if (puts) {
+        ++t.puts_in_record;
+        t.puts_begin = e.ts;
+      }
       continue;
     }
     if ((puts || level) && e.phase == 'E') {
@@ -108,8 +114,13 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
         }
         t.level_max_recv = t.open_max_recv;
       } else {
-        t.puts_closed = true;
-        t.puts_max_recv = t.open_max_recv;
+        t.puts_end = e.ts;
+        // Even a recording with no decision sends its witness, and the
+        // first message leaves with the overlap's opening.
+        ASSERT_FALSE(t.open_sends.empty())
+            << "peer " << e.tid << ": a recording sent no witness";
+        EXPECT_EQ(t.open_sends.front(), t.puts_begin)
+            << "peer " << e.tid << ": the first recording message waited";
         // Lanes leave together: two sends at one instant.
         std::sort(t.open_sends.begin(), t.open_sends.end());
         if (std::adjacent_find(t.open_sends.begin(), t.open_sends.end()) !=
@@ -124,27 +135,43 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
       EXPECT_FALSE(t.fetch_tail && !t.open)
           << "peer " << e.tid << ": a sequential trip between the fetch's "
           << "last BFS level and its decision puts";
-      if (t.open) {
-        t.open_sends.push_back(e.ts);
-      } else if (t.puts_closed) {
-        EXPECT_TRUE(t.in_witness)
-            << "peer " << e.tid << ": a send after the puts outside the "
-            << "completion witness";
-        EXPECT_GE(e.ts, t.puts_max_recv)
-            << "peer " << e.tid << ": completion witness sent before "
-            << "every per-owner put was acknowledged";
-        ++t.witness_sends;
-      }
+      EXPECT_FALSE(t.in_record && !t.open)
+          << "peer " << e.tid << ": a recording message outside its "
+          << "dht.record.puts overlap";
+      if (t.open) t.open_sends.push_back(e.ts);
     }
     if (e.name == "net.recv" && t.open) {
       t.open_max_recv = std::max(t.open_max_recv, e.ts);
     }
   }
   // The checks above ran on real protocol traffic.
-  EXPECT_GE(witnesses, static_cast<int>(cfg.participants * cfg.rounds) / 2);
+  EXPECT_GE(recordings, static_cast<int>(cfg.participants * cfg.rounds) / 2);
   EXPECT_GE(fetch_tails, static_cast<int>(cfg.participants * cfg.rounds) / 2);
   EXPECT_GT(chained_levels, 0);
   EXPECT_GT(parallel_puts, 0);
+
+  // A recording with no decision has no put to send: its only messages
+  // are the completion witness's, and they travel inside the overlap.
+  // (The run is over, so which recno the witness names does not matter.)
+  const core::ParticipantId peer = (*cdss)->participant(0).id();
+  const int64_t messages_before = (*cdss)->store().StatsFor(peer).messages;
+  ASSERT_TRUE((*cdss)->store().RecordDecisions(peer, 1, {}, {}).ok());
+  EXPECT_GT((*cdss)->store().StatsFor(peer).messages, messages_before);
+  const std::vector<testing::ParsedEvent> tail =
+      testing::ParseEvents((*cdss)->sim_tracer()->ToJson());
+  ASSERT_GT(tail.size(), events.size());
+  bool in_puts = false;
+  int witness_sends = 0;
+  for (size_t i = events.size(); i < tail.size(); ++i) {
+    const testing::ParsedEvent& e = tail[i];
+    ASSERT_EQ(e.tid, static_cast<long>(peer));
+    if (e.name == "dht.record.puts") in_puts = e.phase == 'B';
+    if (e.name == "net.send") {
+      EXPECT_TRUE(in_puts) << "a witness message outside dht.record.puts";
+      ++witness_sends;
+    }
+  }
+  EXPECT_GT(witness_sends, 0);
 }
 
 // Per-peer message and byte counts of this seeded run. Overlapping moves
@@ -166,16 +193,21 @@ TEST(DhtOverlapTest, MessageCountsMatchStopAndWait) {
                                           489, 547, 573, 563};
   const std::vector<int64_t> kBytes = {59023, 58889, 59391, 60444,
                                        59101, 59611, 63197, 58244};
+  const std::vector<int64_t> kWireMicros = {275409, 277403, 295931, 301501,
+                                            248955, 277956, 291216, 285815};
   std::vector<int64_t> messages;
   std::vector<int64_t> bytes;
+  std::vector<int64_t> wire_micros;
   for (size_t i = 0; i < (*cdss)->participant_count(); ++i) {
     const core::StoreStats stats =
         (*cdss)->store().StatsFor((*cdss)->participant(i).id());
     messages.push_back(stats.messages);
     bytes.push_back(stats.bytes);
+    wire_micros.push_back(stats.wire_micros);
   }
   EXPECT_EQ(messages, kMessages);
   EXPECT_EQ(bytes, kBytes);
+  EXPECT_EQ(wire_micros, kWireMicros);
 }
 
 }  // namespace

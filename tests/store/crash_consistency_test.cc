@@ -10,6 +10,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <unistd.h>
 
@@ -469,6 +470,165 @@ TEST(WalCrashConsistencyTest, EveryCrashPointOfOneReconciliationRecovers) {
   // The sweep reached both sides of the recording's witness row.
   EXPECT_TRUE(crashed_before_log);
   EXPECT_TRUE(crashed_after_log);
+}
+
+
+/// A DHT confederation of peers 1..3 over `nodes` ring nodes without
+/// replication, each peer trusting the others at priority 1. Peer 1 has
+/// reconciled once, deferring a two-way conflict; a second window then
+/// brings it four transactions to accept and one to reject. Without
+/// replication a decision whose controller is peer 1's own node is
+/// written without a message, so it lands whatever the network loses.
+/// A DHT confederation of peers 2..4 over eight ring nodes without
+/// replication, each peer trusting the others at priority 1. Peer 2 has
+/// reconciled once, deferring a two-way conflict; a second window then
+/// brings it four transactions to accept and one to reject. Peer 2 runs
+/// on node 2, which controls one of those five transactions; its
+/// coordinator and the other controllers are remote. Without replication
+/// a decision written to the peer's own node needs no message, so it
+/// lands whatever the network loses.
+struct DhtWorld {
+  static constexpr ParticipantId kPeer = 2;  // the one that reconciles
+
+  DhtWorld() : catalog(MakeProteinCatalog()) {
+    network.set_fault_injector(&injector);
+    DhtStoreOptions options;
+    options.replication_factor = 1;
+    store = std::make_unique<DhtStore>(8, &network, nullptr, options);
+    for (ParticipantId id = 2; id <= 4; ++id) {
+      auto policy = std::make_unique<TrustPolicy>(id);
+      for (ParticipantId other = 2; other <= 4; ++other) {
+        if (other != id) policy->TrustPeer(other, 1);
+      }
+      ORCH_CHECK(store->RegisterParticipant(id, policy.get()).ok());
+      peers.push_back(std::make_unique<Participant>(id, &catalog, *policy));
+      policies.push_back(std::move(policy));
+    }
+    Publish(3, Ins("rat", "p1", "three", 3));
+    Publish(4, Ins("rat", "p1", "four", 4));
+    Publish(3, Ins("rat", "p2", "x", 3));
+    ORCH_CHECK(P(kPeer).Reconcile(store.get()).ok());
+    Publish(3, Ins("rat", "p3", "y", 3));
+    Publish(4, Ins("rat", "p4", "z", 4));
+    Publish(3, Ins("rat", "p5", "v", 3));
+    Publish(4, Ins("rat", "p6", "w", 4));
+    Publish(4, Ins("rat", "p2", "other", 4));  // clashes with applied x
+  }
+
+  Participant& P(ParticipantId id) { return *peers[id - 2]; }
+
+  void Publish(ParticipantId id, core::Update update) {
+    ORCH_CHECK(P(id).ExecuteTransaction({std::move(update)}).ok());
+    ORCH_CHECK(P(id).Publish(store.get()).ok());
+  }
+
+  db::Catalog catalog;
+  net::SimNetwork network;
+  FaultInjector injector;
+  std::unique_ptr<DhtStore> store;
+  std::vector<std::unique_ptr<TrustPolicy>> policies;
+  std::vector<std::unique_ptr<Participant>> peers;
+};
+
+/// A peer's durable decisions as the store's recovery reports them.
+std::map<TransactionId, char> DurableDecisions(const core::RecoveryBundle& b) {
+  std::map<TransactionId, char> decisions;
+  for (const Transaction& txn : b.applied) decisions[txn.id] = 'A';
+  for (const TransactionId& id : b.rejected) decisions[id] = 'R';
+  return decisions;
+}
+
+// Every crash point of one DHT recording. The completion witness travels
+// beside the decision puts, so either can land without the other.
+// Counting on fault-free twins gives the sends of the peer's second
+// Reconcile and of its fetch alone; the recording is the rest. Then, for
+// each of the recording's sends, a fresh world crashes there (a sticky
+// fault: nothing the network carries after it lands), and the peer
+// recovers through Participant::RecoverFromStore. Recovery must never
+// claim the reconciliation complete while one of its decisions is
+// missing, and the recovered peer must drain to the crash-free state.
+TEST(DhtCrashConsistencyTest, EveryCrashPointOfOneRecordingRecovers) {
+  constexpr ParticipantId kPeer = DhtWorld::kPeer;
+  FaultInjectorConfig counting;
+  counting.site_prefix = "net.send";
+  counting.fail_at_call = int64_t{1} << 40;  // arms the count, never fires
+
+  DhtWorld before;
+  auto prior = before.store->FetchRecoveryState(kPeer);
+  ASSERT_TRUE(prior.ok()) << prior.status().ToString();
+  DhtWorld fetch_only;
+  fetch_only.injector.Configure(counting);
+  ASSERT_TRUE(fetch_only.store->BeginReconciliation(kPeer).ok());
+  const int64_t fetch_calls = fetch_only.injector.calls();
+
+  DhtWorld twin;
+  twin.injector.Configure(counting);
+  auto target = twin.P(kPeer).Reconcile(twin.store.get());
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  const int64_t calls = twin.injector.calls();
+  twin.injector.Configure(FaultInjectorConfig{});
+  ASSERT_EQ(target->accepted.size(), 4u);
+  ASSERT_EQ(target->rejected.size(), 1u);
+  ASSERT_EQ(twin.P(kPeer).deferred_count(), 2u);
+  auto recorded = twin.store->FetchRecoveryState(kPeer);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  ASSERT_EQ(recorded->last_decided_recno, target->recno);
+  // What the recording lists: the decisions it added to the store.
+  std::map<TransactionId, char> listed = DurableDecisions(*recorded);
+  for (const auto& [id, verdict] : DurableDecisions(*prior)) listed.erase(id);
+  ASSERT_EQ(listed.size(), 5u);
+  Drain(twin.P(kPeer), twin.store.get());
+  ASSERT_GT(calls, fetch_calls);
+
+  bool witness_without_put = false;
+  bool put_without_witness = false;
+  for (int64_t i = fetch_calls + 1; i <= calls; ++i) {
+    SCOPED_TRACE("crash at send " + std::to_string(i) + " of " +
+                 std::to_string(calls));
+    DhtWorld w;
+    FaultInjectorConfig crash = counting;
+    crash.fail_at_call = i;
+    crash.sticky = true;
+    w.injector.Configure(crash);
+    auto crashed = w.P(kPeer).Reconcile(w.store.get());
+    // A lost recording is stashed for the next one; the round succeeds.
+    ASSERT_TRUE(crashed.ok()) << crashed.status().ToString();
+    ASSERT_GT(w.injector.injected(), 0);
+    w.injector.Configure(FaultInjectorConfig{});
+
+    auto bundle = w.store->FetchRecoveryState(kPeer);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    const std::map<TransactionId, char> durable = DurableDecisions(*bundle);
+    size_t landed = 0;
+    for (const auto& [id, verdict] : listed) {
+      auto it = durable.find(id);
+      if (it != durable.end() && it->second == verdict) ++landed;
+    }
+    if (bundle->last_decided_recno == target->recno) {
+      EXPECT_EQ(landed, listed.size())
+          << "recovery claims a recording whose puts did not all land";
+    } else {
+      EXPECT_EQ(bundle->last_decided_recno, prior->last_decided_recno);
+    }
+    // The witness carries the watermark past the fetched window.
+    const bool witness_landed = bundle->epoch == recorded->epoch;
+    if (!witness_landed) EXPECT_EQ(bundle->epoch, prior->epoch);
+    witness_without_put |= witness_landed && landed < listed.size();
+    put_without_witness |= !witness_landed && landed > 0;
+
+    auto recovered = Participant::RecoverFromStore(
+        kPeer, &w.catalog, *w.policies[0], w.store.get());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    Participant& peer = **recovered;
+    Drain(peer, w.store.get());
+    EXPECT_TRUE(peer.instance() == twin.P(kPeer).instance());
+    EXPECT_EQ(peer.applied(), twin.P(kPeer).applied());
+    EXPECT_EQ(peer.rejected(), twin.P(kPeer).rejected());
+    EXPECT_EQ(peer.deferred_count(), twin.P(kPeer).deferred_count());
+  }
+  // The sweep reached both sides of the unordered witness.
+  EXPECT_TRUE(witness_without_put);
+  EXPECT_TRUE(put_without_witness);
 }
 
 }  // namespace

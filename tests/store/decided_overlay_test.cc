@@ -308,8 +308,10 @@ TEST_P(DecidedOverlayTest, NetworkCentricAnalysisStillSeesTheHeldBody) {
 
 TEST_P(DecidedOverlayTest, FailedRecordDecisionsMarksNothing) {
   // Fail the recording of X's rejection at its commit point: the central
-  // store's sync, or the DHT's completion witness (the last message the
-  // reconciliation sends; its count comes from a fault-free twin).
+  // store's sync, or the DHT's last recording message (its count comes
+  // from a fault-free twin). The DHT sends its completion witness first,
+  // beside the puts, so the witness has landed and a put copy is lost:
+  // the recording is still incomplete and must mark nothing.
   const bool central = GetParam() == Kind::kCentral;
   FaultInjectorConfig counting;
   counting.site_prefix = central ? "storage.sync" : "net.send";
