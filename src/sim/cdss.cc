@@ -169,6 +169,8 @@ Result<core::ReconcileReport> Cdss::StepParticipant(size_t index) {
   running_.avg_local_micros += static_cast<double>(report.local_micros);
   running_.avg_store_micros +=
       static_cast<double>(report.store.TotalStoreMicros());
+  running_.avg_store_wire_micros += static_cast<double>(
+      report.store.wire_micros + report.store.store_cpu_micros);
   return report;
 }
 
@@ -243,8 +245,13 @@ Result<CdssResult> Cdss::Run() {
         result.avg_local_micros / static_cast<double>(participants_.size());
     result.total_store_micros_per_peer =
         result.avg_store_micros / static_cast<double>(participants_.size());
+    result.total_store_wire_micros_per_peer =
+        result.avg_store_wire_micros /
+        static_cast<double>(participants_.size());
     result.avg_local_micros /= static_cast<double>(result.reconciliations);
     result.avg_store_micros /= static_cast<double>(result.reconciliations);
+    result.avg_store_wire_micros /=
+        static_cast<double>(result.reconciliations);
   }
   result.state_ratio = CurrentStateRatio();
   result.faults_injected = fault_injector_.injected();

@@ -160,6 +160,12 @@ struct CdssResult {
   /// quantity of Fig. 10.
   double total_local_micros_per_peer = 0;
   double total_store_micros_per_peer = 0;
+  /// The same store time under stop-and-wait accounting, as the paper's
+  /// prototype paid it: every message charged after the previous one
+  /// (core::StoreStats::wire_micros) plus store CPU. Per reconciliation
+  /// and per participant over the run, like the two above.
+  double avg_store_wire_micros = 0;
+  double total_store_wire_micros_per_peer = 0;
   int64_t messages = 0;
   int64_t bytes = 0;
   /// Movement of the process-wide metrics registry (common/metrics.h)

@@ -25,7 +25,8 @@ TrialStats Summarize(const std::vector<double>& samples) {
 }
 
 Result<AggregateResult> RunTrials(const CdssConfig& config, size_t trials) {
-  std::vector<double> ratio, local_avg, store_avg, local_pp, store_pp;
+  std::vector<double> ratio, local_avg, store_avg, local_pp, store_pp,
+      wire_avg, wire_pp;
   AggregateResult agg;
   for (size_t t = 0; t < trials; ++t) {
     CdssConfig trial_config = config;
@@ -38,6 +39,8 @@ Result<AggregateResult> RunTrials(const CdssConfig& config, size_t trials) {
     store_avg.push_back(result.avg_store_micros);
     local_pp.push_back(result.total_local_micros_per_peer);
     store_pp.push_back(result.total_store_micros_per_peer);
+    wire_avg.push_back(result.avg_store_wire_micros);
+    wire_pp.push_back(result.total_store_wire_micros_per_peer);
     agg.deferred += static_cast<double>(result.deferred);
     agg.rejected += static_cast<double>(result.rejected);
     agg.accepted += static_cast<double>(result.accepted);
@@ -53,6 +56,8 @@ Result<AggregateResult> RunTrials(const CdssConfig& config, size_t trials) {
   agg.avg_store_micros = Summarize(store_avg);
   agg.total_local_micros_pp = Summarize(local_pp);
   agg.total_store_micros_pp = Summarize(store_pp);
+  agg.avg_store_wire_micros = Summarize(wire_avg);
+  agg.total_store_wire_micros_pp = Summarize(wire_pp);
   return agg;
 }
 

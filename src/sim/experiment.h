@@ -28,6 +28,9 @@ struct AggregateResult {
   TrialStats avg_store_micros;        // per reconciliation
   TrialStats total_local_micros_pp;   // per participant over the run
   TrialStats total_store_micros_pp;   // per participant over the run
+  // The same two store times under stop-and-wait accounting.
+  TrialStats avg_store_wire_micros;
+  TrialStats total_store_wire_micros_pp;
   double deferred = 0;
   double rejected = 0;
   double accepted = 0;

@@ -376,26 +376,25 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
     }
   }
 
-  // (5) publish transaction IDs for epoch e -> epoch controller group.
+  // (5) publish transaction IDs for epoch e -> epoch controller group,
+  // and (6) the peer sends each transaction to its transaction controller
+  // group as an envelope-framed blob, which each replica stores as-is
+  // (the at-rest form reads verify) while recording the publisher's
+  // implicit self-acceptance. Only the commit (7) waits for the id list,
+  // and the stores are independent, so all of them are in flight
+  // together: the id list first, on a lane past the transactions', then
+  // one lane per transaction (store + ack). The rollback of a failed
+  // send runs after the overlap has closed.
   std::vector<TransactionId> ids;
   ids.reserve(txns.size());
   for (const Transaction& txn : txns) ids.push_back(txn.id);
-  if (Status s = TryReplicatedSend(
-          peer, my_node, ekey, static_cast<int64_t>(16 * ids.size() + 16));
-      !s.ok()) {
-    return abort_with(s);
-  }
-  MutateGroup(ekey,
-              [&](NodeState& node) { node.epoch_contents[epoch] = ids; });
-
-  // (6) the peer sends each transaction to its transaction controller
-  // group as an envelope-framed blob, which each replica stores as-is
-  // (the at-rest form reads verify) while recording the publisher's
-  // implicit self-acceptance. The stores are independent, so they are
-  // in flight together, one lane per transaction; the rollback of a
-  // failed store runs after the overlap has closed.
   const Status stored = [&] {
     net::SimNetwork::Overlap stores(network_, peer, "dht.publish.store");
+    stores.Lane(txns.size());
+    ORCH_RETURN_IF_ERROR(TryReplicatedSend(
+        peer, my_node, ekey, static_cast<int64_t>(16 * ids.size() + 16)));
+    MutateGroup(ekey,
+                [&](NodeState& node) { node.epoch_contents[epoch] = ids; });
     for (size_t i = 0; i < txns.size(); ++i) {
       const Transaction& txn = txns[i];
       const std::string wire = WireOf(txn);
@@ -416,7 +415,7 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
   if (!stored.ok()) return abort_with(stored);
 
   // (7) controller confirms the epoch finished: the commit point, sent
-  // once every store of (6) was acknowledged. The reaper may have
+  // once every message of (5) and (6) has landed. The reaper may have
   // aborted the epoch under a slow publisher; an aborted epoch can never
   // finish (peers already advanced past it).
   if (Status s = TryReplicatedSend(peer, my_node, ekey, 16); !s.ok()) {

@@ -45,7 +45,10 @@ namespace orchestra::store {
 /// decided, one recording phase: the per-owner decision puts and the
 /// completion witness, which also carries the peer's new watermark, in
 /// flight together. Antecedent-chain round trips therefore dominate
-/// reconciliation cost, as the paper reports.
+/// reconciliation cost, as the paper reports. A publish runs Fig. 6's
+/// epoch allocation one message after another; then the epoch's id list
+/// and every transaction's store travel in one phase, and the commit
+/// follows once all of them replied.
 ///
 /// The store survives node churn: every controller's state is
 /// replicated across the key's *replica group* — the key's first

@@ -13,6 +13,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace orchestra::testing {
@@ -134,10 +135,11 @@ struct ParsedEvent {
   char phase = '?';
   long tid = -1;
   long long ts = -1;  // absent on metadata rows
+  long long bytes = -1;  // an event's "args":{"bytes":...}, if it has one
 };
 
-// Pulls name/ph/ts/tid out of each {"name":...} element; the JSON is
-// machine-written, so field order is fixed. Top-level events follow '['
+// Pulls name/ph/ts/tid/bytes out of each {"name":...} element; the JSON
+// is machine-written, so field order is fixed. Top-level events follow '['
 // or ','; a metadata row's args payload ({"name":"thread-0"}) follows
 // ':' and is skipped.
 inline std::vector<ParsedEvent> ParseEvents(const std::string& json) {
@@ -160,6 +162,12 @@ inline std::vector<ParsedEvent> ParseEvents(const std::string& json) {
     }
     const size_t tid = json.find("\"tid\":", ph);
     event.tid = std::strtol(json.c_str() + tid + 6, nullptr, 10);
+    const size_t next = json.find("{\"name\":\"", tid);
+    const std::string_view rest = std::string_view(json).substr(tid, next - tid);
+    if (const size_t bytes = rest.find("\"args\":{\"bytes\":");
+        bytes != std::string_view::npos) {
+      event.bytes = std::strtoll(rest.data() + bytes + 16, nullptr, 10);
+    }
     events.push_back(std::move(event));
     pos = name_end;
   }

@@ -174,6 +174,101 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
   EXPECT_GT(witness_sends, 0);
 }
 
+// A publish (Fig. 6) runs steps 1-4 one after another, then one
+// concurrent phase: the epoch's id list (5) leaves first, beside the
+// transaction stores and their acks (6), and the commit (7) waits for
+// every reply of that phase.
+TEST(DhtOverlapTest, PublishSendsItsIdListBesideTheStores) {
+  CdssConfig cfg = TieredDhtConfig();
+  cfg.sim_trace = true;
+  auto cdss = Cdss::Make(cfg);
+  ASSERT_TRUE(cdss.ok()) << cdss.status().ToString();
+  auto result = (*cdss)->Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<testing::ParsedEvent> events =
+      testing::ParseEvents((*cdss)->sim_tracer()->ToJson());
+  ASSERT_TRUE(testing::SpansNestPerTrack(events));
+
+  // Per peer track, walked in record order. Step (3), the controller's
+  // 8-byte confirmation to the allocator, is the publish's only 8-byte
+  // send before its stores (this run has no churn, so no failed probe);
+  // the allocator's 16-byte begin-publishing reply (4) follows it.
+  struct Track {
+    bool in_publish = false;  // inside participant.publish
+    std::vector<long long> sends_before;  // bytes, before the store phase
+    int stores = 0;           // dht.publish.store overlaps in the publish
+    bool in_store = false;
+    long long store_begin = -1;
+    long long store_max_recv = -1;
+    std::vector<long long> store_sends;
+    bool awaiting_commit = false;  // the store phase closed, no send yet
+  };
+  std::map<long, Track> tracks;
+  int publishes = 0;
+  int commits = 0;
+  for (const testing::ParsedEvent& e : events) {
+    Track& t = tracks[e.tid];
+    if (e.name == "participant.publish") {
+      if (e.phase == 'B') {
+        t = Track{};
+        t.in_publish = true;
+      } else {
+        EXPECT_EQ(t.stores, 1) << "peer " << e.tid;
+        t.in_publish = false;
+        ++publishes;
+      }
+      continue;
+    }
+    if (!t.in_publish) continue;
+    if (e.name == "dht.publish.store") {
+      if (e.phase == 'B') {
+        ++t.stores;
+        t.in_store = true;
+        t.store_begin = e.ts;
+        // Nothing is sent between the begin-publishing reply and the
+        // store phase: the id list no longer goes on its own.
+        const size_t n = t.sends_before.size();
+        ASSERT_GE(n, 2u) << "peer " << e.tid;
+        EXPECT_EQ(t.sends_before[n - 2], 8) << "peer " << e.tid;
+        EXPECT_EQ(t.sends_before[n - 1], 16)
+            << "peer " << e.tid << ": a send between the allocator's "
+            << "begin-publishing reply and the store phase";
+      } else {
+        t.in_store = false;
+        t.awaiting_commit = true;
+        ASSERT_FALSE(t.store_sends.empty()) << "peer " << e.tid;
+        EXPECT_EQ(t.store_sends.front(), t.store_begin)
+            << "peer " << e.tid << ": the first publish message waited";
+        std::sort(t.store_sends.begin(), t.store_sends.end());
+        EXPECT_NE(std::adjacent_find(t.store_sends.begin(),
+                                     t.store_sends.end()),
+                  t.store_sends.end())
+            << "peer " << e.tid << ": no two publish messages left together";
+      }
+      continue;
+    }
+    if (e.name == "net.send") {
+      if (t.in_store) {
+        t.store_sends.push_back(e.ts);
+      } else if (t.awaiting_commit) {
+        EXPECT_GE(e.ts, t.store_max_recv)
+            << "peer " << e.tid << ": the commit left before a reply of "
+            << "the store phase arrived";
+        t.awaiting_commit = false;
+        ++commits;
+      } else if (t.stores == 0) {
+        t.sends_before.push_back(e.bytes);
+      }
+    }
+    if (e.name == "net.recv" && t.in_store) {
+      t.store_max_recv = std::max(t.store_max_recv, e.ts);
+    }
+  }
+  // The checks above ran on real protocol traffic.
+  EXPECT_GE(publishes, static_cast<int>(cfg.participants * cfg.rounds) / 2);
+  EXPECT_EQ(commits, publishes);
+}
+
 // Per-peer message and byte counts of this seeded run. Overlapping moves
 // only the peers' clocks, so these are also what a stop-and-wait client
 // sending the same lookups is charged. Five peers count less than before
@@ -184,6 +279,12 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
 // and the fetch's own watermark commit and its ack are gone: messages
 // were {572, 582, 619, 630, 507, 577, 603, 599} and bytes {59647, 59657,
 // 60159, 61212, 59437, 60235, 63821, 59012}.
+//
+// The overlapped time, the one count here that overlapping may move, is
+// pinned too. Every peer's drops since a publish's epoch id list travels
+// beside its transaction stores instead of before them, while messages,
+// bytes and wire time stay as they were: it was {108658, 116609, 118311,
+// 121471, 107802, 107719, 115065, 107692}.
 TEST(DhtOverlapTest, MessageCountsMatchStopAndWait) {
   auto cdss = Cdss::Make(TieredDhtConfig());
   ASSERT_TRUE(cdss.ok()) << cdss.status().ToString();
@@ -195,19 +296,24 @@ TEST(DhtOverlapTest, MessageCountsMatchStopAndWait) {
                                        59101, 59611, 63197, 58244};
   const std::vector<int64_t> kWireMicros = {275409, 277403, 295931, 301501,
                                             248955, 277956, 291216, 285815};
+  const std::vector<int64_t> kNetworkMicros = {99604,  107555, 108124, 112417,
+                                               99754,  98162,  107017, 99604};
   std::vector<int64_t> messages;
   std::vector<int64_t> bytes;
   std::vector<int64_t> wire_micros;
+  std::vector<int64_t> network_micros;
   for (size_t i = 0; i < (*cdss)->participant_count(); ++i) {
     const core::StoreStats stats =
         (*cdss)->store().StatsFor((*cdss)->participant(i).id());
     messages.push_back(stats.messages);
     bytes.push_back(stats.bytes);
     wire_micros.push_back(stats.wire_micros);
+    network_micros.push_back(stats.sim_network_micros);
   }
   EXPECT_EQ(messages, kMessages);
   EXPECT_EQ(bytes, kBytes);
   EXPECT_EQ(wire_micros, kWireMicros);
+  EXPECT_EQ(network_micros, kNetworkMicros);
 }
 
 }  // namespace

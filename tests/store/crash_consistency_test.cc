@@ -2,9 +2,9 @@
 // publishing, stuck-epoch reaping, republish of aborted epochs, WAL
 // replay after a faulted run, the recno-keyed decision log that lets
 // recovery distinguish an interrupted reconciliation, and recovery from
-// every crash point of one reconciliation. The failure model is the
-// fault injector's: transient faults (one lost call) and sticky faults
-// (a crashed process whose cleanup never runs).
+// every crash point of one reconciliation or DHT publish. The failure
+// model is the fault injector's: transient faults (one lost call) and
+// sticky faults (a crashed process whose cleanup never runs).
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -15,6 +15,8 @@
 #include <unistd.h>
 
 #include "common/fault_injector.h"
+#include "common/trace.h"
+#include "common/trace_check.h"
 #include "core/participant.h"
 #include "net/sim_network.h"
 #include "storage/engine.h"
@@ -473,12 +475,6 @@ TEST(WalCrashConsistencyTest, EveryCrashPointOfOneReconciliationRecovers) {
 }
 
 
-/// A DHT confederation of peers 1..3 over `nodes` ring nodes without
-/// replication, each peer trusting the others at priority 1. Peer 1 has
-/// reconciled once, deferring a two-way conflict; a second window then
-/// brings it four transactions to accept and one to reject. Without
-/// replication a decision whose controller is peer 1's own node is
-/// written without a message, so it lands whatever the network loses.
 /// A DHT confederation of peers 2..4 over eight ring nodes without
 /// replication, each peer trusting the others at priority 1. Peer 2 has
 /// reconciled once, deferring a two-way conflict; a second window then
@@ -612,7 +608,9 @@ TEST(DhtCrashConsistencyTest, EveryCrashPointOfOneRecordingRecovers) {
     }
     // The witness carries the watermark past the fetched window.
     const bool witness_landed = bundle->epoch == recorded->epoch;
-    if (!witness_landed) EXPECT_EQ(bundle->epoch, prior->epoch);
+    if (!witness_landed) {
+      EXPECT_EQ(bundle->epoch, prior->epoch);
+    }
     witness_without_put |= witness_landed && landed < listed.size();
     put_without_witness |= !witness_landed && landed > 0;
 
@@ -629,6 +627,172 @@ TEST(DhtCrashConsistencyTest, EveryCrashPointOfOneRecordingRecovers) {
   // The sweep reached both sides of the unordered witness.
   EXPECT_TRUE(witness_without_put);
   EXPECT_TRUE(put_without_witness);
+}
+
+// Every crash point of one DHT publish. The epoch's id list (Fig. 6,
+// step 5) travels beside the transaction stores (6), so either can land
+// without the other; only the commit (7), which waits for all of them,
+// makes the epoch visible. A fault-free twin counts the sends of peer 3's
+// publish of a two-transaction batch and, on a simulated trace, finds
+// its concurrent store phase. Then, for each send i, a fresh world
+// crashes there (a sticky fault: the publisher's abort never runs). While
+// the publisher is down, peers 2 and 4 reconcile past the stuck epoch
+// without seeing any of its transactions; then the publisher republishes
+// from its queue, and every peer drains to the crash-free state with each
+// transaction delivered exactly once.
+TEST(DhtCrashConsistencyTest, EveryCrashPointOfOnePublishRecovers) {
+  constexpr ParticipantId kPublisher = 3;
+  const int reap_threshold = DhtStoreOptions{}.stuck_epoch_reap_threshold;
+  FaultInjectorConfig counting;
+  counting.site_prefix = "net.send";
+  counting.fail_at_call = int64_t{1} << 40;  // arms the count, never fires
+
+  // The batch: two inserts on keys nobody else writes, so its verdicts
+  // do not depend on which round delivers it.
+  const auto stage = [](DhtWorld& w) {
+    std::vector<TransactionId> batch;
+    for (const char* key : {"p7", "p8"}) {
+      auto id = w.P(kPublisher).ExecuteTransaction(
+          {Ins("rat", key, "new", kPublisher)});
+      ORCH_CHECK(id.ok());
+      batch.push_back(*id);
+    }
+    return batch;
+  };
+  // Per peer: the transactions its reconciliations were handed, and the
+  // verdicts they gave the batch.
+  struct Delivery {
+    size_t fetched = 0;
+    std::map<TransactionId, int> batch_verdicts;
+  };
+  using Deliveries = std::map<ParticipantId, Delivery>;
+  const auto reconcile = [](DhtWorld& w, ParticipantId id,
+                            const std::vector<TransactionId>& batch,
+                            Deliveries* out) -> size_t {
+    auto report = w.P(id).Reconcile(w.store.get());
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    if (!report.ok()) return 0;
+    (*out)[id].fetched += report->fetched;
+    for (const auto* verdicts :
+         {&report->accepted, &report->rejected, &report->deferred}) {
+      for (const TransactionId& txn : *verdicts) {
+        if (std::count(batch.begin(), batch.end(), txn) != 0) {
+          (*out)[id].batch_verdicts[txn] += 1;
+        }
+      }
+    }
+    return report->fetched;
+  };
+  const auto drain_all = [&](DhtWorld& w,
+                             const std::vector<TransactionId>& batch,
+                             Deliveries* out) {
+    for (ParticipantId id = 2; id <= 4; ++id) {
+      int rounds = 1;
+      while (reconcile(w, id, batch, out) > 0) {
+        if (++rounds > 4) {
+          ADD_FAILURE() << "peer " << id << " did not drain";
+          break;
+        }
+      }
+    }
+  };
+
+  DhtWorld twin;
+  const std::vector<TransactionId> batch = stage(twin);
+  Tracer trace("sim");
+  twin.network.set_sim_tracer(&trace);
+  twin.injector.Configure(counting);
+  ASSERT_TRUE(twin.P(kPublisher).Publish(twin.store.get()).ok());
+  const int64_t calls = twin.injector.calls();
+  twin.injector.Configure(FaultInjectorConfig{});
+  twin.network.set_sim_tracer(nullptr);
+  Deliveries twin_deliveries;
+  drain_all(twin, batch, &twin_deliveries);
+  for (ParticipantId id : {2, 4}) {
+    for (const TransactionId& txn : batch) {
+      ASSERT_EQ(twin_deliveries[id].batch_verdicts[txn], 1);
+      ASSERT_TRUE(twin.P(id).applied().count(txn) != 0);
+    }
+  }
+
+  // The store phase's sends, in call order: the id list, then each
+  // transaction's store and its ack. (Every key of this batch lives off
+  // the publisher's node, so each of them is one message.)
+  int64_t phase_first = 0;  // call index of the phase's first send
+  int64_t phase_sends = 0;
+  bool in_phase = false;
+  int64_t sends = 0;
+  for (const testing::ParsedEvent& e : testing::ParseEvents(trace.ToJson())) {
+    if (e.name == "dht.publish.store") in_phase = e.phase == 'B';
+    if (e.name != "net.send") continue;
+    ++sends;
+    if (!in_phase) continue;
+    if (phase_sends++ == 0) phase_first = sends;
+  }
+  // Only the ack to the publisher after the commit cannot be lost.
+  ASSERT_EQ(sends, calls + 1);
+  ASSERT_EQ(phase_sends, 5);
+  const int64_t first_store = phase_first + 1;
+  const int64_t first_ack = phase_first + 2;
+  const int64_t second_store = phase_first + 3;
+
+  bool ids_without_store = false;
+  bool store_without_store = false;
+  for (int64_t i = 1; i <= calls; ++i) {
+    SCOPED_TRACE("crash at send " + std::to_string(i) + " of " +
+                 std::to_string(calls));
+    DhtWorld w;
+    ASSERT_EQ(stage(w), batch);
+    FaultInjectorConfig crash = counting;
+    crash.fail_at_call = i;
+    crash.sticky = true;
+    w.injector.Configure(crash);
+    auto failed = w.P(kPublisher).Publish(w.store.get());
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable)
+        << failed.status().ToString();
+    ASSERT_GT(w.injector.injected(), 0);
+    w.injector.Disable();
+    // The id list landed but the first store did not; or the first
+    // store landed (its ack was lost, or the second store was) but the
+    // second did not.
+    ids_without_store |= i == first_store;
+    store_without_store |= i == first_ack || i == second_store;
+
+    Deliveries deliveries;
+    for (int round = 0; round < reap_threshold; ++round) {
+      reconcile(w, 2, batch, &deliveries);
+    }
+    auto stalled = w.store->FetchRecoveryState(2);
+    ASSERT_TRUE(stalled.ok()) << stalled.status().ToString();
+    reconcile(w, 4, batch, &deliveries);
+    for (ParticipantId id : {2, 4}) {
+      EXPECT_TRUE(deliveries[id].batch_verdicts.empty())
+          << "peer " << id << " was handed a transaction of the failed epoch";
+    }
+
+    auto republished = w.P(kPublisher).Publish(w.store.get());
+    ASSERT_TRUE(republished.ok()) << republished.status().ToString();
+    // Every epoch before the republished one, the failed epoch included
+    // when the allocator handed one out, lies behind peer 2's watermark.
+    EXPECT_GE(stalled->epoch, *republished - 1);
+
+    drain_all(w, batch, &deliveries);
+    for (ParticipantId id = 2; id <= 4; ++id) {
+      EXPECT_EQ(deliveries[id].fetched, twin_deliveries[id].fetched)
+          << "peer " << id;
+      EXPECT_EQ(deliveries[id].batch_verdicts,
+                twin_deliveries[id].batch_verdicts)
+          << "peer " << id;
+      EXPECT_TRUE(w.P(id).instance() == twin.P(id).instance())
+          << "peer " << id;
+      EXPECT_EQ(w.P(id).applied(), twin.P(id).applied()) << "peer " << id;
+      EXPECT_EQ(w.P(id).rejected(), twin.P(id).rejected()) << "peer " << id;
+    }
+  }
+  // The sweep reached both sides of the unordered id list and stores.
+  EXPECT_TRUE(ids_without_store);
+  EXPECT_TRUE(store_without_store);
 }
 
 }  // namespace
