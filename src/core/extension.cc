@@ -4,63 +4,59 @@
 
 namespace orchestra::core {
 
-Result<std::vector<TransactionId>> ComputeExtension(
-    const TransactionProvider& provider, const TransactionId& root,
-    const TxnIdSet& already_applied) {
-  std::vector<TransactionId> result;
-  TxnIdSet visited;
-  std::vector<TransactionId> frontier{root};
-  visited.insert(root);
+namespace {
+
+// The closure of `root` through antecedents, sorted by order of
+// appearance in ∆: epoch, then originator, then local sequence number
+// (ids are assigned in increasing order, §3.2). `load` returns an id's
+// body, or null for an antecedent that ends the closure.
+template <typename Load>
+Result<std::vector<TransactionId>> SortedClosure(const TransactionId& root,
+                                                 Load&& load) {
   std::vector<std::pair<Epoch, TransactionId>> with_epochs;
+  TxnIdSet visited{root};
+  std::vector<TransactionId> frontier{root};
   while (!frontier.empty()) {
     const TransactionId id = frontier.back();
     frontier.pop_back();
-    ORCH_ASSIGN_OR_RETURN(const Transaction* txn, provider.Get(id));
+    ORCH_ASSIGN_OR_RETURN(const Transaction* txn, load(id));
+    if (txn == nullptr) continue;
     with_epochs.emplace_back(txn->epoch, id);
     for (const TransactionId& ante : txn->antecedents) {
-      if (already_applied.count(ante) != 0) continue;  // Definition 3 stop
       if (visited.insert(ante).second) frontier.push_back(ante);
     }
   }
-  // Sort by order of appearance in ∆: epoch, then originator, then local
-  // sequence number (ids are assigned in increasing order, §3.2).
-  std::sort(with_epochs.begin(), with_epochs.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
+  std::sort(with_epochs.begin(), with_epochs.end());
+  std::vector<TransactionId> result;
   result.reserve(with_epochs.size());
   for (const auto& [epoch, id] : with_epochs) result.push_back(id);
   return result;
 }
 
+}  // namespace
+
+Result<std::vector<TransactionId>> ComputeExtension(
+    const TransactionProvider& provider, const TransactionId& root,
+    const TxnIdSet& already_applied) {
+  return SortedClosure(
+      root, [&](const TransactionId& id) -> Result<const Transaction*> {
+        if (id != root && already_applied.count(id) != 0) {
+          return nullptr;  // Definition 3 stop
+        }
+        return provider.Get(id);
+      });
+}
+
 std::vector<TransactionId> ComputeExtensionFromBundle(
     const TransactionMap& bundle, const TransactionId& root) {
-  std::vector<std::pair<Epoch, TransactionId>> with_epochs;
-  TxnIdSet visited;
-  std::vector<TransactionId> frontier{root};
-  visited.insert(root);
-  while (!frontier.empty()) {
-    const TransactionId id = frontier.back();
-    frontier.pop_back();
-    auto txn = bundle.Get(id);
-    if (!txn.ok()) continue;  // outside the bundle: already applied
-    with_epochs.emplace_back((*txn)->epoch, id);
-    for (const TransactionId& ante : (*txn)->antecedents) {
-      if (bundle.Contains(ante) && visited.insert(ante).second) {
-        frontier.push_back(ante);
-      }
-    }
-  }
-  std::sort(with_epochs.begin(), with_epochs.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  std::vector<TransactionId> result;
-  result.reserve(with_epochs.size());
-  for (const auto& [epoch, id] : with_epochs) result.push_back(id);
-  return result;
+  // A member missing from the bundle reads as already applied.
+  return SortedClosure(
+             root,
+             [&](const TransactionId& id) -> Result<const Transaction*> {
+               if (!bundle.Contains(id)) return nullptr;
+               return bundle.Get(id);
+             })
+      .value();
 }
 
 bool Subsumes(const std::vector<TransactionId>& outer,

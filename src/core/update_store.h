@@ -1,8 +1,11 @@
 #ifndef ORCHESTRA_CORE_UPDATE_STORE_H_
 #define ORCHESTRA_CORE_UPDATE_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,9 +61,9 @@ struct StoreStats {
 };
 
 /// How a store assembles each reconciliation's fetch. Both modes run
-/// the same pipeline — the central store's window scan and antecedent
-/// walk, the DHT's per-owner multi-gets and batched decision writes —
-/// and ship identical decisions; they differ only in what they read.
+/// the same pipeline (each store's window scan, then the shared closure
+/// walk over its own lookups) and ship identical decisions; they differ
+/// only in what they read.
 enum class FetchMode {
   /// The reference: the scan window starts at epoch 0 (ignoring the
   /// peer's watermark), and every soft-state read is bypassed — the
@@ -117,10 +120,11 @@ struct FetchStats {
 /// reconciliation: the allocated reconciliation number, the stable epoch
 /// it covers, the fully trusted undecided transactions with their trust
 /// priorities, and a bundle of transactions covering the trusted
-/// transactions plus their antecedent closures. The bundle leaves out
-/// transactions the participant already applied, and outside the kFull
-/// reference also those it rejected in its current incarnation: it holds
-/// their bodies and computes extensions through them from its cache.
+/// transactions plus their antecedent closures (Fig. 7, ClosureLevel).
+/// The bundle leaves out transactions the participant already applied,
+/// and outside the kFull reference also those it rejected in its current
+/// incarnation: it holds their bodies and computes extensions through
+/// them from its cache.
 struct ReconcileFetch {
   int64_t recno = 0;
   Epoch epoch = kNoEpoch;
@@ -136,7 +140,8 @@ struct ReconcileFetch {
 /// it up to the last reconciliation). `applied` is sorted by publication
 /// order; `undecided` covers transactions the peer had fetched but
 /// neither applied nor rejected (i.e. its deferred backlog), along with
-/// their antecedent closures in `closure`.
+/// their antecedent closures in `closure` (the fetch's closure walk over
+/// every epoch up to the watermark).
 struct RecoveryBundle {
   int64_t recno = 0;
   Epoch epoch = kNoEpoch;  // the peer's reconciliation watermark
@@ -155,6 +160,14 @@ struct RecoveryBundle {
   std::vector<TransactionId> rejected;
   std::vector<std::pair<TransactionId, int>> undecided;
   std::vector<Transaction> closure;
+
+  /// Puts `applied` in publication order: epoch, then id.
+  void SortApplied() {
+    std::sort(applied.begin(), applied.end(),
+              [](const Transaction& a, const Transaction& b) {
+                return a.epoch != b.epoch ? a.epoch < b.epoch : a.id < b.id;
+              });
+  }
 };
 
 /// What a network-centric reconciliation ships to the client: the usual
@@ -168,6 +181,18 @@ struct NetworkCentricFetch {
   std::vector<TrustedTxn> trusted_txns;
   /// Flattened extensions and direct conflicts over trusted_txns.
   ReconcileAnalysis analysis;
+
+  /// The analysis as the reply to the peer carries it: the encoded
+  /// flattened updates, plus one 48-byte record per conflicting pair.
+  int64_t AnalysisBytes() const {
+    auto bytes = static_cast<int64_t>(analysis.conflicts.size()) * 48;
+    for (const auto& up_ex : analysis.up_ex) {
+      for (const Update& u : up_ex) {
+        bytes += static_cast<int64_t>(EncodedUpdateSize(u));
+      }
+    }
+    return bytes;
+  }
 };
 
 /// Optional capability interface: stores that can perform the
@@ -267,6 +292,18 @@ class UpdateStore {
   /// Human-readable implementation name ("central", "dht").
   virtual std::string_view name() const = 0;
 };
+
+/// The trust policy each peer registered with a store.
+using PolicyMap = std::unordered_map<ParticipantId, const TrustPolicy*>;
+
+/// `peer`'s registered policy, or NotFound.
+inline Result<const TrustPolicy*> RegisteredPolicy(const PolicyMap& policies,
+                                                   ParticipantId peer) {
+  auto it = policies.find(peer);
+  if (it != policies.end()) return it->second;
+  return Status::NotFound("peer " + std::to_string(peer) +
+                          " is not registered");
+}
 
 }  // namespace orchestra::core
 

@@ -1,15 +1,14 @@
 #include "store/central_store.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "db/serde.h"
+#include "core/closure_walk.h"
 #include "core/extension.h"
 
 namespace orchestra::store {
@@ -127,15 +126,46 @@ Result<Transaction> CentralStore::LoadTxnCached(const TransactionId& id) const {
   return txn;
 }
 
-bool CentralStore::HasDecision(ParticipantId peer,
-                               const TransactionId& id) const {
-  return engine_->Contains("dec:" + std::to_string(peer), TxnKey(id));
+Status CentralStore::ScanWindow(Epoch from, Epoch to, bool via_arena,
+                                std::vector<TransactionId>* roots,
+                                TxnBodies* bodies) const {
+  std::unordered_map<std::string, bool> committed;
+  for (const auto& [key, unused] :
+       engine_->ScanRange("epoch_txns", EpochKey(from), EpochKey(to + 1))) {
+    (void)unused;
+    const size_t sep = key.find(':');
+    auto [state, fresh] = committed.try_emplace(key.substr(0, sep));
+    if (fresh) state->second = EpochCommitted(state->first);
+    if (!state->second) continue;
+    const TransactionId id = ParseTxnKey(key.substr(sep + 1));
+    ORCH_ASSIGN_OR_RETURN(Transaction txn,
+                          via_arena ? LoadTxnCached(id) : LoadTxn(id));
+    roots->push_back(id);
+    bodies->emplace(id, std::move(txn));
+  }
+  return Status::OK();
 }
 
-bool CentralStore::IsApplied(ParticipantId peer,
-                             const TransactionId& id) const {
-  auto value = engine_->Get("dec:" + std::to_string(peer), TxnKey(id));
-  return value.ok() && *value == "A";
+Status CentralStore::LookUp(ParticipantId peer, core::ClosureLevel& level,
+                            TxnBodies* roots, bool via_arena) const {
+  const std::string dec_table = "dec:" + std::to_string(peer);
+  for (size_t i = 0; i < level.size(); ++i) {
+    const TransactionId& id = level.id(i);
+    const std::string key = TxnKey(id);
+    // Most ids have no row: Contains answers them without a NotFound.
+    auto verdict = core::RecordedVerdict::kNone;
+    if (engine_->Contains(dec_table, key)) {
+      verdict = engine_->Get(dec_table, key).value() == "A"
+                    ? core::RecordedVerdict::kApplied
+                    : core::RecordedVerdict::kRejected;
+    }
+    auto body = [&]() -> Result<Transaction> {
+      if (level.roots()) return std::move(roots->at(id));
+      return via_arena ? LoadTxnCached(id) : LoadTxn(id);
+    };
+    ORCH_RETURN_IF_ERROR(level.Judge(i, verdict, body).status());
+  }
+  return Status::OK();
 }
 
 bool CentralStore::EpochCommitted(const std::string& epoch_key) const {
@@ -154,8 +184,6 @@ bool CentralStore::IsCommittedTxn(const std::string& txn_key) const {
   // the row's updates and antecedents on the publish hot path.
   size_t pos = 0;
   auto header = core::DecodeTransactionHeader(*blob, &pos);
-  // An unreadable row is treated as present: refusing the republish is
-  // safer than silently overwriting data we cannot interpret.
   if (!header.ok()) return true;
   return EpochCommitted(EpochKey(header->epoch));
 }
@@ -267,14 +295,9 @@ Result<ReconcileFetch> CentralStore::Fetch(ParticipantId peer,
                                            std::vector<TransactionId>* held) {
   TraceSpan span("central.fetch");
   Stopwatch cpu;
-  auto policy_it = policies_.find(peer);
-  if (policy_it == policies_.end()) {
-    return Status::NotFound("peer " + std::to_string(peer) +
-                            " is not registered");
-  }
-  const core::TrustPolicy& policy = *policy_it->second;
+  ORCH_ASSIGN_OR_RETURN(const core::TrustPolicy* policy,
+                        core::RegisteredPolicy(policies_, peer));
   const core::FetchCache::Stats cache_before = cache_.stats();
-  int64_t decoded = 0;
   // Integrity counter snapshots for the per-round FetchStats: detected
   // rotten rows, and the re-reads (the central analog of a replica
   // failover probe) that absorbed them.
@@ -335,90 +358,38 @@ Result<ReconcileFetch> CentralStore::Fetch(ParticipantId peer,
   const Epoch prev =
       reference() ? 0 : std::strtoll(last_epoch_key.c_str(), nullptr, 10);
 
-  // Relevant transactions: everything published in (prev, stable] whose
-  // epoch committed. Rows under open/aborted epochs in the window are
-  // residue of unfinished publishes and must stay invisible. Each
-  // transaction is decoded at most once across all peers and rounds: an
-  // arena hit skips the engine read and the decode.
-  std::unordered_map<std::string, bool> committed_cache;
-  auto epoch_committed = [&](const std::string& epoch_key) {
-    auto it = committed_cache.find(epoch_key);
-    if (it == committed_cache.end()) {
-      it = committed_cache.emplace(epoch_key, EpochCommitted(epoch_key)).first;
-    }
-    return it->second;
-  };
-  std::vector<Transaction> relevant;
-  for (const auto& [key, unused] :
-       engine_->ScanRange("epoch_txns", EpochKey(prev + 1),
-                          EpochKey(stable + 1))) {
-    (void)unused;
-    const size_t sep = key.find(':');
-    if (!epoch_committed(key.substr(0, sep))) continue;
-    const std::string txn_key = key.substr(sep + 1);
-    if (!reference()) {
-      if (const Transaction* hit = cache_.Lookup(ParseTxnKey(txn_key))) {
-        relevant.push_back(*hit);
-        continue;
-      }
-    }
-    ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(txn_key));
-    size_t pos = 0;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
-    ++decoded;
-    // The window filter above established the epoch committed, so the
-    // decoded transaction is immutable and admissible. The reference,
-    // which never reads the arena, skips the admit's copy.
-    if (!reference()) cache_.Admit(txn);
-    relevant.push_back(std::move(txn));
-  }
+  // Relevant transactions: everything committed in (prev, stable].
+  std::vector<TransactionId> roots;
+  TxnBodies bodies;
+  ORCH_RETURN_IF_ERROR(
+      ScanWindow(prev + 1, stable, !reference(), &roots, &bodies));
+  const auto scanned = static_cast<int64_t>(roots.size());
 
   // Trust predicates are evaluated inside the store so that only fully
-  // trusted transactions and their antecedent closures are shipped. A
-  // decided-overlay hit suppresses the decision lookup whose answer must
-  // be "already decided" — the overlay only ever holds durably recorded
-  // decisions, so the filter outcome is unchanged.
-  TxnIdSet shipped;
-  std::deque<TransactionId> pending;
-  for (const Transaction& txn : relevant) {
-    if (!reference() && cache_.KnownDecided(peer, txn.id)) continue;
-    if (HasDecision(peer, txn.id)) continue;  // own or already decided
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (priority <= 0) continue;
-    fetch.trusted.emplace_back(txn.id, priority);
-    if (shipped.insert(txn.id).second) {
-      fetch.transactions.push_back(txn);
-      for (const TransactionId& ante : txn.antecedents) {
-        pending.push_back(ante);
-      }
-    }
-  }
-  // Antecedent closure, stopping at transactions the peer has already
-  // applied (their effects are in the peer's instance) and, outside the
-  // reference, at those it rejected and holds: the peer computes the
-  // extension through them from its own cache. `held` collects those
-  // overlay stops for the network-centric bundle.
-  while (!pending.empty()) {
-    const TransactionId id = pending.front();
-    pending.pop_front();
-    if (shipped.count(id) != 0) continue;
-    if (!reference() && cache_.KnownDecided(peer, id)) {
-      if (held != nullptr) held->push_back(id);
-      continue;
-    }
-    if (IsApplied(peer, id)) continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));
-    shipped.insert(id);
-    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-    fetch.transactions.push_back(std::move(txn));
-  }
+  // trusted transactions and their antecedent closures are shipped
+  // (Fig. 7). Outside the reference, the decided overlay suppresses the
+  // lookups the peer needs nothing from; `held` collects those met as
+  // antecedents for the network-centric bundle.
+  ORCH_ASSIGN_OR_RETURN(
+      core::ClosureWalk walk,
+      core::ClosureLevel::Walk(
+          std::move(roots), policy,
+          [&](const TransactionId& id) {
+            return !reference() && cache_.KnownDecided(peer, id);
+          },
+          [&](core::ClosureLevel& level) {
+            return LookUp(peer, level, &bodies, !reference());
+          }));
+  fetch.trusted = std::move(walk.trusted);
+  fetch.transactions = std::move(walk.transactions);
+  if (held != nullptr) *held = std::move(walk.held);
   const core::FetchCache::Stats& after = cache_.stats();
   fetch.stats.cache_hits = after.hits - cache_before.hits;
   fetch.stats.suppressed_lookups = after.suppressed - cache_before.suppressed;
   // The reference never consults the arena, so it counts its scan's
   // decodes itself.
   fetch.stats.decoded =
-      reference() ? decoded : after.misses - cache_before.misses;
+      reference() ? scanned : after.misses - cache_before.misses;
 
   // Advance the peer's epoch watermark only now that the fetch is
   // assembled: a failure anywhere above must not move the watermark, or
@@ -535,12 +506,8 @@ Status CentralStore::RecordProvenance(
 Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
     ParticipantId peer) const {
   Stopwatch cpu;
-  auto policy_it = policies_.find(peer);
-  if (policy_it == policies_.end()) {
-    return Status::NotFound("peer " + std::to_string(peer) +
-                            " is not registered");
-  }
-  const core::TrustPolicy& policy = *policy_it->second;
+  ORCH_ASSIGN_OR_RETURN(const core::TrustPolicy* policy,
+                        core::RegisteredPolicy(policies_, peer));
   core::RecoveryBundle bundle;
   bundle.recno = engine_->CurrentSequence("recno:" + std::to_string(peer));
   ORCH_ASSIGN_OR_RETURN(std::string watermark,
@@ -601,11 +568,7 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
       bytes += 16;
     }
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  bundle.SortApplied();
   // The scan above is the authoritative applied set; replace the
   // overlay with it so the recovered peer's first fetch suppresses
   // everything it durably applied, and ships again what it rejected (it
@@ -616,7 +579,7 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
 
   // Undecided trusted transactions within the watermark: the deferred
   // backlog, plus the antecedent closures needed to re-reconcile them.
-  ORCH_RETURN_IF_ERROR(ReadUndecided(peer, policy, &bundle, &bytes));
+  ORCH_RETURN_IF_ERROR(ReadUndecided(peer, *policy, &bundle, &bytes));
 
   network_->Charge(peer, 2, bytes / 2);
   cpu_micros_[peer] += cpu.ElapsedMicros() + options_.procedure_overhead_micros;
@@ -628,39 +591,25 @@ Status CentralStore::ReadUndecided(ParticipantId peer,
                                    const core::TrustPolicy& policy,
                                    core::RecoveryBundle* bundle,
                                    int64_t* bytes) const {
-  TxnIdSet shipped;
-  std::deque<TransactionId> pending;
-  for (const auto& [key, unused] :
-       engine_->ScanRange("epoch_txns", EpochKey(1),
-                          EpochKey(bundle->epoch + 1))) {
-    (void)unused;
-    const size_t sep = key.find(':');
-    if (!EpochCommitted(key.substr(0, sep))) continue;
-    const std::string txn_key = key.substr(sep + 1);
-    ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(txn_key));
-    size_t pos = 0;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
-    if (HasDecision(peer, txn.id)) continue;
-    const int priority = policy.PriorityOfTransaction(txn);
-    if (priority <= 0) continue;
-    bundle->undecided.emplace_back(txn.id, priority);
-    if (shipped.insert(txn.id).second) {
-      *bytes += static_cast<int64_t>(blob.size());
-      for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-      bundle->closure.push_back(std::move(txn));
-    }
-  }
-  while (!pending.empty()) {
-    const TransactionId id = pending.front();
-    pending.pop_front();
-    if (shipped.count(id) != 0) continue;
-    if (IsApplied(peer, id)) continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxn(id));
-    shipped.insert(id);
+  // The walk's roots are every committed row up to the watermark, read
+  // and verified from the stored rows, never the arena.
+  std::vector<TransactionId> roots;
+  TxnBodies bodies;
+  ORCH_RETURN_IF_ERROR(ScanWindow(1, bundle->epoch, /*via_arena=*/false,
+                                  &roots, &bodies));
+  ORCH_ASSIGN_OR_RETURN(
+      core::ClosureWalk walk,
+      core::ClosureLevel::Walk(
+          std::move(roots), &policy,
+          [](const TransactionId&) { return false; },
+          [&](core::ClosureLevel& level) {
+            return LookUp(peer, level, &bodies, /*via_arena=*/false);
+          }));
+  for (const Transaction& txn : walk.transactions) {
     *bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
-    bundle->closure.push_back(std::move(txn));
   }
+  bundle->undecided = std::move(walk.trusted);
+  bundle->closure = std::move(walk.transactions);
   return Status::OK();
 }
 
@@ -683,13 +632,15 @@ Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliatio
   // ComputeExtensionFromBundle reads a missing member as applied. Put
   // them back, with the closure the fetch would have walked past them,
   // from the server's own rows: nothing more travels to the client.
-  std::deque<TransactionId> pending(held.begin(), held.end());
-  while (!pending.empty()) {
-    const TransactionId id = pending.front();
-    pending.pop_front();
-    if (bundle.Contains(id) || IsApplied(peer, id)) continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));
-    for (const TransactionId& ante : txn.antecedents) pending.push_back(ante);
+  ORCH_ASSIGN_OR_RETURN(
+      core::ClosureWalk restored,
+      core::ClosureLevel::Walk(
+          std::move(held), nullptr,
+          [&](const TransactionId& id) { return bundle.Contains(id); },
+          [&](core::ClosureLevel& level) {
+            return LookUp(peer, level, nullptr, /*via_arena=*/true);
+          }));
+  for (Transaction& txn : restored.transactions) {
     // ORCH_LINT(allow:S1): TransactionMap::Put returns void (the rule keys on the name StorageEngine::Put shares)
     bundle.Put(std::move(txn));
   }
@@ -705,16 +656,7 @@ Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliatio
 
   // The analysis rides in the reply: flattened updates plus one fixed
   // record per conflicting pair.
-  int64_t bytes = 0;
-  for (const auto& up_ex : fetch.analysis.up_ex) {
-    for (const core::Update& u : up_ex) {
-      std::string buf;
-      core::EncodeUpdate(&buf, u);
-      bytes += static_cast<int64_t>(buf.size());
-    }
-  }
-  bytes += static_cast<int64_t>(fetch.analysis.conflicts.size()) * 48;
-  network_->Charge(peer, 1, bytes);
+  network_->Charge(peer, 1, fetch.AnalysisBytes());
   cpu_micros_[peer] += cpu.ElapsedMicros() + options_.procedure_overhead_micros;
   calls_[peer] += 1;
   return fetch;
@@ -723,16 +665,9 @@ Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliatio
 Result<core::RecoveryBundle> CentralStore::Bootstrap(
     ParticipantId new_peer, ParticipantId source_peer) {
   Stopwatch cpu;
-  auto policy_it = policies_.find(new_peer);
-  if (policy_it == policies_.end()) {
-    return Status::NotFound("peer " + std::to_string(new_peer) +
-                            " is not registered");
-  }
-  if (policies_.count(source_peer) == 0) {
-    return Status::NotFound("source peer " + std::to_string(source_peer) +
-                            " is not registered");
-  }
-  const core::TrustPolicy& policy = *policy_it->second;
+  ORCH_ASSIGN_OR_RETURN(const core::TrustPolicy* policy,
+                        core::RegisteredPolicy(policies_, new_peer));
+  ORCH_RETURN_IF_ERROR(core::RegisteredPolicy(policies_, source_peer).status());
 
   core::RecoveryBundle bundle;
   ORCH_ASSIGN_OR_RETURN(std::string watermark,
@@ -753,11 +688,7 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
     bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
     bundle.applied.push_back(std::move(txn));
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  bundle.SortApplied();
   // Advance the watermark so the adopted window is not re-fetched.
   ORCH_RETURN_IF_ERROR(engine_->Put("peers", std::to_string(new_peer),
                                     EpochKey(bundle.epoch)));
@@ -766,7 +697,7 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
   // new peer's own policy trusts: handed over as the undecided backlog,
   // with antecedent closures. The adopted accepts already count as the
   // new peer's decisions, so the shared reader skips them.
-  ORCH_RETURN_IF_ERROR(ReadUndecided(new_peer, policy, &bundle, &bytes));
+  ORCH_RETURN_IF_ERROR(ReadUndecided(new_peer, *policy, &bundle, &bytes));
   ORCH_RETURN_IF_ERROR(engine_->Sync());
   // The adopted accepts just synced under the new peer's own name. They
   // replace its overlay: a bootstrapped peer holds none of the bodies an
@@ -794,10 +725,6 @@ core::StoreStats CentralStore::StatsFor(ParticipantId peer) const {
   auto call_it = calls_.find(peer);
   stats.calls = call_it == calls_.end() ? 0 : call_it->second;
   return stats;
-}
-
-size_t CentralStore::TransactionCount() const {
-  return engine_->TableSize("txn");
 }
 
 }  // namespace orchestra::store

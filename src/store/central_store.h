@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/closure_walk.h"
 #include "core/fetch_cache.h"
 #include "core/update_store.h"
 #include "net/sim_network.h"
@@ -19,7 +20,9 @@ namespace orchestra::store {
 /// published batch; publishing is decoupled from reconciliation, and a
 /// reconciling peer uses the latest epoch not preceded by an unfinished
 /// epoch. Trust predicates are applied store-side so only relevant
-/// transactions and their antecedent closures travel over the network.
+/// transactions and their antecedent closures travel over the network:
+/// the fetch, recovery, bootstrap and network-centric walks all run
+/// core::ClosureLevel::Walk's one rule over engine reads (see LookUp).
 ///
 /// Engine layout (all keys are order-preserving encodings):
 ///   txn        txn-key -> enveloped encoded Transaction
@@ -101,9 +104,6 @@ class CentralStore : public core::UpdateStore,
   core::StoreStats StatsFor(core::ParticipantId peer) const override;
   std::string_view name() const override { return "central"; }
 
-  /// Total published transactions (all peers); used by tests.
-  size_t TransactionCount() const;
-
  private:
   /// One buffered write of a staged (not yet committed) publish.
   struct StagedRow {
@@ -130,7 +130,7 @@ class CentralStore : public core::UpdateStore,
   Result<std::string> ReadTxnBlob(const std::string& txn_key) const;
 
   /// BeginReconciliation, also reporting in `held` (when non-null) each
-  /// antecedent the closure skipped through the decided overlay.
+  /// antecedent the closure walk skipped through the decided overlay.
   Result<core::ReconcileFetch> Fetch(core::ParticipantId peer,
                                      std::vector<core::TransactionId>* held);
   Result<core::Transaction> LoadTxn(const core::TransactionId& id) const;
@@ -142,14 +142,22 @@ class CentralStore : public core::UpdateStore,
   bool reference() const {
     return options_.fetch_mode == core::FetchMode::kFull;
   }
-  bool HasDecision(core::ParticipantId peer,
-                   const core::TransactionId& id) const;
-  bool IsApplied(core::ParticipantId peer, const core::TransactionId& id) const;
-  /// Recovery and bootstrap tail: appends to `bundle`'s undecided and
-  /// closure lists every trusted transaction of a committed epoch up to
-  /// `bundle->epoch` that `peer` has not decided, plus its antecedent
-  /// closure up to what `peer` applied, and adds the shipped bytes to
-  /// `*bytes`.
+  /// The bodies of a closure walk's roots, by id.
+  using TxnBodies = std::unordered_map<core::TransactionId, core::Transaction,
+                                       core::TransactionIdHash>;
+  /// Appends every transaction of a committed epoch in [from, to] to
+  /// `roots` and `bodies`, through the arena when `via_arena`, otherwise
+  /// read and verified from the stored rows.
+  Status ScanWindow(core::Epoch from, core::Epoch to, bool via_arena,
+                    std::vector<core::TransactionId>* roots,
+                    TxnBodies* bodies) const;
+  /// The closure walk's lookup for `peer`: the verdict from its decision
+  /// rows, a root's body from `roots`, an antecedent's as ScanWindow's.
+  Status LookUp(core::ParticipantId peer, core::ClosureLevel& level,
+                TxnBodies* roots, bool via_arena) const;
+  /// Recovery and bootstrap tail: the closure walk from every committed
+  /// row up to `bundle->epoch`, read from the stored rows, into
+  /// `bundle`'s undecided and closure lists; adds the bytes to `*bytes`.
   Status ReadUndecided(core::ParticipantId peer,
                        const core::TrustPolicy& policy,
                        core::RecoveryBundle* bundle, int64_t* bytes) const;
@@ -171,7 +179,7 @@ class CentralStore : public core::UpdateStore,
   net::SimNetwork* network_;
   CentralStoreOptions options_;
   const db::Catalog* catalog_;
-  std::unordered_map<core::ParticipantId, const core::TrustPolicy*> policies_;
+  core::PolicyMap policies_;
   /// Soft state: open-epoch observation counts driving the reaper.
   std::unordered_map<core::Epoch, int> epoch_strikes_;
   /// Soft state: the shared decoded-transaction arena and per-peer

@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "core/closure_walk.h"
 #include "core/extension.h"
 #include "db/serde.h"
 
@@ -37,31 +38,8 @@ size_t DhtStore::NodeOfPeer(ParticipantId peer) const {
   return ring_.OwnerOf(ring_.IdOf(slot) + 1);
 }
 
-size_t DhtStore::RoutedSend(ParticipantId peer, size_t from_node,
-                            net::NodeId key, int64_t bytes) {
-  const net::RouteResult route = ring_.Route(from_node, key);
-  // A probe into a crashed node is a timed-out message the initiator
-  // paid for before detouring via the successor list.
-  if (route.failed_probes > 0) network_->Charge(peer, route.failed_probes, 8);
-  if (route.hops > 0) network_->Charge(peer, route.hops, bytes);
-  return route.owner;
-}
-
 void DhtStore::DirectSend(ParticipantId peer, int64_t bytes) {
   network_->Charge(peer, 1, bytes);
-}
-
-void DhtStore::ReplicatedSend(ParticipantId peer, size_t from_node,
-                              const std::string& key, int64_t bytes) {
-  RoutedSend(peer, from_node, net::KeyHash(key), bytes);
-  // The primary copies to the rest of its group at once: one hop, k-1
-  // messages.
-  net::SimNetwork::Overlap fanout(network_, peer);
-  const size_t replicas = GroupFor(key).size() - 1;
-  for (size_t i = 0; i < replicas; ++i) {
-    fanout.Lane(i);
-    network_->Charge(peer, 1, bytes);
-  }
 }
 
 namespace {
@@ -85,6 +63,8 @@ Counter& RetransmitCounter() {
 Result<size_t> DhtStore::TryRoutedSend(ParticipantId peer, size_t from_node,
                                        net::NodeId key, int64_t bytes) {
   const net::RouteResult route = ring_.Route(from_node, key);
+  // A probe into a crashed node is a timed-out message the initiator
+  // paid for before detouring via the successor list.
   if (route.failed_probes > 0) network_->Charge(peer, route.failed_probes, 8);
   if (route.hops > 0) {
     Status sent;
@@ -112,8 +92,8 @@ Status DhtStore::TryReplicatedSend(ParticipantId peer, size_t from_node,
                                    const std::string& key, int64_t bytes) {
   ORCH_RETURN_IF_ERROR(
       TryRoutedSend(peer, from_node, net::KeyHash(key), bytes).status());
-  // One hop for the whole fan-out, as in ReplicatedSend; each copy
-  // retransmits on its own lane.
+  // The primary copies to the rest of its group at once: one hop, k-1
+  // messages, each retransmitting on its own lane.
   net::SimNetwork::Overlap fanout(network_, peer);
   const size_t replicas = GroupFor(key).size() - 1;
   for (size_t i = 0; i < replicas; ++i) {
@@ -263,6 +243,17 @@ Result<std::string> DhtStore::ShipPayload(ParticipantId peer,
   return delivered;
 }
 
+core::RecordedVerdict DhtStore::VerdictAt(const NodeState& node,
+                                          const TransactionId& id,
+                                          ParticipantId peer) {
+  auto dec_it = node.decisions.find(id);
+  if (dec_it == node.decisions.end()) return core::RecordedVerdict::kNone;
+  auto peer_it = dec_it->second.find(peer);
+  if (peer_it == dec_it->second.end()) return core::RecordedVerdict::kNone;
+  return peer_it->second.verdict == 'A' ? core::RecordedVerdict::kApplied
+                                        : core::RecordedVerdict::kRejected;
+}
+
 bool DhtStore::EpochCommitted(Epoch e) const {
   for (size_t node : GroupFor("epoch:" + std::to_string(e))) {
     if (!nodes_[node].KnowsEpoch(e)) continue;
@@ -285,7 +276,8 @@ void DhtStore::AbortEpoch(ParticipantId peer, Epoch epoch,
                           const std::vector<TransactionId>& staged) {
   // A sticky fault models a crashed publisher: its cleanup never runs,
   // the epoch stays unfinished, and the reaper eventually marks it
-  // aborted from the reconciliation path instead.
+  // aborted from the reconciliation path instead. A transient fault
+  // leaves a live publisher whose cleanup sends cannot fail.
   FaultInjector* injector = network_->fault_injector();
   if (injector != nullptr && injector->tripped()) return;
   FaultInjector::ScopedDisable guard(injector);
@@ -297,7 +289,7 @@ void DhtStore::AbortEpoch(ParticipantId peer, Epoch epoch,
       const TransactionId& id = staged[i];
       const std::string key = "txn:" + id.ToString();
       deletes.Lane(i);
-      ReplicatedSend(peer, my_node, key, 24);
+      (void)TryReplicatedSend(peer, my_node, key, 24);
       MutateGroup(key, [&](NodeState& node) {
         node.txns.erase(id);
         auto dec_it = node.decisions.find(id);
@@ -309,7 +301,7 @@ void DhtStore::AbortEpoch(ParticipantId peer, Epoch epoch,
     }
   }
   const std::string ekey = "epoch:" + std::to_string(epoch);
-  ReplicatedSend(peer, my_node, ekey, 24);
+  (void)TryReplicatedSend(peer, my_node, ekey, 24);
   MutateGroup(ekey, [&](NodeState& node) {
     node.epoch_contents.erase(epoch);
     node.epoch_aborted.insert(epoch);
@@ -443,18 +435,15 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
 }
 
 Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
-  return Fetch(peer, /*trail=*/nullptr);
+  return Fetch(peer, /*held=*/nullptr);
 }
 
-Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
+Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer,
+                                       std::vector<TransactionId>* held) {
   Stopwatch cpu;
-  auto policy_it = policies_.find(peer);
-  if (policy_it == policies_.end()) {
-    return Status::NotFound("peer " + std::to_string(peer) +
-                            " is not registered");
-  }
+  ORCH_ASSIGN_OR_RETURN(const core::TrustPolicy* policy,
+                        core::RegisteredPolicy(policies_, peer));
   TraceSpan span("dht.fetch");
-  const core::TrustPolicy& policy = *policy_it->second;
   const size_t my_node = NodeOfPeer(peer);
   // The kFull reference scans from epoch 0 and never consults the
   // decided overlay; everything else below is shared by both modes.
@@ -592,148 +581,91 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer, FetchTrail* trail) {
   }
   fetch.epoch = stable;
 
-  // Request every published transaction from its transaction controller,
-  // following antecedent chains through a pending set (Fig. 7). The
-  // controller evaluates the peer's trust predicates and decision log:
-  // decided or (top-level) untrusted transactions yield a small
-  // "not relevant" reply; everything else is shipped with its priority
-  // and antecedent ids. The closure is walked level by level
-  // (breadth-first). Within a level, same-controller lookups coalesce
+  // Request every published transaction from its transaction controller
+  // and walk the antecedent closure (core::ClosureLevel). The controller
+  // evaluates the peer's trust predicates and decision log; outside the
+  // reference, the decided overlay suppresses a lookup before any
+  // message is sent. Within a level, same-controller lookups coalesce
   // into one multi-get request and one accumulated reply per primary
-  // owner; entries are still *processed* in arrival order, so the
-  // shipped transactions come out in breadth-first sequence. Outside the
-  // reference, lookups the peer needs nothing from are suppressed before
-  // any message is sent: the peer durably applied the transaction (the
-  // reply would be "not relevant"), or rejected it and holds its body
-  // (the reply would ship that body again). `trail` records what the
-  // network-centric bundle must put back.
-  //
-  // Each level is one overlap with a lane per owner, carrying its
-  // multi-get, verified-read probes, reply and payload. Level k+1 waits
-  // for level k's replies, which name its ids: that wait is the paper's
-  // antecedent-chain round trip.
-  //
-  // An id is asked about once, with one exception: a root the controller
-  // refused ("untrusted", or "not relevant" because the peer rejected
-  // it) is asked again when it turns up as the antecedent of a trusted
-  // transaction, whose extension needs its body (Fig. 5, line 3).
-  RequestLog requested;
-  std::vector<std::pair<TransactionId, bool>> frontier;
-  for (const TransactionId& id : published) frontier.emplace_back(id, false);
-  while (!frontier.empty()) {
-    std::vector<std::pair<TransactionId, bool>> level;
-    for (const auto& [id, as_antecedent] : frontier) {
-      auto [it, inserted] = requested.try_emplace(id, true);
-      if (!inserted) {
-        if (it->second || !as_antecedent) continue;
-        it->second = true;  // a refused root, now wanted as an antecedent
-      }
-      if (!reference && cache_.KnownDecided(peer, id)) {
-        if (trail != nullptr && as_antecedent) trail->held.push_back(id);
-        continue;
-      }
-      level.emplace_back(id, as_antecedent);
-    }
-    frontier.clear();
-    if (level.empty()) continue;
+  // owner, processed in the walk's order. Each level is one overlap with
+  // a lane per owner, carrying its multi-get, verified-read probes, reply
+  // and payload. Level k+1 waits for level k's replies, which name its
+  // ids: that wait is the paper's antecedent-chain round trip.
+  const auto lookup = [&](core::ClosureLevel& level) -> Status {
     net::SimNetwork::Overlap lanes(network_, peer, "dht.fetch.level");
+    struct OwnerBatch {
+      TransactionId route_id;  // its first id: same primary, same route
+      int64_t requests = 0;
+      std::string payload;  // shipped blobs, one envelope frame each
+    };
     std::vector<size_t> owner_order;
-    std::unordered_map<size_t, std::pair<int64_t, int64_t>>
-        batch;  // owner -> (request count, reply bytes)
-    for (const auto& [id, as_antecedent] : level) {
-      (void)as_antecedent;
-      const size_t owner = TxnControllerNode(id);
-      auto [it, inserted] = batch.try_emplace(owner, 0, 8);
-      if (inserted) owner_order.push_back(owner);
-      it->second.first += 1;
+    std::unordered_map<size_t, OwnerBatch> batch;
+    std::vector<size_t> owner_of(level.size());
+    for (size_t i = 0; i < level.size(); ++i) {
+      owner_of[i] = TxnControllerNode(level.id(i));
+      auto [it, inserted] = batch.try_emplace(owner_of[i]);
+      if (inserted) {
+        owner_order.push_back(owner_of[i]);
+        it->second.route_id = level.id(i);
+      }
+      it->second.requests += 1;
     }
     for (size_t owner : owner_order) {
-      // Find the first id owned by this controller to route along.
-      const TransactionId* route_id = nullptr;
-      for (const auto& [id, unused] : level) {
-        if (TxnControllerNode(id) == owner) {
-          route_id = &id;
-          break;
-        }
-      }
+      const OwnerBatch& b = batch[owner];
       lanes.Lane(owner);
       ORCH_RETURN_IF_ERROR(
           TryRoutedSend(peer, my_node,
-                        net::KeyHash("txn:" + route_id->ToString()),
-                        24 * batch[owner].first)
+                        net::KeyHash("txn:" + b.route_id.ToString()),
+                        24 * b.requests)
               .status());
       fetch.stats.batched_messages += 1;
     }
-    // Shipped transactions accumulate per owner as one concatenated
-    // payload of envelope frames; placeholders keep fetch.transactions
-    // in arrival order and are overwritten by what actually arrives.
-    std::unordered_map<size_t, std::string> ship_buf;
-    std::unordered_map<size_t, std::vector<size_t>> ship_idx;
-    for (const auto& [id, as_antecedent] : level) {
-      const size_t owner = TxnControllerNode(id);
-      lanes.Lane(owner);
+    for (size_t i = 0; i < level.size(); ++i) {
+      const TransactionId& id = level.id(i);
+      OwnerBatch& b = batch[owner_of[i]];
+      lanes.Lane(owner_of[i]);
       ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
-      const NodeState& node = nodes_[read.holder];
-      const Transaction& txn = read.txn;
-      int64_t& reply_bytes = batch[owner].second;
-      char decided = 0;
-      auto dec_it = node.decisions.find(id);
-      if (dec_it != node.decisions.end()) {
-        auto peer_it = dec_it->second.find(peer);
-        if (peer_it != dec_it->second.end()) decided = peer_it->second.verdict;
-      }
-      if (decided == 'A' || (!as_antecedent && decided != 0)) {
-        reply_bytes += 8;  // "not relevant"
-        if (decided != 'A') requested[id] = false;
-        continue;
-      }
-      const int priority = policy.PriorityOfTransaction(txn);
-      if (!as_antecedent && priority <= 0) {
-        reply_bytes += 8;  // "untrusted"
-        requested[id] = false;
-        continue;
-      }
-      reply_bytes += 8;  // per-txn header; the blob rides the payload
-      ship_buf[owner].append(read.wire);
-      ship_idx[owner].push_back(fetch.transactions.size());
-      if (!as_antecedent) fetch.trusted.emplace_back(id, priority);
-      fetch.transactions.push_back(txn);
-      for (const TransactionId& ante : txn.antecedents) {
-        frontier.emplace_back(ante, true);
-      }
+      ORCH_ASSIGN_OR_RETURN(
+          const bool shipped,
+          level.Judge(i, VerdictAt(nodes_[read.holder], id, peer),
+                      [&] { return std::move(read.txn); }));
+      if (shipped) b.payload.append(read.wire);
     }
     for (size_t owner : owner_order) {
+      const OwnerBatch& b = batch[owner];
       lanes.Lane(owner);
-      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, batch[owner].second));
-      auto buf_it = ship_buf.find(owner);
-      if (buf_it == ship_buf.end()) continue;
-      // The owner's accumulated blob payload travels as one message;
-      // the receiver walks the frames and keeps what verifies.
+      // Every answer ("not relevant", "untrusted", or a shipped
+      // transaction's header) is 8 bytes past the reply's own 8.
+      ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8 + 8 * b.requests));
+      if (b.payload.empty()) continue;
+      // The shipped blobs travel as one message; the receiver verifies
+      // every frame, and one that fails its checksum fails the fetch.
       ORCH_ASSIGN_OR_RETURN(const std::string delivered,
-                            ShipPayload(peer, buf_it->second));
-      size_t pos = 0;
-      // Frames were appended in slot order, so walking the slots walks
-      // the frames; the map only buckets per owner (the slot vector
-      // itself is ordered).
-      const std::vector<size_t>& slots = ship_idx[owner];
-      for (size_t idx : slots) {
-        auto body = db::ReadEnvelope(delivered, &pos);
-        if (!body.ok()) {
+                            ShipPayload(peer, b.payload));
+      for (size_t pos = 0; pos < delivered.size();) {
+        if (!db::ReadEnvelope(delivered, &pos).ok()) {
           static Counter& detected = MetricsRegistry::Global().GetCounter(
               "integrity.corrupt_payloads_detected");
           detected.Increment();
-          return Status::Corruption(
-              "multi-get reply corrupted in flight");
+          return Status::Corruption("multi-get reply corrupted in flight");
         }
-        size_t bpos = 0;
-        ORCH_ASSIGN_OR_RETURN(fetch.transactions[idx],
-                              core::DecodeTransaction(*body, &bpos));
       }
     }
-  }
+    return Status::OK();
+  };
+  ORCH_ASSIGN_OR_RETURN(
+      core::ClosureWalk walk,
+      core::ClosureLevel::Walk(
+          std::move(published), policy,
+          [&](const TransactionId& id) {
+            return !reference && cache_.KnownDecided(peer, id);
+          },
+          lookup));
+  fetch.trusted = std::move(walk.trusted);
+  fetch.transactions = std::move(walk.transactions);
+  if (held != nullptr) *held = std::move(walk.held);
   fetch.stats.suppressed_lookups =
       cache_.stats().suppressed - cache_before.suppressed;
-  if (trail != nullptr) trail->requested = std::move(requested);
 
   // The window (prev, stable] becomes the peer's watermark only with the
   // completion witness of the decisions made on it. Until the witness
@@ -885,12 +817,8 @@ const std::vector<core::ProvenanceRecord>& DhtStore::provenance_log(
 Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
     ParticipantId peer) const {
   Stopwatch cpu;
-  auto policy_it = policies_.find(peer);
-  if (policy_it == policies_.end()) {
-    return Status::NotFound("peer " + std::to_string(peer) +
-                            " is not registered");
-  }
-  const core::TrustPolicy& policy = *policy_it->second;
+  ORCH_ASSIGN_OR_RETURN(const core::TrustPolicy* policy,
+                        core::RegisteredPolicy(policies_, peer));
   core::RecoveryBundle bundle;
 
   // The coordinator read and the node sweep need no reply of each other:
@@ -959,11 +887,7 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
   if (coord.has_value() && witnessed < coord->decided_count) {
     bundle.last_decided_recno = coord->prev_decided_recno;
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  bundle.SortApplied();
 
   // Undecided trusted transactions within the watermark, from the epoch
   // controllers, plus antecedent closures from their controllers.
@@ -975,7 +899,7 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
   // knows those by id only).
   cache_.ResetApplied(peer, applied_ids);
   ORCH_RETURN_IF_ERROR(
-      ReadUndecided(peer, policy, decided, applied_ids, &bundle));
+      ReadUndecided(peer, *policy, decided, applied_ids, &bundle));
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
   return bundle;
@@ -983,11 +907,11 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
 
 Status DhtStore::ReadUndecided(ParticipantId peer,
                                const core::TrustPolicy& policy,
-                               const core::TxnIdSet& skip_roots,
-                               const core::TxnIdSet& skip_closure,
+                               const core::TxnIdSet& decided,
+                               const core::TxnIdSet& applied,
                                core::RecoveryBundle* bundle) const {
   const size_t my_node = NodeOfPeer(peer);
-  std::vector<std::pair<TransactionId, bool>> level;
+  std::vector<TransactionId> roots;
   {
     // Every epoch controller is asked at once, one lane per epoch.
     net::SimNetwork::Overlap epochs(network_, peer, "dht.recover.epochs");
@@ -1010,41 +934,39 @@ Status DhtStore::ReadUndecided(ParticipantId peer,
                        static_cast<int64_t>(16 * count + 16));
       if (contents == nodes_[controller].epoch_contents.end()) continue;
       for (const TransactionId& id : contents->second) {
-        if (skip_roots.count(id) == 0) level.emplace_back(id, false);
+        if (decided.count(id) == 0) roots.push_back(id);
       }
     }
   }
-  // The antecedent closure, breadth-first: a level's reads go out at
-  // once, one lane per transaction, and the next level waits for their
-  // replies, which name its ids.
-  core::TxnIdSet shipped;
-  while (!level.empty()) {
-    net::SimNetwork::Overlap reads(network_, peer, "dht.recover.level");
-    std::vector<std::pair<TransactionId, bool>> next;
-    for (size_t i = 0; i < level.size(); ++i) {
-      const auto& [id, as_antecedent] = level[i];
-      if (!shipped.insert(id).second) continue;
-      if (skip_closure.count(id) != 0) continue;
-      reads.Lane(i);
-      ORCH_ASSIGN_OR_RETURN(TxnRead read, ReadTxnVerified(peer, id));
-      const auto route = ring_.Route(my_node, ring_.IdOf(read.holder));
-      const Transaction& txn = read.txn;
-      const int priority = policy.PriorityOfTransaction(txn);
-      if (!as_antecedent && priority <= 0) {
-        network_->Charge(peer, route.hops + 1, 24);
-        continue;
-      }
-      network_->Charge(
-          peer, route.hops + 1,
-          static_cast<int64_t>(core::EncodedTransactionSize(txn)) + 8);
-      if (!as_antecedent) bundle->undecided.emplace_back(id, priority);
-      bundle->closure.push_back(txn);
-      for (const TransactionId& ante : txn.antecedents) {
-        next.emplace_back(ante, true);
-      }
-    }
-    level = std::move(next);
-  }
+  // The closure walk from the undecided roots. The sweep already read
+  // the peer's verdicts (the decided roots are gone, the applied ids are
+  // known), so every read answers "none". A level's reads go out at once,
+  // one lane per transaction, and the next level waits for their replies.
+  ORCH_ASSIGN_OR_RETURN(
+      core::ClosureWalk walk,
+      core::ClosureLevel::Walk(
+          std::move(roots), &policy,
+          [&](const TransactionId& id) { return applied.count(id) != 0; },
+          [&](core::ClosureLevel& level) -> Status {
+            net::SimNetwork::Overlap reads(network_, peer,
+                                           "dht.recover.level");
+            for (size_t i = 0; i < level.size(); ++i) {
+              reads.Lane(i);
+              ORCH_ASSIGN_OR_RETURN(TxnRead read,
+                                    ReadTxnVerified(peer, level.id(i)));
+              const auto route = ring_.Route(my_node, ring_.IdOf(read.holder));
+              const auto size =
+                  static_cast<int64_t>(core::EncodedTransactionSize(read.txn));
+              ORCH_ASSIGN_OR_RETURN(
+                  const bool shipped,
+                  level.Judge(i, core::RecordedVerdict::kNone,
+                              [&] { return std::move(read.txn); }));
+              network_->Charge(peer, route.hops + 1, shipped ? size + 8 : 24);
+            }
+            return Status::OK();
+          }));
+  bundle->undecided = std::move(walk.trusted);
+  bundle->closure = std::move(walk.transactions);
   return Status::OK();
 }
 
@@ -1056,14 +978,45 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
         "reconciliation needs the shared schema");
   }
   core::NetworkCentricFetch fetch;
-  FetchTrail trail;
-  ORCH_ASSIGN_OR_RETURN(fetch.base, Fetch(peer, &trail));
+  std::vector<TransactionId> held;
+  ORCH_ASSIGN_OR_RETURN(fetch.base, Fetch(peer, &held));
 
   Stopwatch cpu;
   const size_t my_node = NodeOfPeer(peer);
   core::TransactionMap bundle;
   for (const Transaction& txn : fetch.base.transactions) bundle.Put(txn);
-  RestoreHeld(peer, trail, &bundle);
+  // The fetch stopped at antecedents the peer rejected and holds, but
+  // ComputeExtensionFromBundle reads a missing member as applied. Put
+  // them back with the closure the walk would have shipped past them,
+  // read from the controllers' own replicas: the first one whose copy
+  // verifies holds the body and the peer's verdict. None means churn
+  // took the transaction; the suppressed lookup could not have shipped
+  // it either. The controllers answer the extension queries charged
+  // below, so no message is added here.
+  ORCH_ASSIGN_OR_RETURN(
+      core::ClosureWalk restored,
+      core::ClosureLevel::Walk(
+          std::move(held), nullptr,
+          [&](const TransactionId& id) { return bundle.Contains(id); },
+          [&](core::ClosureLevel& level) -> Status {
+            for (size_t i = 0; i < level.size(); ++i) {
+              const TransactionId& id = level.id(i);
+              for (size_t node : ReadOrderFor("txn:" + id.ToString())) {
+                auto it = nodes_[node].txns.find(id);
+                if (it == nodes_[node].txns.end()) continue;
+                auto txn = DecodeWire(it->second.wire);
+                if (!txn.ok()) continue;
+                ORCH_RETURN_IF_ERROR(
+                    level
+                        .Judge(i, VerdictAt(nodes_[node], id, peer),
+                               [&] { return std::move(txn); })
+                        .status());
+                break;
+              }
+            }
+            return Status::OK();
+          }));
+  for (Transaction& txn : restored.transactions) bundle.Put(std::move(txn));
 
   // Each trusted transaction's controller assembles its extension by
   // querying the antecedents' controllers (controller-to-controller
@@ -1130,73 +1083,18 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
   }
   // Ship the extensions and analysis to the peer in one bulk message,
   // which waits for every report.
-  int64_t bytes = 0;
-  for (const auto& up_ex : fetch.analysis.up_ex) {
-    for (const core::Update& u : up_ex) {
-      std::string buf;
-      core::EncodeUpdate(&buf, u);
-      bytes += static_cast<int64_t>(buf.size());
-    }
-  }
-  bytes += static_cast<int64_t>(fetch.analysis.conflicts.size()) * 48;
-  DirectSend(peer, bytes);
+  DirectSend(peer, fetch.AnalysisBytes());
   cpu_micros_[peer] += cpu.ElapsedMicros();
   calls_[peer] += 1;
   return fetch;
 }
 
-void DhtStore::RestoreHeld(ParticipantId peer, const FetchTrail& trail,
-                           core::TransactionMap* bundle) const {
-  // The fetch stopped at antecedents the peer rejected and holds, but
-  // ComputeExtensionFromBundle reads a missing member as applied. Put
-  // them back with the closure the walk would have shipped past them:
-  // ids not requested at all (or only as a refused root), and not
-  // applied. Their controllers answer the extension queries charged
-  // below, so no message is added here.
-  std::vector<TransactionId> pending = trail.held;
-  while (!pending.empty()) {
-    const TransactionId id = pending.back();
-    pending.pop_back();
-    if (bundle->Contains(id)) continue;
-    // The first replica whose copy verifies holds the body and the
-    // peer's recorded verdict. None means churn took the transaction;
-    // the suppressed lookup could not have shipped it either.
-    const std::string key = "txn:" + id.ToString();
-    for (size_t node : ReadOrderFor(key)) {
-      const NodeState& n = nodes_[node];
-      auto it = n.txns.find(id);
-      if (it == n.txns.end()) continue;
-      auto txn = DecodeWire(it->second.wire);
-      if (!txn.ok()) continue;
-      auto dec_it = n.decisions.find(id);
-      if (dec_it != n.decisions.end()) {
-        auto peer_it = dec_it->second.find(peer);
-        if (peer_it != dec_it->second.end() &&
-            peer_it->second.verdict == 'A') {
-          break;
-        }
-      }
-      for (const TransactionId& ante : txn->antecedents) {
-        auto asked = trail.requested.find(ante);
-        if (asked == trail.requested.end() || !asked->second) {
-          pending.push_back(ante);
-        }
-      }
-      bundle->Put(*std::move(txn));
-      break;
-    }
-  }
-}
-
 Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
                                                  ParticipantId source_peer) {
   Stopwatch cpu;
-  auto policy_it = policies_.find(new_peer);
-  if (policy_it == policies_.end() ||
-      policies_.count(source_peer) == 0) {
-    return Status::NotFound("bootstrap peers must both be registered");
-  }
-  const core::TrustPolicy& policy = *policy_it->second;
+  ORCH_ASSIGN_OR_RETURN(const core::TrustPolicy* policy,
+                        core::RegisteredPolicy(policies_, new_peer));
+  ORCH_RETURN_IF_ERROR(core::RegisteredPolicy(policies_, source_peer).status());
   const size_t my_node = NodeOfPeer(new_peer);
   core::RecoveryBundle bundle;
 
@@ -1256,11 +1154,7 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
       network_->Charge(new_peer, 1, bytes);
     }
   }
-  std::sort(bundle.applied.begin(), bundle.applied.end(),
-            [](const Transaction& a, const Transaction& b) {
-              if (a.epoch != b.epoch) return a.epoch < b.epoch;
-              return a.id < b.id;
-            });
+  bundle.SortApplied();
   // The adopted accepts landed on every replica of their groups. They
   // replace the new peer's overlay: a bootstrapped peer holds none of
   // the bodies an earlier incarnation rejected.
@@ -1269,7 +1163,7 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
 
   // Undecided trusted transactions within the adopted window.
   ORCH_RETURN_IF_ERROR(
-      ReadUndecided(new_peer, policy, adopted_ids, adopted_ids, &bundle));
+      ReadUndecided(new_peer, *policy, adopted_ids, adopted_ids, &bundle));
   cpu_micros_[new_peer] += cpu.ElapsedMicros();
   calls_[new_peer] += 1;
   return bundle;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "core/closure_walk.h"
 #include "core/extension.h"
 #include "core/fetch_cache.h"
 #include "core/update_store.h"
@@ -29,7 +30,9 @@ namespace orchestra::store {
 ///    complete;
 ///  - a *transaction controller* (owner of hash("txn:<id>")) stores one
 ///    transaction, evaluates the requesting peer's trust predicates, and
-///    tracks that peer's accept/reject decisions (Fig. 7);
+///    tracks that peer's accept/reject decisions (Fig. 7; the fetch,
+///    recovery, bootstrap and network-centric walks all run
+///    core::ClosureLevel::Walk's one rule over the controllers' answers);
 ///  - a *peer coordinator* (owner of hash("peer:<p>")) records peer p's
 ///    reconciliation numbers and epoch watermark.
 ///
@@ -305,23 +308,17 @@ class DhtStore : public core::UpdateStore,
     return std::nullopt;
   }
 
+  /// One direct (already-located) message that no fault can lose.
+  void DirectSend(core::ParticipantId peer, int64_t bytes);
   /// Routes one key-addressed message from `from_node` to the owner of
   /// `key`, charging `bytes` per hop (and any dead-finger probe) to
-  /// `peer`; returns the owner.
-  size_t RoutedSend(core::ParticipantId peer, size_t from_node,
-                    net::NodeId key, int64_t bytes);
-  /// One direct (already-located) message.
-  void DirectSend(core::ParticipantId peer, int64_t bytes);
-  /// Routes to `key`'s primary and fans the message out to the rest of
-  /// the replica group: k-1 direct messages sent at once, one hop.
-  void ReplicatedSend(core::ParticipantId peer, size_t from_node,
-                      const std::string& key, int64_t bytes);
-  /// Failable variants for the publish/reconcile/record protocol paths:
-  /// the message is charged either way, but an installed fault injector
-  /// may declare it lost (Unavailable).
+  /// `peer`; returns the owner. Each message is charged either way, but
+  /// an installed fault injector may declare it lost (Unavailable).
   Result<size_t> TryRoutedSend(core::ParticipantId peer, size_t from_node,
                                net::NodeId key, int64_t bytes);
   Status TryDirectSend(core::ParticipantId peer, int64_t bytes);
+  /// Routes to `key`'s primary and fans the message out to the rest of
+  /// the replica group: k-1 direct messages sent at once, one hop.
   Status TryReplicatedSend(core::ParticipantId peer, size_t from_node,
                            const std::string& key, int64_t bytes);
 
@@ -363,42 +360,28 @@ class DhtStore : public core::UpdateStore,
   /// threshold counts integrity.quarantined_nodes once.
   void ScoreCorruptServe(size_t node) const;
 
-  /// Every id a fetch's closure walk requested or suppressed, mapped to
-  /// false while its only answer was a refused root ("untrusted", or
-  /// "not relevant" as a rejection) that an antecedent request must
-  /// still override.
-  using RequestLog =
-      std::unordered_map<core::TransactionId, bool, core::TransactionIdHash>;
-  /// What a fetch's closure walk skipped, for the network-centric
-  /// bundle: the antecedents suppressed through the decided overlay, and
-  /// the walk's request log.
-  struct FetchTrail {
-    std::vector<core::TransactionId> held;
-    RequestLog requested;
-  };
-  /// BeginReconciliation, also filling `trail` when non-null.
+  /// BeginReconciliation, also reporting in `held` (when non-null) each
+  /// antecedent the closure walk skipped through the decided overlay.
   Result<core::ReconcileFetch> Fetch(core::ParticipantId peer,
-                                     FetchTrail* trail);
-  /// Network-centric tail: adds to `bundle` each transaction in
-  /// `trail.held` the peer has not applied, with the antecedent closure
-  /// the fetch would have shipped past it, read from the controllers'
-  /// own replicas.
-  void RestoreHeld(core::ParticipantId peer, const FetchTrail& trail,
-                   core::TransactionMap* bundle) const;
+                                     std::vector<core::TransactionId>* held);
+  /// `peer`'s recorded verdict on `id` in `node`'s decision log.
+  static core::RecordedVerdict VerdictAt(const NodeState& node,
+                                         const core::TransactionId& id,
+                                         core::ParticipantId peer);
 
   /// Ships `wire` to `peer` as an actual payload (retransmitting loss
   /// like TryDirectSend); in-flight corruption is silent and comes back
   /// in the delivered bytes.
   Result<std::string> ShipPayload(core::ParticipantId peer,
                                   std::string_view wire) const;
-  /// Recovery and bootstrap tail: fills `bundle`'s undecided and closure
-  /// lists with the trusted transactions of every committed epoch up to
-  /// `bundle->epoch` that are not in `skip_roots`, plus their antecedent
-  /// closures minus `skip_closure`.
+  /// Recovery and bootstrap tail: the closure walk from every id of a
+  /// committed epoch up to `bundle->epoch` that is not in `decided`,
+  /// stopping at `applied` (both from the node sweep), with one read per
+  /// transaction. Fills `bundle`'s undecided and closure lists.
   Status ReadUndecided(core::ParticipantId peer,
                        const core::TrustPolicy& policy,
-                       const core::TxnIdSet& skip_roots,
-                       const core::TxnIdSet& skip_closure,
+                       const core::TxnIdSet& decided,
+                       const core::TxnIdSet& applied,
                        core::RecoveryBundle* bundle) const;
   /// True when epoch `e` committed (finished and not aborted) on any
   /// replica still holding it.
@@ -426,7 +409,7 @@ class DhtStore : public core::UpdateStore,
   /// Corrupt-serve scores driving quarantine; mutable for the same
   /// reason. Ordered (lint rule D3).
   mutable std::map<size_t, int64_t> corrupt_serves_;
-  std::unordered_map<core::ParticipantId, const core::TrustPolicy*> policies_;
+  core::PolicyMap policies_;
   /// Soft state: unfinished-epoch observation counts driving the reaper.
   std::unordered_map<core::Epoch, int> epoch_strikes_;
   /// Soft state: per-peer decided overlays behind lookup suppression

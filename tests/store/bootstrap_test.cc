@@ -19,23 +19,22 @@ namespace {
 using core::Participant;
 using core::ParticipantId;
 using core::TrustPolicy;
+using orchestra::testing::AllStoreKinds;
 using orchestra::testing::Ins;
 using orchestra::testing::InstanceHasExactly;
 using orchestra::testing::MakeProteinCatalog;
+using orchestra::testing::MakeTestStore;
 using orchestra::testing::Mod;
+using orchestra::testing::StoreKind;
+using orchestra::testing::StoreKindName;
 using orchestra::testing::T;
 
-enum class Kind { kCentral, kDht };
-
-class BootstrapTest : public ::testing::TestWithParam<Kind> {
+class BootstrapTest : public ::testing::TestWithParam<StoreKind> {
  protected:
   BootstrapTest() : catalog_(MakeProteinCatalog()) {
-    if (GetParam() == Kind::kCentral) {
-      engine_ = storage::StorageEngine::InMemory();
-      store_ = std::make_unique<CentralStore>(engine_.get(), &network_);
-    } else {
-      store_ = std::make_unique<DhtStore>(4, &network_);
-    }
+    auto [engine, store] = MakeTestStore(GetParam(), &network_);
+    engine_ = std::move(engine);
+    store_ = std::move(store);
     for (ParticipantId id = 1; id <= 3; ++id) {
       RegisterPeer(id);
       participants_.push_back(std::make_unique<Participant>(
@@ -187,12 +186,40 @@ TEST_P(BootstrapTest, BootstrapOverARejectionStillRecovers) {
   EXPECT_TRUE((*recovered)->instance() == (*fresh)->instance());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStores, BootstrapTest,
-                         ::testing::Values(Kind::kCentral, Kind::kDht),
-                         [](const ::testing::TestParamInfo<Kind>& info) {
-                           return info.param == Kind::kCentral ? "Central"
-                                                               : "Dht";
-                         });
+// A root the new peer does not trust still travels as the antecedent of
+// one it does: the trusted transaction's extension needs its body.
+TEST_P(BootstrapTest, UntrustedRootStillShipsAsAntecedent) {
+  // Peer 8 trusts nobody: it passes both epochs below deciding nothing.
+  policies_.push_back(std::make_unique<TrustPolicy>(8));
+  ASSERT_TRUE(store_->RegisterParticipant(8, policies_.back().get()).ok());
+  Participant p8(8, &catalog_, *policies_.back());
+  TrustPolicy only_p3(9);
+  only_p3.TrustPeer(3, 1);
+  policies_.push_back(std::make_unique<TrustPolicy>(only_p3));
+  ASSERT_TRUE(store_->RegisterParticipant(9, policies_.back().get()).ok());
+
+  // Z by peer 2; peer 3 accepts it and revises it as Y.
+  ASSERT_TRUE(P(2).ExecuteTransaction({Ins("rat", "p1", "z", 2)}).ok());
+  ASSERT_TRUE(P(2).Publish(store_.get()).ok());
+  ASSERT_TRUE(P(3).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(3).ExecuteTransaction({Mod("rat", "p1", "z", "y", 3)}).ok());
+  ASSERT_TRUE(P(3).Publish(store_.get()).ok());
+  auto passed = p8.Reconcile(store_.get());
+  ASSERT_TRUE(passed.ok()) << passed.status().ToString();
+  ASSERT_EQ(passed->fetched, 0u);
+
+  // Peer 9 adopts nothing from peer 8 and gets both epochs as its
+  // backlog: Y is trusted, Z is not, and Y's extension holds Z.
+  auto fresh =
+      Participant::BootstrapFrom(9, &catalog_, only_p3, store_.get(), 8);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_TRUE(
+      InstanceHasExactly((*fresh)->instance(), {T({"rat", "p1", "y"})}));
+  EXPECT_EQ((*fresh)->applied_count(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStores, BootstrapTest, AllStoreKinds(),
+                         StoreKindName);
 
 }  // namespace
 }  // namespace orchestra::store

@@ -35,25 +35,22 @@ using core::Transaction;
 using core::TransactionId;
 using core::TrustPolicy;
 using core::TxnIdSet;
+using orchestra::testing::AllStoreKinds;
 using orchestra::testing::Ins;
 using orchestra::testing::InstanceHasExactly;
 using orchestra::testing::MakeProteinCatalog;
+using orchestra::testing::MakeTestStore;
+using orchestra::testing::StoreKind;
+using orchestra::testing::StoreKindName;
 using orchestra::testing::T;
 using orchestra::testing::Txn;
 
-enum class Kind { kCentral, kDht };
-
-class CrashConsistencyTest : public ::testing::TestWithParam<Kind> {
+class CrashConsistencyTest : public ::testing::TestWithParam<StoreKind> {
  protected:
   CrashConsistencyTest() : catalog_(MakeProteinCatalog()) {
-    if (GetParam() == Kind::kCentral) {
-      engine_ = storage::StorageEngine::InMemory();
-      engine_->set_fault_injector(&injector_);
-      store_ = std::make_unique<CentralStore>(engine_.get(), &network_);
-    } else {
-      network_.set_fault_injector(&injector_);
-      store_ = std::make_unique<DhtStore>(8, &network_);
-    }
+    auto [engine, store] = MakeTestStore(GetParam(), &network_, 8, &injector_);
+    engine_ = std::move(engine);
+    store_ = std::move(store);
     for (ParticipantId id = 1; id <= 3; ++id) {
       auto policy = std::make_unique<TrustPolicy>(id);
       for (ParticipantId other = 1; other <= 3; ++other) {
@@ -233,12 +230,8 @@ TEST_P(CrashConsistencyTest, RecoveredBacklogRunKeepsTheUnrecordedWindow) {
   EXPECT_EQ(drained->fetched, 0u);  // delivered exactly once
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStores, CrashConsistencyTest,
-                         ::testing::Values(Kind::kCentral, Kind::kDht),
-                         [](const auto& info) {
-                           return info.param == Kind::kCentral ? "Central"
-                                                               : "Dht";
-                         });
+INSTANTIATE_TEST_SUITE_P(AllStores, CrashConsistencyTest, AllStoreKinds(),
+                         StoreKindName);
 
 // A confederation over the WAL-backed engine runs with transient faults
 // absorbed by the retry layer; after a store crash, WAL replay rebuilds

@@ -29,11 +29,13 @@ using core::ProvenanceCause;
 using core::ReconcileReport;
 using core::TransactionId;
 using core::TrustPolicy;
+using orchestra::testing::AllStoreKinds;
 using orchestra::testing::Ins;
 using orchestra::testing::MakeProteinCatalog;
+using orchestra::testing::MakeTestStore;
 using orchestra::testing::Mod;
-
-enum class Kind { kCentral, kDht };
+using orchestra::testing::StoreKind;
+using orchestra::testing::StoreKindName;
 
 /// Forwards to a real store and keeps the ids the last fetch shipped
 /// (and, for a network-centric fetch, the extensions it computed).
@@ -114,16 +116,11 @@ class ShipLog : public core::UpdateStore, public core::NetworkCentricStore {
 /// owns (rat, p1); peer 3 publishes X, a clashing insert of that key,
 /// then Y, a revision of X's tuple with X as its antecedent.
 struct World {
-  explicit World(Kind kind, const db::Catalog* catalog) : catalog(catalog) {
-    if (kind == Kind::kCentral) {
-      engine = storage::StorageEngine::InMemory();
-      engine->set_fault_injector(&injector);
-      inner = std::make_unique<CentralStore>(engine.get(), &network,
-                                             CentralStoreOptions{}, catalog);
-    } else {
-      network.set_fault_injector(&injector);
-      inner = std::make_unique<DhtStore>(4, &network, catalog);
-    }
+  explicit World(StoreKind kind, const db::Catalog* catalog)
+      : catalog(catalog) {
+    auto made = MakeTestStore(kind, &network, 4, &injector, catalog);
+    engine = std::move(made.engine);
+    inner = std::move(made.store);
     store = std::make_unique<ShipLog>(inner.get());
     for (ParticipantId id = 1; id <= 3; ++id) {
       ORCH_CHECK(store->RegisterParticipant(id, Policy(id)).ok());
@@ -194,7 +191,7 @@ std::vector<TransactionId> Sorted(const core::TxnIdSet& ids) {
   return out;
 }
 
-class DecidedOverlayTest : public ::testing::TestWithParam<Kind> {
+class DecidedOverlayTest : public ::testing::TestWithParam<StoreKind> {
  protected:
   DecidedOverlayTest() : catalog_(MakeProteinCatalog()) {}
 
@@ -312,7 +309,7 @@ TEST_P(DecidedOverlayTest, FailedRecordDecisionsMarksNothing) {
   // from a fault-free twin). The DHT sends its completion witness first,
   // beside the puts, so the witness has landed and a put copy is lost:
   // the recording is still incomplete and must mark nothing.
-  const bool central = GetParam() == Kind::kCentral;
+  const bool central = GetParam() == StoreKind::kCentral;
   FaultInjectorConfig counting;
   counting.site_prefix = central ? "storage.sync" : "net.send";
   counting.fail_at_call = int64_t{1} << 40;  // arms the count, never fires
@@ -346,12 +343,8 @@ TEST_P(DecidedOverlayTest, FailedRecordDecisionsMarksNothing) {
   EXPECT_EQ(CauseOf(*report, w.y), ProvenanceCause::kRejectedAntecedent);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStores, DecidedOverlayTest,
-                         ::testing::Values(Kind::kCentral, Kind::kDht),
-                         [](const ::testing::TestParamInfo<Kind>& info) {
-                           return info.param == Kind::kCentral ? "Central"
-                                                               : "Dht";
-                         });
+INSTANTIATE_TEST_SUITE_P(AllStores, DecidedOverlayTest, AllStoreKinds(),
+                         StoreKindName);
 
 }  // namespace
 }  // namespace orchestra::store

@@ -18,23 +18,22 @@ namespace {
 using core::Participant;
 using core::ParticipantId;
 using core::TrustPolicy;
+using orchestra::testing::AllStoreKinds;
 using orchestra::testing::Ins;
 using orchestra::testing::InstanceHasExactly;
 using orchestra::testing::MakeProteinCatalog;
+using orchestra::testing::MakeTestStore;
 using orchestra::testing::Mod;
+using orchestra::testing::StoreKind;
+using orchestra::testing::StoreKindName;
 using orchestra::testing::T;
 
-enum class Kind { kCentral, kDht };
-
-class RecoveryTest : public ::testing::TestWithParam<Kind> {
+class RecoveryTest : public ::testing::TestWithParam<StoreKind> {
  protected:
   RecoveryTest() : catalog_(MakeProteinCatalog()) {
-    if (GetParam() == Kind::kCentral) {
-      engine_ = storage::StorageEngine::InMemory();
-      store_ = std::make_unique<CentralStore>(engine_.get(), &network_);
-    } else {
-      store_ = std::make_unique<DhtStore>(4, &network_);
-    }
+    auto [engine, store] = MakeTestStore(GetParam(), &network_);
+    engine_ = std::move(engine);
+    store_ = std::move(store);
     for (ParticipantId id = 1; id <= 4; ++id) {
       auto policy = std::make_unique<TrustPolicy>(id);
       for (ParticipantId other = 1; other <= 4; ++other) {
@@ -175,12 +174,41 @@ TEST_P(RecoveryTest, UnregisteredPeerFails) {
           .ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStores, RecoveryTest,
-                         ::testing::Values(Kind::kCentral, Kind::kDht),
-                         [](const ::testing::TestParamInfo<Kind>& info) {
-                           return info.param == Kind::kCentral ? "Central"
-                                                               : "Dht";
-                         });
+// Recovery ships a root the peer does not trust as the antecedent of a
+// deferred transaction it does: re-reconciling the backlog needs it.
+TEST_P(RecoveryTest, UntrustedRootStillShipsAsAntecedentOfDeferred) {
+  TrustPolicy p3_and_p4(5);
+  p3_and_p4.TrustPeer(3, 1);
+  p3_and_p4.TrustPeer(4, 1);
+  policies_.push_back(std::make_unique<TrustPolicy>(p3_and_p4));
+  ASSERT_TRUE(store_->RegisterParticipant(5, policies_.back().get()).ok());
+  Participant p5(5, &catalog_, p3_and_p4);
+
+  // Z by peer 2; peers 3 and 4 accept it and revise it apart, as Y and W.
+  ASSERT_TRUE(P(2).ExecuteTransaction({Ins("rat", "p1", "z", 2)}).ok());
+  ASSERT_TRUE(P(2).Publish(store_.get()).ok());
+  ASSERT_TRUE(P(3).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(4).Reconcile(store_.get()).ok());
+  ASSERT_TRUE(P(3).ExecuteTransaction({Mod("rat", "p1", "z", "y", 3)}).ok());
+  ASSERT_TRUE(P(3).Publish(store_.get()).ok());
+  ASSERT_TRUE(P(4).ExecuteTransaction({Mod("rat", "p1", "z", "w", 4)}).ok());
+  ASSERT_TRUE(P(4).Publish(store_.get()).ok());
+  // Peer 5 trusts both revisions equally and defers them.
+  auto report = p5.Reconcile(store_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(p5.deferred_count(), 2u);
+
+  auto recovered = Participant::RecoverFromStore(5, &catalog_, p3_and_p4,
+                                                 store_.get());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->deferred_count(), 2u);
+  EXPECT_EQ((*recovered)->pending_conflicts().size(),
+            p5.pending_conflicts().size());
+  EXPECT_TRUE((*recovered)->instance() == p5.instance());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStores, RecoveryTest, AllStoreKinds(),
+                         StoreKindName);
 
 }  // namespace
 }  // namespace orchestra::store

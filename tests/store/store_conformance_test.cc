@@ -20,24 +20,23 @@ using core::Epoch;
 using core::ParticipantId;
 using core::Transaction;
 using core::TrustPolicy;
+using orchestra::testing::AllStoreKinds;
 using orchestra::testing::Ins;
 using orchestra::testing::InstanceHasExactly;
 using orchestra::testing::MakeProteinCatalog;
+using orchestra::testing::MakeTestStore;
 using orchestra::testing::Mod;
+using orchestra::testing::StoreKind;
+using orchestra::testing::StoreKindName;
 using orchestra::testing::T;
 using orchestra::testing::Txn;
 
-enum class Kind { kCentral, kDht };
-
-class StoreConformanceTest : public ::testing::TestWithParam<Kind> {
+class StoreConformanceTest : public ::testing::TestWithParam<StoreKind> {
  protected:
   StoreConformanceTest() : catalog_(MakeProteinCatalog()) {
-    if (GetParam() == Kind::kCentral) {
-      engine_ = storage::StorageEngine::InMemory();
-      store_ = std::make_unique<CentralStore>(engine_.get(), &network_);
-    } else {
-      store_ = std::make_unique<DhtStore>(4, &network_);
-    }
+    auto [engine, store] = MakeTestStore(GetParam(), &network_);
+    engine_ = std::move(engine);
+    store_ = std::move(store);
     for (ParticipantId id = 1; id <= 4; ++id) {
       auto policy = std::make_unique<TrustPolicy>(id);
       for (ParticipantId other = 1; other <= 4; ++other) {
@@ -198,12 +197,8 @@ TEST_P(StoreConformanceTest, ManyPeersConvergeOnNonConflictingData) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStores, StoreConformanceTest,
-                         ::testing::Values(Kind::kCentral, Kind::kDht),
-                         [](const ::testing::TestParamInfo<Kind>& info) {
-                           return info.param == Kind::kCentral ? "Central"
-                                                               : "Dht";
-                         });
+INSTANTIATE_TEST_SUITE_P(AllStores, StoreConformanceTest, AllStoreKinds(),
+                         StoreKindName);
 
 }  // namespace
 }  // namespace orchestra::store

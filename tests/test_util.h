@@ -1,14 +1,23 @@
 #ifndef ORCHESTRA_TESTS_TEST_UTIL_H_
 #define ORCHESTRA_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/fault_injector.h"
 #include "db/instance.h"
 #include "db/schema.h"
 #include "core/transaction.h"
 #include "core/update.h"
+#include "core/update_store.h"
+#include "net/sim_network.h"
+#include "storage/engine.h"
+#include "store/central_store.h"
+#include "store/dht_store.h"
 
 namespace orchestra::testing {
 
@@ -75,6 +84,47 @@ inline bool InstanceHasExactly(const db::Instance& instance,
     if (!(*table)->ContainsTuple(t)) return false;
   }
   return true;
+}
+
+/// The two update-store implementations, as a test parameter.
+enum class StoreKind { kCentral, kDht };
+
+/// Both store kinds, for INSTANTIATE_TEST_SUITE_P with StoreKindName.
+inline auto AllStoreKinds() {
+  return ::testing::Values(StoreKind::kCentral, StoreKind::kDht);
+}
+
+inline std::string StoreKindName(
+    const ::testing::TestParamInfo<StoreKind>& info) {
+  return info.param == StoreKind::kCentral ? "Central" : "Dht";
+}
+
+/// A store under test, with the engine the central store runs on.
+struct TestStore {
+  std::unique_ptr<storage::StorageEngine> engine;  // central only
+  std::unique_ptr<core::UpdateStore> store;
+};
+
+/// A store of `kind` over `network`: the central store on a fresh
+/// in-memory engine, or a DHT of `dht_nodes` nodes. `injector`, when
+/// set, goes where each store's faults arise (the engine, or the
+/// network); `catalog` enables network-centric reconciliation.
+inline TestStore MakeTestStore(StoreKind kind, net::SimNetwork* network,
+                               size_t dht_nodes = 4,
+                               FaultInjector* injector = nullptr,
+                               const db::Catalog* catalog = nullptr) {
+  TestStore made;
+  if (kind == StoreKind::kCentral) {
+    made.engine = storage::StorageEngine::InMemory();
+    made.engine->set_fault_injector(injector);
+    made.store = std::make_unique<store::CentralStore>(
+        made.engine.get(), network, store::CentralStoreOptions{}, catalog);
+  } else {
+    network->set_fault_injector(injector);
+    made.store =
+        std::make_unique<store::DhtStore>(dht_nodes, network, catalog);
+  }
+  return made;
 }
 
 }  // namespace orchestra::testing
