@@ -113,7 +113,7 @@ Status InstanceOverlay::CheckForeignKeys() const {
         auto child_table = base_->GetTable(fk->child_relation);
         if (!child_table.ok()) continue;
         const db::RelationSchema& child_schema = (*child_table)->schema();
-        for (const db::Tuple& child : (*child_table)->Scan()) {
+        for (const db::Tuple& child : (*child_table)->Rows()) {
           // Skip rows the overlay rewrote or removed.
           const db::Tuple child_key = child_schema.KeyOf(child);
           auto shadow = pending_.find(RelKey{fk->child_relation, child_key});

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "core/ids.h"
 #include "core/update.h"
+#include "db/serde.h"
 
 namespace orchestra::core {
 
@@ -28,13 +29,30 @@ struct Transaction {
   std::string ToString() const;
 };
 
+/// The transaction codec: the one format of a transaction's bytes, in
+/// the central store's txn rows and WAL records, the DHT's replicas and
+/// multi-get replies, and publish uploads.
+///
+///   header    [varint origin][varint seq][varint epoch + 1]
+///   updates   [varint count][update...]
+///   update    [kind byte][relation: string ref][varint origin]?
+///             [old tuple]? [new tuple]?
+///   antes     [varint count]([varint origin][varint seq])...
+///
+/// The kind byte holds the UpdateKind in its low two bits, and sets bit
+/// 0x04 when the update's origin equals the transaction's: the origin
+/// varint is then left out. A delete writes only its old tuple, an
+/// insert only its new one, a modify both. Strings and tuples are
+/// db::ValueWriter's, with one string table per transaction: a relation
+/// name or string value repeated across the updates (a SwissProt
+/// insert's organism, protein and "CrossRef" in every cross-reference)
+/// is written once and back-referenced after.
 void EncodeTransaction(std::string* out, const Transaction& txn);
 Result<Transaction> DecodeTransaction(std::string_view data, size_t* pos);
 
-/// Just the fixed leading fields of an encoded transaction — enough to
-/// answer "which transaction is this, and in which epoch was it
-/// published?" without decoding updates or antecedents. Commit checks
-/// on the publish path need exactly this.
+/// Just the header: enough to answer "which transaction is this, and in
+/// which epoch was it published?" without decoding updates or
+/// antecedents. Commit checks on the publish path need exactly this.
 struct TransactionHeader {
   TransactionId id;
   Epoch epoch = kNoEpoch;
@@ -43,10 +61,17 @@ struct TransactionHeader {
 Result<TransactionHeader> DecodeTransactionHeader(std::string_view data,
                                                   size_t* pos);
 
-/// Encoded size in bytes, computed arithmetically (no encoding is
-/// materialized); used by the simulated network for bandwidth
-/// accounting on the reconciliation hot path.
+/// Encoded size in bytes: EncodeTransaction's writer run in count mode,
+/// so nothing is materialized. Both stores charge it for every body they
+/// ship.
 size_t EncodedTransactionSize(const Transaction& txn);
+
+/// Writes the updates section (count, then each update) through `w`,
+/// leaving out every update origin equal to `origin`. EncodeTransaction
+/// writes its updates this way; a network-centric reply sizes each
+/// flattened extension with it.
+void WriteUpdates(db::ValueWriter& w, const std::vector<Update>& updates,
+                  ParticipantId origin);
 
 /// Read-only lookup of published transactions by id; implemented by the
 /// update stores (and by in-memory test fixtures).

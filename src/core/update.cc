@@ -1,7 +1,6 @@
 #include "core/update.h"
 
 #include "common/check.h"
-#include "db/serde.h"
 
 namespace orchestra::core {
 
@@ -73,44 +72,6 @@ std::string Update::ToString() const {
              new_tuple_.ToString() + ");" + std::to_string(origin_);
   }
   return "?";
-}
-
-void EncodeUpdate(std::string* out, const Update& update) {
-  out->push_back(static_cast<char>(update.kind()));
-  db::PutLengthPrefixed(out, update.relation());
-  db::PutVarint64(out, update.origin());
-  db::EncodeTuple(out, update.old_tuple());
-  db::EncodeTuple(out, update.new_tuple());
-}
-
-size_t EncodedUpdateSize(const Update& update) {
-  const size_t relation = update.relation().size();
-  return 1 + db::VarintLength(relation) + relation +
-         db::VarintLength(update.origin()) +
-         db::EncodedTupleSize(update.old_tuple()) +
-         db::EncodedTupleSize(update.new_tuple());
-}
-
-Result<Update> DecodeUpdate(std::string_view data, size_t* pos) {
-  if (*pos >= data.size()) return Status::Corruption("truncated update kind");
-  const auto kind = static_cast<UpdateKind>(data[(*pos)++]);
-  ORCH_ASSIGN_OR_RETURN(std::string relation, db::GetLengthPrefixed(data, pos));
-  ORCH_ASSIGN_OR_RETURN(uint64_t origin, db::GetVarint64(data, pos));
-  ORCH_ASSIGN_OR_RETURN(db::Tuple old_tuple, db::DecodeTuple(data, pos));
-  ORCH_ASSIGN_OR_RETURN(db::Tuple new_tuple, db::DecodeTuple(data, pos));
-  switch (kind) {
-    case UpdateKind::kInsert:
-      return Update::Insert(std::move(relation), std::move(new_tuple),
-                            static_cast<ParticipantId>(origin));
-    case UpdateKind::kDelete:
-      return Update::Delete(std::move(relation), std::move(old_tuple),
-                            static_cast<ParticipantId>(origin));
-    case UpdateKind::kModify:
-      return Update::Modify(std::move(relation), std::move(old_tuple),
-                            std::move(new_tuple),
-                            static_cast<ParticipantId>(origin));
-  }
-  return Status::Corruption("unknown update kind tag");
 }
 
 }  // namespace orchestra::core

@@ -51,6 +51,10 @@ struct RelKeyHash {
 ///  - kInsert: new_tuple set, old_tuple empty
 ///  - kDelete: old_tuple set, new_tuple empty
 ///  - kModify: both set (the key may change between them)
+///
+/// Updates are stored and shipped only inside a transaction: the
+/// transaction codec (core/transaction.h) writes each one, relying on
+/// these invariants to leave out the tuple the kind says is empty.
 class Update {
  public:
   static Update Insert(std::string relation, db::Tuple tuple,
@@ -109,15 +113,6 @@ class Update {
   db::Tuple new_tuple_;
   ParticipantId origin_;
 };
-
-/// Binary (de)serialization, used for durability and for the simulated
-/// network's message-size accounting.
-void EncodeUpdate(std::string* out, const Update& update);
-Result<Update> DecodeUpdate(std::string_view data, size_t* pos);
-
-/// Encoded size in bytes, computed arithmetically (no encoding is
-/// materialized); must agree with EncodeUpdate exactly.
-size_t EncodedUpdateSize(const Update& update);
 
 }  // namespace orchestra::core
 

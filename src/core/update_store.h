@@ -182,14 +182,16 @@ struct NetworkCentricFetch {
   /// Flattened extensions and direct conflicts over trusted_txns.
   ReconcileAnalysis analysis;
 
-  /// The analysis as the reply to the peer carries it: the encoded
-  /// flattened updates, plus one 48-byte record per conflicting pair.
+  /// The analysis as the reply to the peer carries it: each flattened
+  /// extension in the transaction codec's update layout (one string
+  /// table each, origins equal to the root's left out), plus one 48-byte
+  /// record per conflicting pair.
   int64_t AnalysisBytes() const {
     auto bytes = static_cast<int64_t>(analysis.conflicts.size()) * 48;
-    for (const auto& up_ex : analysis.up_ex) {
-      for (const Update& u : up_ex) {
-        bytes += static_cast<int64_t>(EncodedUpdateSize(u));
-      }
+    for (size_t i = 0; i < analysis.up_ex.size(); ++i) {
+      db::ValueWriter w;
+      WriteUpdates(w, analysis.up_ex[i], trusted_txns[i].id.origin);
+      bytes += static_cast<int64_t>(w.size());
     }
     return bytes;
   }

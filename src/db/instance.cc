@@ -40,7 +40,7 @@ Status Instance::CheckForeignKeys() const {
     auto child_it = tables_.find(fk.child_relation);
     auto parent_it = tables_.find(fk.parent_relation);
     ORCH_CHECK(child_it != tables_.end() && parent_it != tables_.end());
-    for (const Tuple& child : child_it->second.Scan()) {
+    for (const Tuple& child : child_it->second.Rows()) {
       Tuple ref = child.Project(fk.child_columns);
       bool all_null = true;
       for (const Value& v : ref.values()) {

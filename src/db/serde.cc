@@ -60,144 +60,132 @@ Result<std::string> GetLengthPrefixed(std::string_view data, size_t* pos) {
   return std::string(view);
 }
 
-void EncodeValue(std::string* out, const Value& value) {
-  out->push_back(static_cast<char>(value.type()));
+void ValueWriter::PutRaw(std::string_view bytes) {
+  size_ += bytes.size();
+  if (out_ != nullptr) out_->append(bytes);
+}
+
+void ValueWriter::PutByte(uint8_t byte) {
+  size_ += 1;
+  if (out_ != nullptr) out_->push_back(static_cast<char>(byte));
+}
+
+void ValueWriter::PutVarint(uint64_t value) {
+  size_ += VarintLength(value);
+  if (out_ != nullptr) PutVarint64(out_, value);
+}
+
+void ValueWriter::PutString(std::string_view s) {
+  for (size_t i = 0; i < strings_.size(); ++i) {
+    if (strings_[i] == s) {
+      PutVarint((uint64_t{i} << 1) | 1);
+      return;
+    }
+  }
+  strings_.push_back(s);
+  PutVarint(uint64_t{s.size()} << 1);
+  PutRaw(s);
+}
+
+void ValueWriter::PutValue(const Value& value) {
+  PutByte(static_cast<uint8_t>(value.type()));
   switch (value.type()) {
     case ValueType::kNull:
       break;
     case ValueType::kInt64: {
       // Zigzag so negative values stay short.
       const int64_t v = value.AsInt64();
-      PutVarint64(out, (static_cast<uint64_t>(v) << 1) ^
-                           static_cast<uint64_t>(v >> 63));
+      PutVarint((static_cast<uint64_t>(v) << 1) ^
+                static_cast<uint64_t>(v >> 63));
       break;
     }
     case ValueType::kDouble: {
       const double d = value.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
       char buf[8];
-      std::memcpy(buf, &bits, sizeof(bits));
-      out->append(buf, sizeof(buf));
+      std::memcpy(buf, &d, sizeof(buf));
+      PutRaw(std::string_view(buf, sizeof(buf)));
       break;
     }
     case ValueType::kString:
-      PutLengthPrefixed(out, value.AsString());
+      PutString(value.AsString());
       break;
   }
 }
 
-Value ValueView::ToValue() const {
-  switch (type) {
-    case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kInt64:
-      return Value(i64);
-    case ValueType::kDouble:
-      return Value(f64);
-    case ValueType::kString:
-      return Value(std::string(str));
+void ValueWriter::PutTuple(const Tuple& tuple) {
+  PutVarint(tuple.size());
+  for (const Value& v : tuple.values()) PutValue(v);
+}
+
+Result<uint8_t> ValueReader::GetByte() {
+  if (*pos_ >= data_.size()) return Status::Corruption("truncated byte");
+  return static_cast<uint8_t>(data_[(*pos_)++]);
+}
+
+Result<uint64_t> ValueReader::GetVarint() { return GetVarint64(data_, pos_); }
+
+Result<std::string_view> ValueReader::GetString() {
+  ORCH_ASSIGN_OR_RETURN(uint64_t ref, GetVarint());
+  if ((ref & 1) != 0) {
+    const uint64_t index = ref >> 1;
+    if (index >= strings_.size()) {
+      return Status::Corruption("string back-reference " +
+                                std::to_string(index) + " past a table of " +
+                                std::to_string(strings_.size()));
+    }
+    return strings_[index];
   }
-  return Value::Null();
-}
-
-Result<ValueView> DecodeValueView(std::string_view data, size_t* pos) {
-  if (*pos >= data.size()) return Status::Corruption("truncated value tag");
-  ValueView view;
-  view.type = static_cast<ValueType>(data[(*pos)++]);
-  switch (view.type) {
-    case ValueType::kNull:
-      return view;
-    case ValueType::kInt64: {
-      ORCH_ASSIGN_OR_RETURN(uint64_t zz, GetVarint64(data, pos));
-      view.i64 = static_cast<int64_t>(zz >> 1) ^ -static_cast<int64_t>(zz & 1);
-      return view;
-    }
-    case ValueType::kDouble: {
-      if (*pos + 8 > data.size()) {
-        return Status::Corruption("truncated double");
-      }
-      uint64_t bits;
-      std::memcpy(&bits, data.data() + *pos, sizeof(bits));
-      *pos += 8;
-      std::memcpy(&view.f64, &bits, sizeof(view.f64));
-      return view;
-    }
-    case ValueType::kString: {
-      ORCH_ASSIGN_OR_RETURN(view.str, GetLengthPrefixedView(data, pos));
-      return view;
-    }
-  }
-  return Status::Corruption("unknown value type tag");
-}
-
-Result<Value> DecodeValue(std::string_view data, size_t* pos) {
-  ORCH_ASSIGN_OR_RETURN(ValueView view, DecodeValueView(data, pos));
-  return view.ToValue();
-}
-
-void EncodeTuple(std::string* out, const Tuple& tuple) {
-  out->reserve(out->size() + EncodedTupleSize(tuple));
-  PutVarint64(out, tuple.size());
-  for (const Value& v : tuple.values()) EncodeValue(out, v);
-}
-
-Status DecodeTupleView(std::string_view data, size_t* pos,
-                       std::vector<ValueView>* out) {
-  out->clear();
-  ORCH_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(data, pos));
-  // Every value occupies at least one byte; a larger count is corrupt
-  // input (and must not drive an allocation).
-  if (count > data.size() - *pos) {
-    return Status::Corruption("tuple arity " + std::to_string(count) +
+  const uint64_t len = ref >> 1;
+  if (len > remaining()) {
+    return Status::Corruption("string literal length " + std::to_string(len) +
                               " exceeds the remaining input");
   }
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ORCH_ASSIGN_OR_RETURN(ValueView v, DecodeValueView(data, pos));
-    out->push_back(v);
-  }
-  return Status::OK();
+  const std::string_view literal = data_.substr(*pos_, len);
+  *pos_ += len;
+  strings_.push_back(literal);
+  return literal;
 }
 
-Result<Tuple> DecodeTuple(std::string_view data, size_t* pos) {
-  ORCH_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(data, pos));
-  if (count > data.size() - *pos) {
+Result<Value> ValueReader::GetValue() {
+  ORCH_ASSIGN_OR_RETURN(uint8_t tag, GetByte());
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kNull:
+      return Value::Null();
+    case ValueType::kInt64: {
+      ORCH_ASSIGN_OR_RETURN(uint64_t zz, GetVarint());
+      return Value(static_cast<int64_t>(zz >> 1) ^
+                   -static_cast<int64_t>(zz & 1));
+    }
+    case ValueType::kDouble: {
+      if (remaining() < 8) return Status::Corruption("truncated double");
+      double d;
+      std::memcpy(&d, data_.data() + *pos_, sizeof(d));
+      *pos_ += 8;
+      return Value(d);
+    }
+    case ValueType::kString: {
+      ORCH_ASSIGN_OR_RETURN(std::string_view s, GetString());
+      return Value(std::string(s));
+    }
+  }
+  return Status::Corruption("unknown value type tag " + std::to_string(tag));
+}
+
+Result<Tuple> ValueReader::GetTuple() {
+  ORCH_ASSIGN_OR_RETURN(uint64_t count, GetVarint());
+  // Every value occupies at least one byte; a larger count is corrupt
+  // input (and must not drive an allocation).
+  if (count > remaining()) {
     return Status::Corruption("tuple arity " + std::to_string(count) +
                               " exceeds the remaining input");
   }
   std::vector<Value> values;
   values.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    ORCH_ASSIGN_OR_RETURN(ValueView v, DecodeValueView(data, pos));
-    values.push_back(v.ToValue());
+    ORCH_ASSIGN_OR_RETURN(Value v, GetValue());
+    values.push_back(std::move(v));
   }
   return Tuple(std::move(values));
-}
-
-size_t EncodedValueSize(const Value& value) {
-  switch (value.type()) {
-    case ValueType::kNull:
-      return 1;
-    case ValueType::kInt64: {
-      const int64_t v = value.AsInt64();
-      return 1 + VarintLength((static_cast<uint64_t>(v) << 1) ^
-                              static_cast<uint64_t>(v >> 63));
-    }
-    case ValueType::kDouble:
-      return 1 + 8;
-    case ValueType::kString: {
-      const size_t len = value.AsString().size();
-      return 1 + VarintLength(len) + len;
-    }
-  }
-  return 1;
-}
-
-size_t EncodedTupleSize(const Tuple& tuple) {
-  size_t size = VarintLength(tuple.size());
-  for (const Value& v : tuple.values()) size += EncodedValueSize(v);
-  return size;
 }
 
 namespace {

@@ -13,18 +13,25 @@
 
 namespace orchestra::db {
 
-/// Binary encoding for db values/tuples. Used by the WAL (durability of
-/// the central store) and by the simulated network to account message
-/// sizes. The format is length-prefixed and self-describing:
-///   varint  LEB128 unsigned
-///   value   [type:1 byte][payload]
-///   tuple   [varint count][value...]
-///
-/// Two decode paths share one set of parsers: the *copying* decoders
-/// return owning Value/Tuple objects, and the *zero-copy* decoders
-/// return string_view slices over the input buffer (valid only while
-/// the buffer outlives them). The copying path is implemented on top of
-/// the zero-copy one, so the two cannot disagree about the format.
+/// Binary encoding primitives shared by every on-disk and on-wire format:
+///   varint            LEB128 unsigned
+///   length-prefixed   [varint len][len bytes]
+/// and, on top of them, the value/tuple layer of the transaction codec
+/// (core::EncodeTransaction), written through a ValueWriter and read
+/// back through a ValueReader:
+///   string ref  [varint len << 1][len bytes]   a literal: the string's
+///                                              first appearance, which
+///                                              becomes the next entry of
+///                                              the string table
+///               [varint n << 1 | 1]            entry n of the table
+///   value       [type:1 byte][payload]         int64: zigzag varint;
+///                                              double: 8 bytes; string:
+///                                              a string ref
+///   tuple       [varint count][value...]
+/// The string table is scoped to one writer (one transaction), so a
+/// relation name or a string value repeated across its updates is
+/// written once. A reader appends every literal it reads to its table;
+/// a writer back-references only strings it wrote earlier.
 
 /// Appends a LEB128-encoded unsigned integer to `out`.
 void PutVarint64(std::string* out, uint64_t value);
@@ -44,36 +51,66 @@ Result<std::string> GetLengthPrefixed(std::string_view data, size_t* pos);
 Result<std::string_view> GetLengthPrefixedView(std::string_view data,
                                                size_t* pos);
 
-void EncodeValue(std::string* out, const Value& value);
-Result<Value> DecodeValue(std::string_view data, size_t* pos);
+/// Writes the value/tuple layer above, in one of two modes that share
+/// every line of the writer: append mode adds the bytes to a string,
+/// count mode only counts them. Sizing a body is therefore encoding it
+/// without the output, and the two cannot disagree.
+///
+/// The string table is a flat list of views of the strings written so
+/// far, searched linearly: a transaction holds few distinct strings, and
+/// the count pass runs for every body a store ships, so it must not
+/// allocate a hash map. Every string passed in must outlive the writer.
+class ValueWriter {
+ public:
+  /// Count mode: writes nothing; size() is what append mode would append.
+  ValueWriter() = default;
+  /// Append mode: appends to *out.
+  explicit ValueWriter(std::string* out) : out_(out) {}
 
-/// A decoded value whose string payload (if any) aliases the input
-/// buffer instead of owning a copy. Convert with ToValue() only where
-/// an owning Value is actually needed.
-struct ValueView {
-  ValueType type = ValueType::kNull;
-  int64_t i64 = 0;
-  double f64 = 0;
-  std::string_view str;
+  void PutByte(uint8_t byte);
+  void PutVarint(uint64_t value);
+  /// A string ref: a back-reference if `s` was written before, else a
+  /// literal.
+  void PutString(std::string_view s);
+  void PutValue(const Value& value);
+  void PutTuple(const Tuple& tuple);
 
-  Value ToValue() const;
+  /// Bytes written (or counted) so far.
+  size_t size() const { return size_; }
+
+ private:
+  void PutRaw(std::string_view bytes);
+
+  std::string* out_ = nullptr;
+  size_t size_ = 0;
+  std::vector<std::string_view> strings_;
 };
 
-Result<ValueView> DecodeValueView(std::string_view data, size_t* pos);
+/// Reads what a ValueWriter wrote, from data[*pos...], advancing *pos.
+/// Every malformed input (a truncation, an unknown type tag, a
+/// back-reference past the table, a length or count past the end of the
+/// buffer) is kCorruption; no count read from the input drives an
+/// allocation larger than the input could fill.
+class ValueReader {
+ public:
+  ValueReader(std::string_view data, size_t* pos) : data_(data), pos_(pos) {}
 
-void EncodeTuple(std::string* out, const Tuple& tuple);
-Result<Tuple> DecodeTuple(std::string_view data, size_t* pos);
+  Result<uint8_t> GetByte();
+  Result<uint64_t> GetVarint();
+  /// The view aliases the input buffer (a back-reference yields the view
+  /// of its literal), valid only while that buffer is.
+  Result<std::string_view> GetString();
+  Result<Value> GetValue();
+  Result<Tuple> GetTuple();
 
-/// Zero-copy tuple decode: appends one ValueView per attribute to
-/// `out` (cleared first). Views alias `data`.
-Status DecodeTupleView(std::string_view data, size_t* pos,
-                       std::vector<ValueView>* out);
+  /// Unread bytes of the input.
+  size_t remaining() const { return data_.size() - *pos_; }
 
-/// Size in bytes of the encoded value/tuple, computed arithmetically —
-/// no encoding is materialized. Used by the simulated network for
-/// message accounting on the reconciliation hot path.
-size_t EncodedValueSize(const Value& value);
-size_t EncodedTupleSize(const Tuple& tuple);
+ private:
+  std::string_view data_;
+  size_t* pos_;
+  std::vector<std::string_view> strings_;
+};
 
 /// --- Integrity envelope ------------------------------------------------
 ///

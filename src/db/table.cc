@@ -59,15 +59,10 @@ bool Table::ContainsTuple(const Tuple& tuple) const {
   return it != rows_.end() && it->second == tuple;
 }
 
-std::vector<Tuple> Table::Scan() const {
+std::vector<Tuple> Table::ScanSorted() const {
   std::vector<Tuple> out;
   out.reserve(rows_.size());
-  for (const auto& [key, tuple] : rows_) out.push_back(tuple);
-  return out;
-}
-
-std::vector<Tuple> Table::ScanSorted() const {
-  std::vector<Tuple> out = Scan();
+  for (const Tuple& tuple : Rows()) out.push_back(tuple);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef ORCHESTRA_DB_TABLE_H_
 #define ORCHESTRA_DB_TABLE_H_
 
+#include <ranges>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,8 +56,9 @@ class Table {
   /// True if the exact full tuple is present.
   bool ContainsTuple(const Tuple& tuple) const;
 
-  /// All tuples in unspecified order.
-  std::vector<Tuple> Scan() const;
+  /// Every stored tuple, in unspecified order, without copying: a view
+  /// over the table, valid until the table is next modified.
+  auto Rows() const { return std::views::values(rows_); }
 
   /// All tuples in key order (deterministic; used by tests and diffing).
   std::vector<Tuple> ScanSorted() const;

@@ -20,7 +20,7 @@ KeyStates CollectStates(
   for (const core::Participant* p : participants) {
     auto table = p->instance().GetTable(relation);
     ORCH_CHECK(table.ok(), "relation missing from instance");
-    for (const db::Tuple& tuple : (*table)->Scan()) {
+    for (const db::Tuple& tuple : (*table)->Rows()) {
       const db::Tuple key = (*table)->schema().KeyOf(tuple);
       auto& [values, holders] = states[key];
       values.insert(tuple);

@@ -16,8 +16,12 @@ namespace orchestra::storage {
 
 namespace {
 
-/// File header stamped on every log before its first record.
-constexpr char kFileMagic[8] = {'O', 'R', 'C', 'W', 'A', 'L', '0', '2'};
+/// File header stamped on every log before its first record: a fixed
+/// prefix and two version digits. Version 03 is the row format of the
+/// compact transaction codec (core::EncodeTransaction); a 02 log holds
+/// rows that the current decoder would misread.
+constexpr char kFileMagic[8] = {'O', 'R', 'C', 'W', 'A', 'L', '0', '3'};
+constexpr size_t kVersionOffset = 6;
 
 }  // namespace
 
@@ -29,6 +33,17 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(std::string path) {
     char head[sizeof(kFileMagic)];
     present = std::fread(head, 1, sizeof(head), probe);
     std::fclose(probe);
+    if (present == sizeof(head) &&
+        std::memcmp(head, kFileMagic, kVersionOffset) == 0 &&
+        std::memcmp(head, kFileMagic, sizeof(head)) != 0) {
+      // The checksums cover each record's payload, so the rows of another
+      // version would pass the envelope check: refuse the whole log
+      // rather than replay them.
+      return Status::NotSupported(
+          "write-ahead log at " + path + " is format " +
+          std::string(head, sizeof(head)) + "; this build reads only " +
+          std::string(kFileMagic, sizeof(kFileMagic)));
+    }
     if (std::memcmp(head, kFileMagic, present) != 0) {
       return Status::Corruption("not a write-ahead log (no header) at " +
                                 path);

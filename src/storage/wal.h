@@ -16,7 +16,7 @@ namespace orchestra::storage {
 
 /// Append-only write-ahead log.
 ///
-/// Format: an 8-byte file header ("ORCWAL02") followed by one integrity
+/// Format: an 8-byte file header ("ORCWAL03") followed by one integrity
 /// envelope (db::WrapEnvelope) per record, whose payload is
 /// [type:1 byte][record payload]. Recovery semantics:
 ///   - a torn tail (final record cut short) is truncated at the last
@@ -39,8 +39,11 @@ class WriteAheadLog {
   /// Opens (creating if needed) the log at `path` for appending. A new
   /// file is stamped with the header, and so is a file holding a strict
   /// prefix of it (a crash tore the header write, so no record can have
-  /// followed). Any other non-empty file without the header was not
-  /// written by this log: kCorruption.
+  /// followed). A log stamped with another version of the header
+  /// ("ORCWAL02") holds rows in a format this build does not read:
+  /// kNotSupported, naming that version, and nothing is replayed. Any
+  /// other non-empty file without the header was not written by this
+  /// log: kCorruption.
   static Result<std::unique_ptr<WriteAheadLog>> Open(std::string path);
 
   ~WriteAheadLog();

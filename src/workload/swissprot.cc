@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 #include "common/check.h"
 
@@ -157,6 +158,13 @@ size_t SwissProtWorkload::SampleCrossRefCount() {
   return k - 1;
 }
 
+const db::Tuple& SwissProtWorkload::PickRow(const db::Table& table) {
+  const auto rows = table.Rows();
+  const auto index =
+      static_cast<std::ptrdiff_t>(rng_.NextBounded(table.size()));
+  return *std::ranges::next(rows.begin(), index);
+}
+
 std::vector<core::Update> SwissProtWorkload::NextTransaction(
     core::ParticipantId peer, const db::Instance& instance) {
   std::vector<core::Update> updates;
@@ -180,13 +188,12 @@ std::vector<core::Update> SwissProtWorkload::NextTransaction(
       // Retire a curated entry: delete the Function tuple and every
       // cross-reference of its key in the same transaction, so the
       // foreign key stays satisfied.
-      std::vector<db::Tuple> rows = (*function_table)->Scan();
-      const db::Tuple& victim = rows[rng_.NextBounded(rows.size())];
+      const db::Tuple& victim = PickRow(**function_table);
       const db::Tuple victim_key = schema.KeyOf(victim);
       if (touched(victim_key)) continue;
       auto crossref_table = instance.GetTable(kCrossRefRelation);
       ORCH_CHECK(crossref_table.ok());
-      for (const db::Tuple& ref : (*crossref_table)->Scan()) {
+      for (const db::Tuple& ref : (*crossref_table)->Rows()) {
         if (ref[0] == victim_key[0] && ref[1] == victim_key[1]) {
           updates.push_back(core::Update::Delete(kCrossRefRelation, ref, peer));
         }
@@ -200,9 +207,7 @@ std::vector<core::Update> SwissProtWorkload::NextTransaction(
     if (try_replace) {
       // Replace the function value of an existing tuple with a fresh
       // Zipf-drawn term (curation revises a conclusion).
-      std::vector<db::Tuple> rows = (*function_table)->Scan();
-      const db::Tuple& victim =
-          rows[rng_.NextBounded(rows.size())];
+      const db::Tuple& victim = PickRow(**function_table);
       const db::Tuple victim_key = schema.KeyOf(victim);
       if (touched(victim_key)) continue;
       std::string new_function = FunctionAt(function_zipf_.Sample(rng_));

@@ -79,6 +79,9 @@ class SwissProtWorkload {
   /// mean (Knuth's method; the mean is small).
   size_t SampleCrossRefCount();
 
+  /// A uniformly drawn row of a non-empty `table`, in its iteration order.
+  const db::Tuple& PickRow(const db::Table& table);
+
   WorkloadConfig config_;
   Rng rng_;
   ZipfDistribution key_zipf_;

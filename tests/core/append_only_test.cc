@@ -183,7 +183,7 @@ TEST_P(AppendOnlyRandomTest, FirstTrustedPublicationOfEachKeyWins) {
     }
   }
   auto table = instance.GetTable("F");
-  for (const db::Tuple& t : (*table)->Scan()) {
+  for (const db::Tuple& t : (*table)->Rows()) {
     EXPECT_EQ(oracle.at(t[1].AsString()), t[2].AsString());
   }
 }

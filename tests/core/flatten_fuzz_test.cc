@@ -40,14 +40,16 @@ std::optional<Update> RandomStep(Rng& rng, const db::RelationSchema& schema,
       return std::nullopt;
     }
     case 1: {  // delete an existing tuple
-      const std::vector<db::Tuple> rows = state->Scan();
+      const std::vector<db::Tuple> rows(state->Rows().begin(),
+                                        state->Rows().end());
       if (rows.empty()) return std::nullopt;
       const db::Tuple victim = rows[rng.NextBounded(rows.size())];
       ORCH_CHECK(state->DeleteByKey(schema.KeyOf(victim)).ok());
       return Update::Delete("F", victim, 1);
     }
     case 2: {  // modify, key unchanged
-      const std::vector<db::Tuple> rows = state->Scan();
+      const std::vector<db::Tuple> rows(state->Rows().begin(),
+                                        state->Rows().end());
       if (rows.empty()) return std::nullopt;
       const db::Tuple victim = rows[rng.NextBounded(rows.size())];
       db::Tuple replacement{victim[0], victim[1], random_value()};
@@ -56,7 +58,8 @@ std::optional<Update> RandomStep(Rng& rng, const db::RelationSchema& schema,
       return Update::Modify("F", victim, replacement, 1);
     }
     default: {  // modify that moves the tuple to a fresh key
-      const std::vector<db::Tuple> rows = state->Scan();
+      const std::vector<db::Tuple> rows(state->Rows().begin(),
+                                        state->Rows().end());
       if (rows.empty()) return std::nullopt;
       const db::Tuple victim = rows[rng.NextBounded(rows.size())];
       for (int attempt = 0; attempt < 8; ++attempt) {

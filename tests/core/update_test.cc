@@ -4,6 +4,7 @@
 
 #include "core/transaction.h"
 #include "test_util.h"
+#include "workload/swissprot.h"
 
 namespace orchestra::core {
 namespace {
@@ -71,25 +72,92 @@ TEST_F(UpdateTest, EqualityIsStructural) {
   EXPECT_NE(Ins("rat", "p1", "x", 1), Del("rat", "p1", "x", 1));
 }
 
+// Updates travel only inside a transaction, so each kind round-trips
+// through the transaction codec, with the transaction's own origin (left
+// out of the bytes) and with a foreign one (written).
 TEST_F(UpdateTest, SerdeRoundTripAllKinds) {
   for (const Update& u :
        {Ins("rat", "p1", "immune", 3), Del("mouse", "p2", "metab", 2),
         Mod("rat", "p1", "a", "b", 1)}) {
-    std::string buf;
-    EncodeUpdate(&buf, u);
-    size_t pos = 0;
-    auto decoded = DecodeUpdate(buf, &pos);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(*decoded, u);
-    EXPECT_EQ(pos, buf.size());
+    for (ParticipantId txn_origin : {u.origin(), ParticipantId{9}}) {
+      const Transaction txn = Txn(txn_origin, 4, {u});
+      std::string buf;
+      EncodeTransaction(&buf, txn);
+      EXPECT_EQ(EncodedTransactionSize(txn), buf.size());
+      size_t pos = 0;
+      auto decoded = DecodeTransaction(buf, &pos);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ASSERT_EQ(decoded->updates.size(), 1u);
+      EXPECT_EQ(decoded->updates[0], u);
+      EXPECT_EQ(pos, buf.size());
+    }
   }
 }
 
 TEST_F(UpdateTest, DecodeRejectsGarbage) {
   size_t pos = 0;
-  EXPECT_FALSE(DecodeUpdate("", &pos).ok());
+  EXPECT_EQ(DecodeTransaction("", &pos).status().code(),
+            StatusCode::kCorruption);
+  // Header X1:2 in epoch 3, one update whose kind byte is not a kind.
   pos = 0;
-  EXPECT_FALSE(DecodeUpdate("\x07garbage", &pos).ok());
+  EXPECT_EQ(DecodeTransaction("\x01\x02\x04\x01\x07garbage", &pos)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(UpdateTest, OwnOriginIsLeftOutOfTheBytes) {
+  const Transaction own = Txn(3, 7, {Ins("rat", "p1", "x", 3)});
+  const Transaction foreign = Txn(3, 7, {Ins("rat", "p1", "x", 300)});
+  // A foreign origin costs its varint (two bytes for 300); the own one
+  // costs nothing beyond the kind byte's flag.
+  EXPECT_EQ(EncodedTransactionSize(foreign), EncodedTransactionSize(own) + 2);
+}
+
+// A SwissProt insert (§6) brings about 7.3 cross-references, each
+// restating the relation name and the parent's organism and protein:
+// the codec writes each of those strings once per transaction.
+TEST_F(UpdateTest, SwissProtInsertWritesRepeatedStringsOnce) {
+  const std::string organism = "Homo sapiens";
+  const std::string protein = "P04637";
+  Transaction txn;
+  txn.id = {5, 11};
+  txn.epoch = 2;
+  txn.updates.push_back(Update::Insert(
+      workload::kFunctionRelation,
+      db::Tuple{db::Value(organism), db::Value(protein),
+                db::Value("DNA binding")},
+      5));
+  const char* const kDbs[] = {"EMBL", "PDB",  "Pfam", "InterPro",
+                              "GO",   "EMBL", "PDB"};
+  for (int r = 0; r < 7; ++r) {
+    txn.updates.push_back(Update::Insert(
+        workload::kCrossRefRelation,
+        db::Tuple{db::Value(organism), db::Value(protein),
+                  db::Value(kDbs[r]),
+                  db::Value(std::string(kDbs[r]).substr(0, 2) + "00000" +
+                            std::to_string(r))},
+        5));
+  }
+  std::string buf;
+  EncodeTransaction(&buf, txn);
+  EXPECT_EQ(EncodedTransactionSize(txn), buf.size());
+  const auto occurrences = [&](const std::string& needle) {
+    int n = 0;
+    for (size_t at = buf.find(needle); at != std::string::npos;
+         at = buf.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences(organism), 1);
+  EXPECT_EQ(occurrences(protein), 1);
+  EXPECT_EQ(occurrences(workload::kCrossRefRelation), 1);
+  EXPECT_EQ(occurrences("EMBL"), 1);
+  size_t pos = 0;
+  auto decoded = DecodeTransaction(buf, &pos);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->updates, txn.updates);
 }
 
 TEST(TransactionIdTest, OrderingAndFormatting) {

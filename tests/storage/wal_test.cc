@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "db/serde.h"
 
 namespace orchestra::storage {
 namespace {
@@ -271,6 +272,23 @@ TEST_F(WalTest, TornHeaderIsRestampedAndKeepsLaterRecords) {
   EXPECT_EQ(records[0], (std::pair<uint8_t, std::string>{1, "hello"}));
   EXPECT_EQ(stats.dropped_tail_bytes, 0);
   EXPECT_EQ(stats.skipped_regions, 0);
+}
+
+TEST_F(WalTest, OlderFormatIsRefusedNamingItsVersion) {
+  // A log written by the previous row format ("ORCWAL02"): its records'
+  // envelopes are intact, so only the header tells its rows apart from
+  // this build's. Open refuses it before anything can be replayed, and
+  // leaves the file as it was.
+  std::string contents = "ORCWAL02";
+  db::WrapEnvelope(&contents, std::string("\x01an old-format row"));
+  WriteFile(path_, contents);
+  auto wal = WriteAheadLog::Open(path_);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(wal.status().message().find("ORCWAL02"), std::string::npos)
+      << wal.status().ToString();
+  EXPECT_EQ(std::filesystem::file_size(path_), contents.size())
+      << "Open must not write to a refused log";
 }
 
 TEST_F(WalTest, HeaderlessFileIsRejectedAtOpen) {

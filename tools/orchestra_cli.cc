@@ -506,7 +506,7 @@ double Shell::sim_ratio(const std::vector<const core::Participant*>& view) {
   for (const core::Participant* p : view) {
     auto table = p->instance().GetTable(workload::kFunctionRelation);
     if (!table.ok()) continue;
-    for (const db::Tuple& tuple : (*table)->Scan()) {
+    for (const db::Tuple& tuple : (*table)->Rows()) {
       auto& entry = states[(*table)->schema().KeyOf(tuple)];
       entry.first.insert(tuple);
       entry.second += 1;
