@@ -1,8 +1,10 @@
 #include "core/fetch_cache.h"
 
+#include <algorithm>
+
 namespace orchestra::core {
 
-const Transaction* FetchCache::Lookup(const TransactionId& id) const {
+const SizedTxn* FetchCache::Lookup(const TransactionId& id) const {
   auto it = arena_.find(id);
   if (it == arena_.end()) {
     ++stats_.misses;
@@ -12,8 +14,8 @@ const Transaction* FetchCache::Lookup(const TransactionId& id) const {
   return &it->second;
 }
 
-void FetchCache::Admit(Transaction txn) {
-  const TransactionId id = txn.id;
+void FetchCache::Admit(SizedTxn txn) {
+  const TransactionId id = txn.txn.id;
   if (arena_.emplace(id, std::move(txn)).second) ++stats_.admitted;
 }
 
@@ -31,21 +33,38 @@ bool FetchCache::KnownDecided(ParticipantId peer,
 
 void FetchCache::ResetApplied(ParticipantId peer, TxnIdSet applied) {
   decided_[peer] = std::move(applied);
-  pending_.erase(peer);
+  windows_.erase(peer);
 }
 
 void FetchCache::SetPendingWindow(ParticipantId peer, int64_t recno,
                                   Epoch stable) {
-  pending_[peer] = PendingWindow{recno, stable};
+  windows_[peer].pending = PendingWindow{recno, stable};
 }
 
 std::optional<Epoch> FetchCache::TakePendingWindow(ParticipantId peer,
                                                    int64_t recno) {
-  auto it = pending_.find(peer);
-  if (it == pending_.end() || it->second.recno != recno) return std::nullopt;
-  const Epoch stable = it->second.stable;
-  pending_.erase(it);
+  auto it = windows_.find(peer);
+  if (it == windows_.end()) return std::nullopt;
+  Windows& windows = it->second;
+  if (!windows.pending.has_value() || windows.pending->recno != recno) {
+    return std::nullopt;
+  }
+  const Epoch stable = windows.pending->stable;
+  windows.pending.reset();
+  if (windows.watermark.has_value()) {
+    windows.watermark = std::max(*windows.watermark, stable);
+  }
   return stable;
+}
+
+std::optional<Epoch> FetchCache::Watermark(ParticipantId peer) const {
+  auto it = windows_.find(peer);
+  if (it == windows_.end()) return std::nullopt;
+  return it->second.watermark;
+}
+
+void FetchCache::SetWatermark(ParticipantId peer, Epoch watermark) {
+  windows_[peer].watermark = watermark;
 }
 
 }  // namespace orchestra::core

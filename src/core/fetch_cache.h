@@ -11,6 +11,15 @@
 
 namespace orchestra::core {
 
+/// A decoded transaction with the length of the encoding it was decoded
+/// from or encoded into: the bytes a store charges for shipping it, kept
+/// so that no store runs the codec's count pass again on a body whose
+/// bytes it already had.
+struct SizedTxn {
+  Transaction txn;
+  int64_t bytes = 0;
+};
+
 /// Store-side cache powering incremental (delta) fetch, per the paper's
 /// §5.2 model where each reconciliation consumes only the stable window
 /// past the peer's watermark.
@@ -23,7 +32,7 @@ namespace orchestra::core {
 ///    on every later reconciliation, keyed by (epoch, txn id). Only
 ///    transactions under a committed epoch may be admitted — residue of
 ///    an aborted publish can be overwritten by a republish and must
-///    never be cached.
+///    never be cached. Each body keeps its encoded length (SizedTxn).
 ///
 ///  - *per-peer* bookkeeping: the decided overlay — the ids whose fetch
 ///    lookup the peer needs nothing from — plus the peer's pending
@@ -47,6 +56,16 @@ namespace orchestra::core {
 ///    pending window (ResetApplied). Network-centric fetches analyse
 ///    the extension store-side and must put the suppressed rejected
 ///    bodies back into their bundle from the store's own state.
+///
+///  - for a store whose watermark lives remotely (the DHT's peer
+///    coordinator), the client's *copy of the watermark*, so that a
+///    fetch can scan its window without waiting for the coordinator's
+///    reply. An incarnation's first fetch takes the copy from that reply
+///    (SetWatermark). After that it moves exactly where the
+///    coordinator's does: when a recording's completion witness lands
+///    and takes the pending window, the copy becomes the larger of the
+///    two (TakePendingWindow), so it never moves back. ResetApplied
+///    drops it with the pending window.
 class FetchCache {
  public:
   struct Stats {
@@ -59,11 +78,11 @@ class FetchCache {
   /// --- Decoded-transaction arena --------------------------------------
 
   /// The cached transaction, or nullptr. Counts a hit or miss.
-  const Transaction* Lookup(const TransactionId& id) const;
+  const SizedTxn* Lookup(const TransactionId& id) const;
 
-  /// Admits a decoded transaction. The caller must have verified the
-  /// transaction's epoch is committed.
-  void Admit(Transaction txn);
+  /// Admits a decoded transaction with its encoded length. The caller
+  /// must have verified the transaction's epoch is committed.
+  void Admit(SizedTxn txn);
 
   size_t arena_size() const { return arena_.size(); }
 
@@ -78,30 +97,43 @@ class FetchCache {
   /// on hit.
   bool KnownDecided(ParticipantId peer, const TransactionId& id) const;
   /// Replaces the peer's overlay with its authoritative applied set and
-  /// drops its pending window: recovery and bootstrap start a new
-  /// incarnation, which holds no rejected bodies (so every rejected id
-  /// leaves the overlay) and will record nothing against the window its
-  /// predecessor fetched.
+  /// drops its pending window and watermark copy: recovery and bootstrap
+  /// start a new incarnation, which holds no rejected bodies (so every
+  /// rejected id leaves the overlay), will record nothing against the
+  /// window its predecessor fetched, and reads its watermark afresh.
   void ResetApplied(ParticipantId peer, TxnIdSet applied);
 
   /// Holds the window the peer's fetch `recno` consumed, up to stable
   /// epoch `stable`, replacing any earlier one.
   void SetPendingWindow(ParticipantId peer, int64_t recno, Epoch stable);
   /// Removes and returns the stable epoch of the peer's pending window
-  /// when that window was fetched under `recno`; nullopt (keeping any
-  /// window of another recno) otherwise.
+  /// when that window was fetched under `recno`, advancing the watermark
+  /// copy (if the peer holds one) to at least that epoch; nullopt
+  /// (keeping any window of another recno) otherwise. The caller takes
+  /// the window exactly when it commits it as the peer's watermark.
   std::optional<Epoch> TakePendingWindow(ParticipantId peer, int64_t recno);
+
+  /// The peer's copy of its watermark; nullopt until SetWatermark in
+  /// this incarnation.
+  std::optional<Epoch> Watermark(ParticipantId peer) const;
+  /// Holds `watermark`, read from the store's authoritative copy.
+  void SetWatermark(ParticipantId peer, Epoch watermark);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  std::unordered_map<TransactionId, Transaction, TransactionIdHash> arena_;
+  std::unordered_map<TransactionId, SizedTxn, TransactionIdHash> arena_;
   std::unordered_map<ParticipantId, TxnIdSet> decided_;
   struct PendingWindow {
     int64_t recno = 0;
     Epoch stable = 0;
   };
-  std::unordered_map<ParticipantId, PendingWindow> pending_;
+  /// The per-peer slot: the pending window and the watermark copy.
+  struct Windows {
+    std::optional<PendingWindow> pending;
+    std::optional<Epoch> watermark;
+  };
+  std::unordered_map<ParticipantId, Windows> windows_;
   mutable Stats stats_;
 };
 

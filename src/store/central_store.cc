@@ -108,21 +108,25 @@ Result<std::string> CentralStore::ReadTxnBlob(
                           last.message());
 }
 
-Result<Transaction> CentralStore::LoadTxn(const TransactionId& id) const {
+Result<core::SizedTxn> CentralStore::LoadTxn(const TransactionId& id) const {
   ORCH_ASSIGN_OR_RETURN(std::string blob, ReadTxnBlob(TxnKey(id)));
   size_t pos = 0;
-  return core::DecodeTransaction(blob, &pos);
+  ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(blob, &pos));
+  return core::SizedTxn{std::move(txn), static_cast<int64_t>(blob.size())};
 }
 
-Result<Transaction> CentralStore::LoadTxnCached(const TransactionId& id) const {
+Result<core::SizedTxn> CentralStore::LoadTxnCached(
+    const TransactionId& id) const {
   if (!reference()) {
-    if (const Transaction* hit = cache_.Lookup(id)) return *hit;
+    if (const core::SizedTxn* hit = cache_.Lookup(id)) return *hit;
   }
-  ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxn(id));
+  ORCH_ASSIGN_OR_RETURN(core::SizedTxn txn, LoadTxn(id));
   // Only committed transactions are immutable (a committed id can never
   // be republished); residue of an aborted publish must not be cached.
   // The reference skips the admit too: it would only cost it a copy.
-  if (!reference() && EpochCommitted(EpochKey(txn.epoch))) cache_.Admit(txn);
+  if (!reference() && EpochCommitted(EpochKey(txn.txn.epoch))) {
+    cache_.Admit(txn);
+  }
   return txn;
 }
 
@@ -138,7 +142,7 @@ Status CentralStore::ScanWindow(Epoch from, Epoch to, bool via_arena,
     if (fresh) state->second = EpochCommitted(state->first);
     if (!state->second) continue;
     const TransactionId id = ParseTxnKey(key.substr(sep + 1));
-    ORCH_ASSIGN_OR_RETURN(Transaction txn,
+    ORCH_ASSIGN_OR_RETURN(core::SizedTxn txn,
                           via_arena ? LoadTxnCached(id) : LoadTxn(id));
     roots->push_back(id);
     bodies->emplace(id, std::move(txn));
@@ -147,7 +151,8 @@ Status CentralStore::ScanWindow(Epoch from, Epoch to, bool via_arena,
 }
 
 Status CentralStore::LookUp(ParticipantId peer, core::ClosureLevel& level,
-                            TxnBodies* roots, bool via_arena) const {
+                            TxnBodies* roots, bool via_arena,
+                            int64_t* shipped_bytes) const {
   const std::string dec_table = "dec:" + std::to_string(peer);
   for (size_t i = 0; i < level.size(); ++i) {
     const TransactionId& id = level.id(i);
@@ -159,11 +164,19 @@ Status CentralStore::LookUp(ParticipantId peer, core::ClosureLevel& level,
                     ? core::RecordedVerdict::kApplied
                     : core::RecordedVerdict::kRejected;
     }
+    int64_t size = 0;
     auto body = [&]() -> Result<Transaction> {
-      if (level.roots()) return std::move(roots->at(id));
-      return via_arena ? LoadTxnCached(id) : LoadTxn(id);
+      core::SizedTxn txn;
+      if (level.roots()) {
+        txn = std::move(roots->at(id));
+      } else {
+        ORCH_ASSIGN_OR_RETURN(txn, via_arena ? LoadTxnCached(id) : LoadTxn(id));
+      }
+      size = txn.bytes;
+      return std::move(txn.txn);
     };
-    ORCH_RETURN_IF_ERROR(level.Judge(i, verdict, body).status());
+    ORCH_ASSIGN_OR_RETURN(const bool shipped, level.Judge(i, verdict, body));
+    if (shipped && shipped_bytes != nullptr) *shipped_bytes += size;
   }
   return Status::OK();
 }
@@ -221,6 +234,8 @@ Result<Epoch> CentralStore::Publish(ParticipantId peer,
   const std::string dec_table = "dec:" + std::to_string(peer);
   std::vector<StagedRow> staged;
   staged.reserve(txns.size() * 3);
+  std::vector<int64_t> sizes;  // each body's encoded length, for the arena
+  sizes.reserve(txns.size());
   TxnIdSet batch_ids;
   for (Transaction& txn : txns) {
     txn.epoch = epoch;
@@ -231,6 +246,7 @@ Result<Epoch> CentralStore::Publish(ParticipantId peer,
     }
     std::string encoded;
     core::EncodeTransaction(&encoded, txn);
+    sizes.push_back(static_cast<int64_t>(encoded.size()));
     // Stored envelope-framed: the checksum written here is what every
     // later read of this row verifies against.
     std::string blob;
@@ -268,9 +284,9 @@ Result<Epoch> CentralStore::Publish(ParticipantId peer,
 
   // The batch just committed: its transactions are immutable and the
   // publisher has accepted them durably (the staged "A" rows).
-  for (const Transaction& txn : txns) {
-    cache_.Admit(txn);
-    cache_.MarkDecided(peer, txn.id);
+  for (size_t i = 0; i < txns.size(); ++i) {
+    cache_.MarkDecided(peer, txns[i].id);
+    cache_.Admit({std::move(txns[i]), sizes[i]});
   }
 
   // One begin-publish round trip, the batch upload, one finish round
@@ -364,6 +380,7 @@ Result<ReconcileFetch> CentralStore::Fetch(ParticipantId peer,
   ORCH_RETURN_IF_ERROR(
       ScanWindow(prev + 1, stable, !reference(), &roots, &bodies));
   const auto scanned = static_cast<int64_t>(roots.size());
+  int64_t bytes = 0;
 
   // Trust predicates are evaluated inside the store so that only fully
   // trusted transactions and their antecedent closures are shipped
@@ -378,7 +395,7 @@ Result<ReconcileFetch> CentralStore::Fetch(ParticipantId peer,
             return !reference() && cache_.KnownDecided(peer, id);
           },
           [&](core::ClosureLevel& level) {
-            return LookUp(peer, level, &bodies, !reference());
+            return LookUp(peer, level, &bodies, !reference(), &bytes);
           }));
   fetch.trusted = std::move(walk.trusted);
   fetch.transactions = std::move(walk.transactions);
@@ -397,10 +414,6 @@ Result<ReconcileFetch> CentralStore::Fetch(ParticipantId peer,
   ORCH_RETURN_IF_ERROR(
       engine_->Put("peers", std::to_string(peer), EpochKey(stable)));
 
-  int64_t bytes = 0;
-  for (const Transaction& txn : fetch.transactions) {
-    bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-  }
   fetch.stats.corrupt_reads = corrupt_rows.value() - corrupt_before;
   fetch.stats.failover_probes = row_rereads.value() - rereads_before;
   // Begin-reconciliation round trip plus the bulk reply.
@@ -560,9 +573,9 @@ Result<core::RecoveryBundle> CentralStore::FetchRecoveryState(
        engine_->ScanRange(dec_table, "", "")) {
     const TransactionId id = ParseTxnKey(txn_key);
     if (decision == "A") {
-      ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(id));
-      bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-      bundle.applied.push_back(std::move(txn));
+      ORCH_ASSIGN_OR_RETURN(core::SizedTxn txn, LoadTxnCached(id));
+      bytes += txn.bytes;
+      bundle.applied.push_back(std::move(txn.txn));
     } else {
       bundle.rejected.push_back(id);
       bytes += 16;
@@ -603,11 +616,8 @@ Status CentralStore::ReadUndecided(ParticipantId peer,
           std::move(roots), &policy,
           [](const TransactionId&) { return false; },
           [&](core::ClosureLevel& level) {
-            return LookUp(peer, level, &bodies, /*via_arena=*/false);
+            return LookUp(peer, level, &bodies, /*via_arena=*/false, bytes);
           }));
-  for (const Transaction& txn : walk.transactions) {
-    *bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-  }
   bundle->undecided = std::move(walk.trusted);
   bundle->closure = std::move(walk.transactions);
   return Status::OK();
@@ -638,7 +648,8 @@ Result<core::NetworkCentricFetch> CentralStore::BeginNetworkCentricReconciliatio
           std::move(held), nullptr,
           [&](const TransactionId& id) { return bundle.Contains(id); },
           [&](core::ClosureLevel& level) {
-            return LookUp(peer, level, nullptr, /*via_arena=*/true);
+            return LookUp(peer, level, nullptr, /*via_arena=*/true,
+                          /*shipped_bytes=*/nullptr);
           }));
   for (Transaction& txn : restored.transactions) {
     // ORCH_LINT(allow:S1): TransactionMap::Put returns void (the rule keys on the name StorageEngine::Put shares)
@@ -683,10 +694,11 @@ Result<core::RecoveryBundle> CentralStore::Bootstrap(
   for (const auto& [txn_key, decision] :
        engine_->ScanRange(source_dec, "", "")) {
     if (decision != "A") continue;
-    ORCH_ASSIGN_OR_RETURN(Transaction txn, LoadTxnCached(ParseTxnKey(txn_key)));
+    ORCH_ASSIGN_OR_RETURN(core::SizedTxn txn,
+                          LoadTxnCached(ParseTxnKey(txn_key)));
     ORCH_RETURN_IF_ERROR(engine_->Put(new_dec, txn_key, "A"));
-    bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-    bundle.applied.push_back(std::move(txn));
+    bytes += txn.bytes;
+    bundle.applied.push_back(std::move(txn.txn));
   }
   bundle.SortApplied();
   // Advance the watermark so the adopted window is not re-fetched.

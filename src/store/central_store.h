@@ -133,17 +133,19 @@ class CentralStore : public core::UpdateStore,
   /// antecedent the closure walk skipped through the decided overlay.
   Result<core::ReconcileFetch> Fetch(core::ParticipantId peer,
                                      std::vector<core::TransactionId>* held);
-  Result<core::Transaction> LoadTxn(const core::TransactionId& id) const;
+  /// Reads, verifies and decodes a stored transaction; its encoded length
+  /// is the verified row's payload length.
+  Result<core::SizedTxn> LoadTxn(const core::TransactionId& id) const;
   /// LoadTxn via the decoded-transaction arena: a hit skips both the
   /// engine read and the decode (the reference never looks); a miss
   /// decodes and admits the transaction when its epoch committed.
-  Result<core::Transaction> LoadTxnCached(const core::TransactionId& id) const;
+  Result<core::SizedTxn> LoadTxnCached(const core::TransactionId& id) const;
   /// True for the kFull reference, which reads no soft state.
   bool reference() const {
     return options_.fetch_mode == core::FetchMode::kFull;
   }
   /// The bodies of a closure walk's roots, by id.
-  using TxnBodies = std::unordered_map<core::TransactionId, core::Transaction,
+  using TxnBodies = std::unordered_map<core::TransactionId, core::SizedTxn,
                                        core::TransactionIdHash>;
   /// Appends every transaction of a committed epoch in [from, to] to
   /// `roots` and `bodies`, through the arena when `via_arena`, otherwise
@@ -153,8 +155,11 @@ class CentralStore : public core::UpdateStore,
                     TxnBodies* bodies) const;
   /// The closure walk's lookup for `peer`: the verdict from its decision
   /// rows, a root's body from `roots`, an antecedent's as ScanWindow's.
+  /// Adds the encoded length of every body that ships to
+  /// `*shipped_bytes` (when non-null).
   Status LookUp(core::ParticipantId peer, core::ClosureLevel& level,
-                TxnBodies* roots, bool via_arena) const;
+                TxnBodies* roots, bool via_arena,
+                int64_t* shipped_bytes) const;
   /// Recovery and bootstrap tail: the closure walk from every committed
   /// row up to `bundle->epoch`, read from the stored rows, into
   /// `bundle`'s undecided and closure lists; adds the bytes to `*bytes`.

@@ -343,44 +343,53 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
     AbortEpoch(peer, epoch, staged);
     return status;
   };
-  // (2) allocator -> epoch controller group: begin epoch e.
-  if (Status s = TryReplicatedSend(peer, AllocatorNode(), ekey, 16); !s.ok()) {
-    return abort_with(s);
-  }
-  MutateGroup(ekey, [&](NodeState& node) {
-    node.epoch_contents[epoch];  // mark as begun (open)
-  });
-  // (3) controller -> allocator: confirm epoch begun.
-  // (4) allocator -> publishing peer: begin publishing at epoch e.
-  if (Status s = TryDirectSend(peer, 8); !s.ok()) return abort_with(s);
-  if (Status s = TryDirectSend(peer, 16); !s.ok()) return abort_with(s);
-
-  // Validate before any transaction lands: a duplicate — within the
-  // batch or against a *committed* epoch — must leave no trace, or one
-  // bad publish would freeze the stable watermark for every peer.
-  // Residue of an aborted epoch is republishable and gets overwritten.
-  TxnIdSet batch_ids;
-  for (Transaction& txn : txns) {
-    txn.epoch = epoch;
-    if (!batch_ids.insert(txn.id).second || IsCommittedTxn(txn.id)) {
-      return abort_with(Status::AlreadyExists(
-          "transaction " + txn.id.ToString() + " already published"));
-    }
-  }
-
-  // (5) publish transaction IDs for epoch e -> epoch controller group,
-  // and (6) the peer sends each transaction to its transaction controller
-  // group as an envelope-framed blob, which each replica stores as-is
-  // (the at-rest form reads verify) while recording the publisher's
-  // implicit self-acceptance. Only the commit (7) waits for the id list,
-  // and the stores are independent, so all of them are in flight
-  // together: the id list first, on a lane past the transactions', then
-  // one lane per transaction (store + ack). The rollback of a failed
-  // send runs after the overlap has closed.
+  // Steps (2)-(6) form one concurrent phase of two lanes. The allocator's
+  // begin-publishing reply (4) names only the epoch, which the allocator
+  // knows once (1) landed, so it leaves beside the controller's
+  // begin-epoch exchange (2)+(3) instead of after it, and the publisher's
+  // stores follow it on its lane. The id list (5) may therefore reach
+  // the epoch controller group before (2) does; (2) only marks the epoch
+  // begun, which is a no-op on an epoch that already has its id list. The
+  // commit (7) waits for both lanes. Sends keep their code order, and the
+  // rollback of a failed send runs after the phase has closed.
   std::vector<TransactionId> ids;
   ids.reserve(txns.size());
   for (const Transaction& txn : txns) ids.push_back(txn.id);
   const Status stored = [&] {
+    net::SimNetwork::Overlap begin(network_, peer, "dht.publish.begin");
+    // (2) allocator -> epoch controller group: begin epoch e.
+    // (3) controller -> allocator: confirm epoch begun.
+    begin.Lane(0);
+    ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, AllocatorNode(), ekey, 16));
+    MutateGroup(ekey, [&](NodeState& node) {
+      node.epoch_contents[epoch];  // mark as begun (open)
+    });
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8));
+    // (4) allocator -> publishing peer: begin publishing at epoch e.
+    begin.Lane(1);
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
+
+    // Validate before any transaction lands: a duplicate — within the
+    // batch or against a *committed* epoch — must leave no trace, or one
+    // bad publish would freeze the stable watermark for every peer.
+    // Residue of an aborted epoch is republishable and gets overwritten.
+    TxnIdSet batch_ids;
+    for (Transaction& txn : txns) {
+      txn.epoch = epoch;
+      if (!batch_ids.insert(txn.id).second || IsCommittedTxn(txn.id)) {
+        return Status::AlreadyExists("transaction " + txn.id.ToString() +
+                                     " already published");
+      }
+    }
+
+    // (5) publish transaction IDs for epoch e -> epoch controller group,
+    // and (6) the peer sends each transaction to its transaction
+    // controller group as an envelope-framed blob, which each replica
+    // stores as-is (the at-rest form reads verify) while recording the
+    // publisher's implicit self-acceptance. Only the commit (7) waits for
+    // the id list, and the stores are independent, so all of them are in
+    // flight together: the id list first, on a lane past the
+    // transactions', then one lane per transaction (store + ack).
     net::SimNetwork::Overlap stores(network_, peer, "dht.publish.store");
     stores.Lane(txns.size());
     ORCH_RETURN_IF_ERROR(TryReplicatedSend(
@@ -407,7 +416,7 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
   if (!stored.ok()) return abort_with(stored);
 
   // (7) controller confirms the epoch finished: the commit point, sent
-  // once every message of (5) and (6) has landed. The reaper may have
+  // once every message of (2)-(6) has landed. The reaper may have
   // aborted the epoch under a slow publisher; an aborted epoch can never
   // finish (peers already advanced past it).
   if (Status s = TryReplicatedSend(peer, my_node, ekey, 16); !s.ok()) {
@@ -458,47 +467,15 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer,
   const int64_t probes_before = probe_ctr.value();
   ReconcileFetch fetch;
 
-  // The fetch head: the allocator read and the coordinator read need no
-  // reply of each other, so they travel on two lanes of one overlap.
-  const std::string pkey = "peer:" + std::to_string(peer);
+  // Fetch the contents of every epoch in (prev, latest] from the epoch
+  // controllers, and find the latest stable epoch (no unfinished epoch
+  // preceding it). Aborted epochs are empty and are skipped; an epoch
+  // observed unfinished by `stuck_epoch_reap_threshold` scans belongs to
+  // a crashed publisher and is reaped to aborted so it cannot freeze the
+  // watermark. Reads try the primary and fail over down the replica
+  // group.
   Epoch latest = 0;
-  CoordEntry coord_entry;
-  {
-    net::SimNetwork::Overlap head(network_, peer, "dht.fetch.head");
-    // Most recent epoch from the allocator (request + reply).
-    head.Lane(0);
-    ORCH_RETURN_IF_ERROR(
-        TryRoutedSend(peer, my_node, net::KeyHash("epoch-allocator"), 16)
-            .status());
-    latest = nodes_[AllocatorNode()].epoch_counter;
-    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
-
-    // Prior watermark and recno from this peer's coordinator group. The
-    // recno is allocated now (a failure later burns it, harmlessly); the
-    // watermark moves only when the decisions on this window are
-    // recorded (RecordDecisions' completion witness).
-    head.Lane(1);
-    ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 16));
-    coord_entry = nodes_[CoordinatorNode(peer)].coordinated[peer];
-    coord_entry.recno += 1;
-    MutateGroup(pkey,
-                [&](NodeState& node) { node.coordinated[peer] = coord_entry; });
-    fetch.recno = coord_entry.recno;
-    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
-  }
-  // The reference ignores the durable watermark for the scan window and
-  // re-walks the whole history; the participant's catch-up path absorbs
-  // resends.
-  const Epoch prev = reference ? 0 : coord_entry.epoch;
-
-  // Fetch the contents of every epoch since the previous reconciliation
-  // from the epoch controllers, and find the latest stable epoch (no
-  // unfinished epoch preceding it). Aborted epochs are empty and are
-  // skipped; an epoch observed unfinished by `stuck_epoch_reap_threshold`
-  // scans belongs to a crashed publisher and is reaped to aborted so it
-  // cannot freeze the watermark. Reads try the primary and fail over
-  // down the replica group.
-  Epoch stable = prev;
+  Epoch stable = 0;
   std::vector<TransactionId> published;
   // Per-owner coalescing: epochs in (prev, latest] grouped by their
   // controller's primary owner, one routed multi-get request and one
@@ -508,7 +485,8 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer,
   // reap and stop transitions see them in epoch order. The owners are
   // asked at once: one lane per owner carries its request, failover
   // probes and reply.
-  {
+  const auto scan_epochs = [&](Epoch prev) -> Status {
+    stable = prev;
     net::SimNetwork::Overlap scan(network_, peer, "dht.fetch.scan");
     std::vector<size_t> epoch_owner_order;
     std::unordered_map<size_t, int64_t> epoch_reply_bytes;
@@ -578,6 +556,54 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer,
       scan.Lane(owner);
       ORCH_RETURN_IF_ERROR(TryDirectSend(peer, epoch_reply_bytes[owner]));
     }
+    return Status::OK();
+  };
+
+  // The fetch head: the allocator read and the coordinator read need no
+  // reply of each other, so they travel on two lanes of one overlap. The
+  // scan needs `latest` from the allocator and the watermark `prev`. The
+  // client holds its own copy of the watermark, which moves exactly when
+  // the coordinator's does (the completion witness; see FetchCache), so
+  // the scan follows the allocator's reply on its lane. An incarnation's
+  // first fetch holds none: it waits for the coordinator's reply and
+  // keeps the watermark that reply carries. The reference ignores the
+  // watermark for the scan window and re-walks the whole history; the
+  // participant's catch-up path absorbs resends.
+  const std::optional<Epoch> held_mark =
+      reference ? std::optional<Epoch>(0) : cache_.Watermark(peer);
+  const std::string pkey = "peer:" + std::to_string(peer);
+  CoordEntry coord_entry;
+  {
+    net::SimNetwork::Overlap head(network_, peer, "dht.fetch.head");
+    // Most recent epoch from the allocator (request + reply).
+    head.Lane(0);
+    ORCH_RETURN_IF_ERROR(
+        TryRoutedSend(peer, my_node, net::KeyHash("epoch-allocator"), 16)
+            .status());
+    latest = nodes_[AllocatorNode()].epoch_counter;
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
+
+    // Prior watermark and recno from this peer's coordinator group. The
+    // recno is allocated now (a failure later burns it, harmlessly); the
+    // watermark moves only when the decisions on this window are
+    // recorded (RecordDecisions' completion witness).
+    head.Lane(1);
+    ORCH_RETURN_IF_ERROR(TryReplicatedSend(peer, my_node, pkey, 16));
+    coord_entry = nodes_[CoordinatorNode(peer)].coordinated[peer];
+    coord_entry.recno += 1;
+    MutateGroup(pkey,
+                [&](NodeState& node) { node.coordinated[peer] = coord_entry; });
+    fetch.recno = coord_entry.recno;
+    ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 16));
+
+    if (held_mark.has_value()) {
+      head.Lane(0);
+      ORCH_RETURN_IF_ERROR(scan_epochs(*held_mark));
+    }
+  }
+  if (!held_mark.has_value()) {
+    cache_.SetWatermark(peer, coord_entry.epoch);
+    ORCH_RETURN_IF_ERROR(scan_epochs(coord_entry.epoch));
   }
   fetch.epoch = stable;
 
@@ -634,12 +660,16 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer,
     for (size_t owner : owner_order) {
       const OwnerBatch& b = batch[owner];
       lanes.Lane(owner);
+      // The owner streams its answers and its payload back together, on
+      // two lanes of the owner's lane.
+      net::SimNetwork::Overlap reply(network_, peer, "dht.fetch.reply");
       // Every answer ("not relevant", "untrusted", or a shipped
       // transaction's header) is 8 bytes past the reply's own 8.
       ORCH_RETURN_IF_ERROR(TryDirectSend(peer, 8 + 8 * b.requests));
       if (b.payload.empty()) continue;
       // The shipped blobs travel as one message; the receiver verifies
       // every frame, and one that fails its checksum fails the fetch.
+      reply.Lane(1);
       ORCH_ASSIGN_OR_RETURN(const std::string delivered,
                             ShipPayload(peer, b.payload));
       for (size_t pos = 0; pos < delivered.size();) {
@@ -744,6 +774,8 @@ Status DhtStore::RecordDecisions(ParticipantId peer, int64_t recno,
     puts.Lane(nodes_.size());  // past every owner's lane
     recorded = TryReplicatedSend(peer, my_node, pkey, 24);
     if (recorded.ok()) {
+      // Taking the window also advances the client's copy of the
+      // watermark, exactly as the coordinator's moves below.
       const std::optional<Epoch> window = cache_.TakePendingWindow(peer, recno);
       const auto count = static_cast<int64_t>(outcomes.size());
       MutateGroup(pkey, [&](NodeState& node) {

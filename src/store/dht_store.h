@@ -43,14 +43,18 @@ namespace orchestra::store {
 /// in flight at once, one lane per owner (or per transaction), and the
 /// peer waits for the slowest lane. So a phase costs its longest chain,
 /// not its message count. The phases follow each other: the fetch head,
-/// the epoch scan, each BFS level of the antecedent closure (a level's
-/// ids come from the previous level's replies); then, once the peer has
-/// decided, one recording phase: the per-owner decision puts and the
-/// completion witness, which also carries the peer's new watermark, in
-/// flight together. Antecedent-chain round trips therefore dominate
-/// reconciliation cost, as the paper reports. A publish runs Fig. 6's
-/// epoch allocation one message after another; then the epoch's id list
-/// and every transaction's store travel in one phase, and the commit
+/// whose allocator lane goes on into the epoch scan once the client
+/// holds its watermark (see core::FetchCache), then each BFS level of
+/// the antecedent closure (a level's ids come from the previous level's
+/// replies; an owner streams its answers and payload back together);
+/// then, once the peer has decided, one recording phase: the per-owner
+/// decision puts and the completion witness, which also carries the
+/// peer's new watermark, in flight together. Antecedent-chain round
+/// trips therefore dominate reconciliation cost, as the paper reports.
+/// A publish asks the allocator for an epoch (Fig. 6, step 1); then the
+/// controller's begin-epoch exchange (2, 3) runs beside the allocator's
+/// begin-publishing reply (4), which the epoch's id list (5) and every
+/// transaction's store (6) follow in one phase, and the commit (7)
 /// follows once all of them replied.
 ///
 /// The store survives node churn: every controller's state is

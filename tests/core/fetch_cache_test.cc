@@ -1,7 +1,7 @@
 // Unit tests for the FetchCache behind incremental (delta) fetch: the
 // shared decoded-transaction arena, and the per-peer decided overlays
-// that suppress redundant per-key lookups and the pending windows a
-// store commits with the decisions.
+// that suppress redundant per-key lookups, the pending windows a store
+// commits with the decisions and the client's copy of the watermark.
 #include <gtest/gtest.h>
 
 #include "core/fetch_cache.h"
@@ -23,12 +23,13 @@ TEST(FetchCacheTest, LookupMissesThenHitsAfterAdmit) {
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 0);
 
-  cache.Admit(MakeTxn(1, 7, 3));
+  cache.Admit({MakeTxn(1, 7, 3), /*bytes=*/42});
   EXPECT_EQ(cache.stats().admitted, 1);
-  const Transaction* hit = cache.Lookup(id);
+  const SizedTxn* hit = cache.Lookup(id);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->id, id);
-  EXPECT_EQ(hit->epoch, 3);
+  EXPECT_EQ(hit->txn.id, id);
+  EXPECT_EQ(hit->txn.epoch, 3);
+  EXPECT_EQ(hit->bytes, 42);  // the length it was admitted with
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.arena_size(), 1u);
 }
@@ -120,6 +121,39 @@ TEST(FetchCacheTest, ResetAppliedDropsThePendingWindow) {
   cache.SetPendingWindow(5, /*recno=*/7, /*stable=*/11);
   cache.ResetApplied(5, TxnIdSet{});
   EXPECT_EQ(cache.TakePendingWindow(5, 7), std::nullopt);
+}
+
+// The client's copy of its watermark moves only where the store's does:
+// when the window is taken (the witness landed), never back, and not at
+// all for a peer that holds no copy.
+TEST(FetchCacheTest, TakingTheWindowAdvancesTheWatermarkCopy) {
+  FetchCache cache;
+  EXPECT_EQ(cache.Watermark(3), std::nullopt);
+  cache.SetWatermark(3, 4);
+  EXPECT_EQ(cache.Watermark(3), std::optional<Epoch>(4));
+  cache.SetPendingWindow(3, /*recno=*/1, /*stable=*/6);
+  EXPECT_EQ(cache.Watermark(3), std::optional<Epoch>(4));  // not yet
+  EXPECT_EQ(cache.TakePendingWindow(3, 2), std::nullopt);  // another recno
+  EXPECT_EQ(cache.Watermark(3), std::optional<Epoch>(4));
+  EXPECT_EQ(cache.TakePendingWindow(3, 1), std::optional<Epoch>(6));
+  EXPECT_EQ(cache.Watermark(3), std::optional<Epoch>(6));
+  // A window behind the copy leaves it where it is.
+  cache.SetPendingWindow(3, 2, 5);
+  EXPECT_EQ(cache.TakePendingWindow(3, 2), std::optional<Epoch>(5));
+  EXPECT_EQ(cache.Watermark(3), std::optional<Epoch>(6));
+  // A peer without a copy gets none from a taken window: its next fetch
+  // reads the store's.
+  cache.SetPendingWindow(8, 1, 9);
+  EXPECT_EQ(cache.TakePendingWindow(8, 1), std::optional<Epoch>(9));
+  EXPECT_EQ(cache.Watermark(8), std::nullopt);
+}
+
+// A new incarnation reads its watermark afresh.
+TEST(FetchCacheTest, ResetAppliedDropsTheWatermarkCopy) {
+  FetchCache cache;
+  cache.SetWatermark(5, 11);
+  cache.ResetApplied(5, TxnIdSet{});
+  EXPECT_EQ(cache.Watermark(5), std::nullopt);
 }
 
 }  // namespace

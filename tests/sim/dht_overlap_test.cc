@@ -9,6 +9,7 @@
 
 #include "common/trace_check.h"
 #include "sim/cdss.h"
+#include "workload/swissprot.h"
 
 namespace orchestra::sim {
 namespace {
@@ -174,10 +175,12 @@ TEST(DhtOverlapTest, PhasesWaitForTheRepliesTheyNeed) {
   EXPECT_GT(witness_sends, 0);
 }
 
-// A publish (Fig. 6) runs steps 1-4 one after another, then one
-// concurrent phase: the epoch's id list (5) leaves first, beside the
-// transaction stores and their acks (6), and the commit (7) waits for
-// every reply of that phase.
+// A publish (Fig. 6) asks the allocator for an epoch (1), then runs one
+// concurrent phase, dht.publish.begin, of two lanes: the controller's
+// begin-epoch exchange (2)+(3), and the allocator's begin-publishing
+// reply (4) followed by the store phase, in which the epoch's id list
+// (5) leaves first, beside the transaction stores and their acks (6).
+// The commit (7) waits for every reply of both lanes.
 TEST(DhtOverlapTest, PublishSendsItsIdListBesideTheStores) {
   CdssConfig cfg = TieredDhtConfig();
   cfg.sim_trace = true;
@@ -189,19 +192,28 @@ TEST(DhtOverlapTest, PublishSendsItsIdListBesideTheStores) {
       testing::ParseEvents((*cdss)->sim_tracer()->ToJson());
   ASSERT_TRUE(testing::SpansNestPerTrack(events));
 
-  // Per peer track, walked in record order. Step (3), the controller's
-  // 8-byte confirmation to the allocator, is the publish's only 8-byte
-  // send before its stores (this run has no churn, so no failed probe);
-  // the allocator's 16-byte begin-publishing reply (4) follows it.
+  // Per peer track, walked in record order, where each send is followed
+  // by its receive. In the begin phase, before the store phase, the sends
+  // are (2) (a routed send of 16 bytes a hop, then its replica fan-out),
+  // (3), the controller's 8-byte confirmation to the allocator, and (4),
+  // the allocator's 16-byte begin-publishing reply. This run has no
+  // churn, so no failed probe adds a send, and (3) is the only 8-byte
+  // send.
   struct Track {
     bool in_publish = false;  // inside participant.publish
-    std::vector<long long> sends_before;  // bytes, before the store phase
+    int sends_before = 0;     // sends before the begin phase
+    int begins = 0;           // dht.publish.begin overlaps in the publish
     int stores = 0;           // dht.publish.store overlaps in the publish
+    bool in_begin = false;
+    long long begin_ts = -1;
+    long long begin_max_recv = -1;
+    std::vector<std::pair<long long, long long>> begin_sends;  // ts, bytes
+    long long last_recv = -1;     // the receive of the latest send
+    long long confirm_recv = -1;  // (3)'s receive
     bool in_store = false;
     long long store_begin = -1;
-    long long store_max_recv = -1;
     std::vector<long long> store_sends;
-    bool awaiting_commit = false;  // the store phase closed, no send yet
+    bool awaiting_commit = false;  // the begin phase closed, no send yet
   };
   std::map<long, Track> tracks;
   int publishes = 0;
@@ -213,6 +225,7 @@ TEST(DhtOverlapTest, PublishSendsItsIdListBesideTheStores) {
         t = Track{};
         t.in_publish = true;
       } else {
+        EXPECT_EQ(t.begins, 1) << "peer " << e.tid;
         EXPECT_EQ(t.stores, 1) << "peer " << e.tid;
         t.in_publish = false;
         ++publishes;
@@ -220,22 +233,41 @@ TEST(DhtOverlapTest, PublishSendsItsIdListBesideTheStores) {
       continue;
     }
     if (!t.in_publish) continue;
+    if (e.name == "dht.publish.begin") {
+      if (e.phase == 'B') {
+        ++t.begins;
+        t.in_begin = true;
+        t.begin_ts = e.ts;
+        // The epoch request (1) goes before the phase.
+        EXPECT_GE(t.sends_before, 1) << "peer " << e.tid;
+      } else {
+        t.in_begin = false;
+        t.awaiting_commit = true;
+      }
+      continue;
+    }
     if (e.name == "dht.publish.store") {
       if (e.phase == 'B') {
         ++t.stores;
+        EXPECT_TRUE(t.in_begin) << "peer " << e.tid;
         t.in_store = true;
         t.store_begin = e.ts;
-        // Nothing is sent between the begin-publishing reply and the
-        // store phase: the id list no longer goes on its own.
-        const size_t n = t.sends_before.size();
-        ASSERT_GE(n, 2u) << "peer " << e.tid;
-        EXPECT_EQ(t.sends_before[n - 2], 8) << "peer " << e.tid;
-        EXPECT_EQ(t.sends_before[n - 1], 16)
-            << "peer " << e.tid << ": a send between the allocator's "
-            << "begin-publishing reply and the store phase";
+        const size_t n = t.begin_sends.size();
+        ASSERT_GE(n, 3u) << "peer " << e.tid;
+        // (2) and (4) leave together, as the phase opens.
+        EXPECT_EQ(t.begin_sends.front().first, t.begin_ts)
+            << "peer " << e.tid;
+        EXPECT_EQ(t.begin_sends[n - 1].second, 16) << "peer " << e.tid;
+        EXPECT_EQ(t.begin_sends[n - 1].first, t.begin_ts)
+            << "peer " << e.tid << ": the begin-publishing reply waited "
+            << "for the begin-epoch exchange";
+        EXPECT_EQ(t.begin_sends[n - 2].second, 8) << "peer " << e.tid;
+        // (5) and (6) leave before (3) is received.
+        EXPECT_LT(t.store_begin, t.confirm_recv)
+            << "peer " << e.tid << ": the stores waited for the "
+            << "controller's confirmation";
       } else {
         t.in_store = false;
-        t.awaiting_commit = true;
         ASSERT_FALSE(t.store_sends.empty()) << "peer " << e.tid;
         EXPECT_EQ(t.store_sends.front(), t.store_begin)
             << "peer " << e.tid << ": the first publish message waited";
@@ -250,23 +282,221 @@ TEST(DhtOverlapTest, PublishSendsItsIdListBesideTheStores) {
     if (e.name == "net.send") {
       if (t.in_store) {
         t.store_sends.push_back(e.ts);
+      } else if (t.in_begin) {
+        t.begin_sends.emplace_back(e.ts, e.bytes);
       } else if (t.awaiting_commit) {
-        EXPECT_GE(e.ts, t.store_max_recv)
+        EXPECT_GE(e.ts, t.begin_max_recv)
             << "peer " << e.tid << ": the commit left before a reply of "
-            << "the store phase arrived";
+            << "the begin phase arrived";
         t.awaiting_commit = false;
         ++commits;
-      } else if (t.stores == 0) {
-        t.sends_before.push_back(e.bytes);
+      } else if (t.begins == 0) {
+        ++t.sends_before;
       }
     }
-    if (e.name == "net.recv" && t.in_store) {
-      t.store_max_recv = std::max(t.store_max_recv, e.ts);
+    if (e.name == "net.recv") {
+      t.last_recv = e.ts;
+      if (t.in_begin) {
+        t.begin_max_recv = std::max(t.begin_max_recv, e.ts);
+        if (!t.in_store && !t.begin_sends.empty() &&
+            t.begin_sends.back().second == 8) {
+          t.confirm_recv = e.ts;
+        }
+      }
     }
   }
   // The checks above ran on real protocol traffic.
   EXPECT_GE(publishes, static_cast<int>(cfg.participants * cfg.rounds) / 2);
   EXPECT_EQ(commits, publishes);
+}
+
+// The fetch head reads the allocator and the coordinator on two lanes.
+// A client that holds its watermark scans the epochs on the allocator's
+// lane, nested in the head, before the coordinator's reply arrives. An
+// incarnation's first fetch holds none: it scans only once that reply
+// arrived, and so does the first fetch after RecoverFromStore.
+TEST(DhtOverlapTest, EpochScanWaitsOnlyForTheAllocator) {
+  CdssConfig cfg = TieredDhtConfig();
+  cfg.sim_trace = true;
+  auto cdss = Cdss::Make(cfg);
+  ASSERT_TRUE(cdss.ok()) << cdss.status().ToString();
+  auto result = (*cdss)->Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // Per peer track, walked in record order, where each send is followed
+  // by its receive. The head's sends are the allocator's request (none
+  // when the peer's node owns the allocator key) and reply on lane 0,
+  // then the coordinator's routed request, its replica fan-out and its
+  // reply on lane 1. Both lanes start as the head opens, so the second
+  // send stamped with the head's opening starts lane 1, and the latest
+  // receive in the head before the scan opens is lane 1's last.
+  struct Fetch {
+    bool nested = false;            // the scan opened inside the head
+    long long allocator_recv = -1;  // the allocator's reply arrived
+    long long coord_recv = -1;      // the coordinator lane's last receive
+    long long first_scan_send = -1;
+  };
+  struct Track {
+    bool in_head = false;
+    bool in_scan = false;
+    long long head_begin = -1;
+    int lanes_started = 0;     // head sends stamped with the head's opening
+    long long head_recv = -1;  // latest receive in the head, before the scan
+    Fetch fetch;
+    std::vector<Fetch> fetches;
+  };
+  const auto walk = [](const std::vector<testing::ParsedEvent>& events,
+                       size_t from, std::map<long, Track>* tracks) {
+    for (size_t i = from; i < events.size(); ++i) {
+      const testing::ParsedEvent& e = events[i];
+      Track& t = (*tracks)[e.tid];
+      if (e.name == "dht.fetch.head") {
+        if (e.phase == 'B') {
+          t.in_head = true;
+          t.head_begin = e.ts;
+          t.lanes_started = 0;
+          t.head_recv = -1;
+          t.fetch = Fetch{};
+        } else {
+          t.in_head = false;
+        }
+        continue;
+      }
+      if (e.name == "dht.fetch.scan") {
+        if (e.phase == 'B') {
+          t.in_scan = true;
+          t.fetch.nested = t.in_head;
+          t.fetch.coord_recv = t.head_recv;
+        } else {
+          t.in_scan = false;
+          t.fetches.push_back(t.fetch);
+        }
+        continue;
+      }
+      if (e.name == "net.send") {
+        if (t.in_scan && t.fetch.first_scan_send < 0) {
+          t.fetch.first_scan_send = e.ts;
+        } else if (t.in_head && !t.in_scan && e.ts == t.head_begin) {
+          ++t.lanes_started;
+        }
+      }
+      if (e.name == "net.recv" && t.in_head && !t.in_scan) {
+        t.head_recv = std::max(t.head_recv, e.ts);
+        if (t.lanes_started == 1) t.fetch.allocator_recv = e.ts;
+      }
+    }
+  };
+  const std::vector<testing::ParsedEvent> events =
+      testing::ParseEvents((*cdss)->sim_tracer()->ToJson());
+  ASSERT_TRUE(testing::SpansNestPerTrack(events));
+  std::map<long, Track> tracks;
+  walk(events, 0, &tracks);
+  int early = 0;
+  int before_coordinator = 0;
+  for (size_t i = 0; i < (*cdss)->participant_count(); ++i) {
+    const core::ParticipantId peer = (*cdss)->participant(i).id();
+    const std::vector<Fetch>& fetches = tracks[peer].fetches;
+    ASSERT_EQ(fetches.size(), cfg.rounds) << "peer " << peer;
+    for (size_t k = 0; k < fetches.size(); ++k) {
+      const Fetch& f = fetches[k];
+      // Only the incarnation's first fetch waits for the coordinator.
+      EXPECT_EQ(f.nested, k > 0) << "peer " << peer << " fetch " << k;
+      if (f.first_scan_send < 0) continue;  // no new epoch to scan
+      if (f.nested) {
+        // The scan leaves as the allocator's reply arrives, however long
+        // the coordinator's lane runs.
+        EXPECT_EQ(f.first_scan_send, f.allocator_recv)
+            << "peer " << peer << " fetch " << k;
+        EXPECT_LE(f.first_scan_send, f.coord_recv)
+            << "peer " << peer << " fetch " << k;
+        ++early;
+        if (f.first_scan_send < f.coord_recv) ++before_coordinator;
+      } else {
+        EXPECT_GE(f.first_scan_send, f.coord_recv)
+            << "peer " << peer << " fetch " << k;
+      }
+    }
+  }
+  EXPECT_GE(early, static_cast<int>(cfg.participants * (cfg.rounds - 1)) / 2);
+  // The first scan send precedes the coordinator lane's last receive
+  // wherever that lane is the longer one.
+  EXPECT_GE(before_coordinator, early / 2);
+
+  // A recovered peer is a new incarnation: its first fetch reads the
+  // watermark from the coordinator's reply, and its second scans early
+  // again.
+  core::Participant& lost = (*cdss)->participant(0);
+  auto catalog = workload::MakeSwissProtCatalog();
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  auto recovered = core::Participant::RecoverFromStore(
+      lost.id(), &*catalog, lost.policy(), &(*cdss)->store());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  for (int round = 0; round < 2; ++round) {
+    auto report = (*recovered)->Reconcile(&(*cdss)->store());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  }
+  const std::vector<testing::ParsedEvent> tail =
+      testing::ParseEvents((*cdss)->sim_tracer()->ToJson());
+  std::map<long, Track> after;
+  walk(tail, events.size(), &after);
+  const std::vector<Fetch>& fetches = after[lost.id()].fetches;
+  ASSERT_EQ(fetches.size(), 2u);
+  EXPECT_FALSE(fetches[0].nested);
+  EXPECT_GE(fetches[0].first_scan_send, fetches[0].coord_recv);
+  EXPECT_TRUE(fetches[1].nested);
+}
+
+// Within a BFS level, each owner streams its answers message and its
+// payload frames back together, on two lanes of a dht.fetch.reply
+// overlap inside the owner's lane.
+TEST(DhtOverlapTest, LevelPayloadLeavesWithItsAnswers) {
+  CdssConfig cfg = TieredDhtConfig();
+  cfg.sim_trace = true;
+  auto cdss = Cdss::Make(cfg);
+  ASSERT_TRUE(cdss.ok()) << cdss.status().ToString();
+  auto result = (*cdss)->Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<testing::ParsedEvent> events =
+      testing::ParseEvents((*cdss)->sim_tracer()->ToJson());
+  ASSERT_TRUE(testing::SpansNestPerTrack(events));
+
+  struct Track {
+    bool in_level = false;
+    bool in_reply = false;
+    long long reply_begin = -1;
+    std::vector<long long> reply_sends;
+  };
+  std::map<long, Track> tracks;
+  int replies = 0;
+  int with_payload = 0;
+  for (const testing::ParsedEvent& e : events) {
+    Track& t = tracks[e.tid];
+    if (e.name == "dht.fetch.level") t.in_level = e.phase == 'B';
+    if (e.name == "dht.fetch.reply") {
+      if (e.phase == 'B') {
+        EXPECT_TRUE(t.in_level) << "peer " << e.tid;
+        t.in_reply = true;
+        t.reply_begin = e.ts;
+        t.reply_sends.clear();
+        continue;
+      }
+      t.in_reply = false;
+      ++replies;
+      // The answers message, and the payload when anything shipped.
+      ASSERT_GE(t.reply_sends.size(), 1u) << "peer " << e.tid;
+      ASSERT_LE(t.reply_sends.size(), 2u) << "peer " << e.tid;
+      for (long long sent : t.reply_sends) {
+        EXPECT_EQ(sent, t.reply_begin)
+            << "peer " << e.tid << ": a level reply waited for another";
+      }
+      if (t.reply_sends.size() == 2) ++with_payload;
+      continue;
+    }
+    if (e.name == "net.send" && t.in_reply) t.reply_sends.push_back(e.ts);
+  }
+  // The checks above ran on real protocol traffic.
+  EXPECT_GE(replies, with_payload);
+  EXPECT_GT(with_payload, 0);
 }
 
 // Per-peer message and byte counts of this seeded run. Overlapping moves
@@ -293,6 +523,14 @@ TEST(DhtOverlapTest, PublishSendsItsIdListBesideTheStores) {
 // 59101, 59611, 63197, 58244}, wire time {275409, 277403, 295931, 301501,
 // 248955, 277956, 291216, 285815} and overlapped time {99604, 107555,
 // 108124, 112417, 99754, 98162, 107017, 99604}.
+//
+// Only the overlapped time drops, since three chains stopped waiting for
+// replies whose content the next message does not use: a publish's
+// begin-publishing reply (4) leaves beside the begin-epoch exchange
+// (2)+(3), a client holding its watermark scans the epochs once the
+// allocator replied, and a BFS level's payload streams back beside its
+// answers. Messages, bytes and wire time stay as they were; overlapped
+// time was {99001, 107124, 107652, 111920, 99279, 97768, 106418, 99102}.
 TEST(DhtOverlapTest, MessageCountsMatchStopAndWait) {
   auto cdss = Cdss::Make(TieredDhtConfig());
   ASSERT_TRUE(cdss.ok()) << cdss.status().ToString();
@@ -304,8 +542,8 @@ TEST(DhtOverlapTest, MessageCountsMatchStopAndWait) {
                                        40302, 41669, 43740, 41268};
   const std::vector<int64_t> kWireMicros = {273909, 275982, 294551, 300094,
                                             247458, 276521, 289657, 284466};
-  const std::vector<int64_t> kNetworkMicros = {99001,  107124, 107652, 111920,
-                                               99279,  97768,  106418, 99102};
+  const std::vector<int64_t> kNetworkMicros = {81465, 90584, 92080, 91881,
+                                               84255, 81739, 91346, 74048};
   std::vector<int64_t> messages;
   std::vector<int64_t> bytes;
   std::vector<int64_t> wire_micros;

@@ -2,9 +2,10 @@
 // publishing, stuck-epoch reaping, republish of aborted epochs, WAL
 // replay after a faulted run, the recno-keyed decision log that lets
 // recovery distinguish an interrupted reconciliation, and recovery from
-// every crash point of one reconciliation or DHT publish. The failure
-// model is the fault injector's: transient faults (one lost call) and
-// sticky faults (a crashed process whose cleanup never runs).
+// every crash point of one reconciliation, or of one DHT fetch,
+// recording or publish. The failure model is the fault injector's:
+// transient faults (one lost call) and sticky faults (a crashed process
+// whose cleanup never runs).
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -620,6 +621,105 @@ TEST(DhtCrashConsistencyTest, EveryCrashPointOfOneRecordingRecovers) {
   // The sweep reached both sides of the unordered witness.
   EXPECT_TRUE(witness_without_put);
   EXPECT_TRUE(put_without_witness);
+}
+
+// Every crash point of one DHT fetch: the fetch head's allocator and
+// coordinator reads, the epoch scan (which a client holding its
+// watermark runs on the allocator's lane, before the coordinator's reply
+// arrives), and the BFS levels. A fault-free twin counts the fetch's
+// sends and finds the scan on a simulated trace. Then, for each send i,
+// two fresh worlds lose it and everything after it. In the first the
+// peer crashed: the fetch fails kUnavailable, the coordinator's
+// watermark has not moved, and the peer recovers through
+// Participant::RecoverFromStore. In the second the outage heals and the
+// live peer retries with the watermark it holds. Both drain to the
+// crash-free state.
+TEST(DhtCrashConsistencyTest, EveryCrashPointOfOneFetchRecovers) {
+  constexpr ParticipantId kPeer = DhtWorld::kPeer;
+  FaultInjectorConfig counting;
+  counting.site_prefix = "net.send";
+  counting.fail_at_call = int64_t{1} << 40;  // arms the count, never fires
+
+  DhtWorld before;
+  auto prior = before.store->FetchRecoveryState(kPeer);
+  ASSERT_TRUE(prior.ok()) << prior.status().ToString();
+
+  DhtWorld fetch_only;
+  Tracer trace("sim");
+  fetch_only.network.set_sim_tracer(&trace);
+  fetch_only.injector.Configure(counting);
+  ASSERT_TRUE(fetch_only.store->BeginReconciliation(kPeer).ok());
+  const int64_t fetch_calls = fetch_only.injector.calls();
+  fetch_only.network.set_sim_tracer(nullptr);
+  // The scan runs inside the head: the peer reconciled once already, so
+  // it holds its watermark.
+  bool in_head = false;
+  bool in_scan = false;
+  int early_scan_sends = 0;
+  for (const testing::ParsedEvent& e : testing::ParseEvents(trace.ToJson())) {
+    if (e.name == "dht.fetch.head") in_head = e.phase == 'B';
+    if (e.name == "dht.fetch.scan") in_scan = e.phase == 'B';
+    if (e.name == "net.send" && in_head && in_scan) ++early_scan_sends;
+  }
+  ASSERT_GT(early_scan_sends, 0);
+
+  DhtWorld twin;
+  auto target = twin.P(kPeer).Reconcile(twin.store.get());
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  ASSERT_EQ(target->accepted.size(), 4u);
+  ASSERT_EQ(target->rejected.size(), 1u);
+  Drain(twin.P(kPeer), twin.store.get());
+  const auto expect_twin = [&](Participant& peer) {
+    EXPECT_TRUE(peer.instance() == twin.P(kPeer).instance());
+    EXPECT_EQ(peer.applied(), twin.P(kPeer).applied());
+    EXPECT_EQ(peer.rejected(), twin.P(kPeer).rejected());
+    EXPECT_EQ(peer.deferred_count(), twin.P(kPeer).deferred_count());
+  };
+
+  for (int64_t i = 1; i <= fetch_calls; ++i) {
+    SCOPED_TRACE("crash at send " + std::to_string(i) + " of " +
+                 std::to_string(fetch_calls));
+    FaultInjectorConfig crash = counting;
+    crash.fail_at_call = i;
+    crash.sticky = true;
+    {
+      DhtWorld w;
+      w.injector.Configure(crash);
+      auto crashed = w.P(kPeer).Reconcile(w.store.get());
+      ASSERT_FALSE(crashed.ok());
+      EXPECT_EQ(crashed.status().code(), StatusCode::kUnavailable)
+          << crashed.status().ToString();
+      ASSERT_GT(w.injector.injected(), 0);
+      w.injector.Configure(FaultInjectorConfig{});
+      auto bundle = w.store->FetchRecoveryState(kPeer);
+      ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+      EXPECT_EQ(bundle->epoch, prior->epoch);
+      EXPECT_EQ(bundle->last_decided_recno, prior->last_decided_recno);
+
+      auto recovered = Participant::RecoverFromStore(
+          kPeer, &w.catalog, *w.policies[0], w.store.get());
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      Drain(**recovered, w.store.get());
+      expect_twin(**recovered);
+    }
+    {
+      DhtWorld w;
+      w.injector.Configure(crash);
+      auto lost = w.P(kPeer).Reconcile(w.store.get());
+      ASSERT_FALSE(lost.ok());
+      EXPECT_EQ(lost.status().code(), StatusCode::kUnavailable)
+          << lost.status().ToString();
+      w.injector.Disable();
+      auto retried = w.P(kPeer).Reconcile(w.store.get());
+      ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+      // The retry reads the window the lost fetch would have read.
+      EXPECT_EQ(retried->epoch, target->epoch);
+      EXPECT_EQ(retried->accepted, target->accepted);
+      EXPECT_EQ(retried->rejected, target->rejected);
+      Drain(w.P(kPeer), w.store.get());
+      expect_twin(w.P(kPeer));
+    }
+  }
 }
 
 // Every crash point of one DHT publish. The epoch's id list (Fig. 6,

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Bench runner: build the optimized preset, run every orch_sweep emitter
-# (study, fault, churn, delta, corruption), and diff the stable fields
-# of each freshly emitted BENCH_*.json against the committed baselines
-# at the repo root.
+# (study, fault, churn, delta, corruption) and the paper-shape checks
+# (fig10_interval_time, fig12_participants_time), and diff the stable
+# fields of each freshly emitted BENCH_*.json against the committed
+# baselines at the repo root.
 #
 # Each emitter gates on its own verdict: `orch_sweep <name> <out.json>`
-# exits 1 when a check fails or its JSON cannot be written. Every step
+# exits 1 when a check fails or its JSON cannot be written, and each
+# figure binary exits non-zero when a paper shape does not hold. Every step
 # runs even when an earlier one fails; the runner records each failure
 # and exits 1 at the end with the list.
 #
@@ -24,7 +26,8 @@ out="${ORCH_BENCH_OUT:-$build/bench_out}"
 mkdir -p "$out"
 
 (cd "$repo" && cmake --preset default >/dev/null)
-cmake --build "$build" -j"$(nproc)" --target orch_sweep provenance_dump
+cmake --build "$build" -j"$(nproc)" --target orch_sweep provenance_dump \
+  fig10_interval_time fig12_participants_time
 
 sweep="$build/bench/orch_sweep"
 prov_dump="$build/tools/provenance_dump"
@@ -92,6 +95,15 @@ for store in central dht; do
     || failed+=("$store sim trace diverged between same-seed runs")
   check_trace "$store sim trace" "$out/sim_trace_${store}_a.json"
 done
+# The paper's Fig. 10 and Fig. 12 shapes, each checked against the time
+# model that reproduces it (stop-and-wait or scatter-gather); the binary
+# prints both columns and exits non-zero when a check fails. Their tables
+# land next to the fresh JSON.
+for fig in fig10_interval_time fig12_participants_time; do
+  echo "== $fig =="
+  "$build/bench/$fig" | tee "$out/$fig.txt" || failed+=("$fig")
+done
+
 # A verdict/cause summary of the central provenance stream, diffed
 # against its committed baseline below.
 jq -s '{bench: "provenance_summary",
