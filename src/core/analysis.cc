@@ -135,9 +135,7 @@ void AppendFootprint(const db::Catalog& catalog,
   // RelKeyHash of RelKey{relation, tuple.Project(columns)}.
   const auto add = [keys](std::string_view relation, const db::Tuple& tuple,
                           const std::vector<size_t>& columns) {
-    uint64_t key = 0xcbf29ce484222325ULL;  // Tuple::Hash's seed
-    for (size_t c : columns) key = HashCombine(key, tuple[c].Hash());
-    keys->push_back(HashCombine(Fnv1a64(relation), key));
+    keys->push_back(HashCombine(Fnv1a64(relation), tuple.HashOf(columns)));
   };
   for (const Update& u : updates) {
     const db::RelationSchema& schema =
@@ -145,10 +143,8 @@ void AppendFootprint(const db::Catalog& catalog,
     for (const db::Tuple* tuple : {&u.old_tuple(), &u.new_tuple()}) {
       if (tuple->empty()) continue;  // an insert's pre-image, a delete's post
       add(u.relation(), *tuple, schema.key_columns());
-      for (const db::ForeignKey& fk : catalog.foreign_keys()) {
-        if (fk.child_relation == u.relation()) {
-          add(fk.parent_relation, *tuple, fk.child_columns);
-        }
+      for (const db::ForeignKey& fk : catalog.ForeignKeysOf(u.relation())) {
+        add(fk.parent_relation, *tuple, fk.child_columns);
       }
     }
   }

@@ -91,54 +91,54 @@ Status InstanceOverlay::CheckForeignKeys() const {
   for (const auto& [rel_key, state] : pending_) {
     if (state.has_value()) {
       // Upserted child tuples must reference existing parents.
-      for (const db::ForeignKey* fk : catalog.ForeignKeysOf(rel_key.relation)) {
-        db::Tuple ref = state->Project(fk->child_columns);
+      for (const db::ForeignKey& fk : catalog.ForeignKeysOf(rel_key.relation)) {
+        db::Tuple ref = state->Project(fk.child_columns);
         bool all_null = true;
         for (const db::Value& v : ref.values()) {
           if (!v.is_null()) all_null = false;
         }
         if (all_null) continue;
-        if (Get(fk->parent_relation, ref) == nullptr) {
+        if (Get(fk.parent_relation, ref) == nullptr) {
           return Status::ConstraintViolation(
               "tuple " + state->ToString() + " in " + rel_key.relation +
               " references missing key " + ref.ToString() + " of " +
-              fk->parent_relation);
+              fk.parent_relation);
         }
       }
     } else {
       // Vacated parent keys must leave no dangling children. Children
       // shadowed by pending changes are checked through the overlay.
-      for (const db::ForeignKey* fk :
+      for (const db::ForeignKey& fk :
            catalog.ForeignKeysReferencing(rel_key.relation)) {
-        auto child_table = base_->GetTable(fk->child_relation);
+        auto child_table = base_->GetTable(fk.child_relation);
         if (!child_table.ok()) continue;
         const db::RelationSchema& child_schema = (*child_table)->schema();
         for (const db::Tuple& child : (*child_table)->Rows()) {
           // Skip rows the overlay rewrote or removed.
           const db::Tuple child_key = child_schema.KeyOf(child);
-          auto shadow = pending_.find(RelKey{fk->child_relation, child_key});
+          auto shadow = pending_.find(RelKey{fk.child_relation, child_key});
           const db::Tuple* effective =
               shadow == pending_.end()
                   ? &child
                   : (shadow->second ? &*shadow->second : nullptr);
           if (effective == nullptr) continue;
-          if (effective->Project(fk->child_columns) == rel_key.key) {
+          if (effective->Project(fk.child_columns) == rel_key.key) {
             return Status::ConstraintViolation(
                 "deleting key " + rel_key.key.ToString() + " of " +
                 rel_key.relation + " orphans " + effective->ToString() +
-                " in " + fk->child_relation);
+                " in " + fk.child_relation);
           }
         }
         // Pending upserts into the child relation also count.
         for (const auto& [other_key, other_state] : pending_) {
-          if (other_key.relation != fk->child_relation || !other_state) {
+          if (other_key.relation != fk.child_relation || !other_state) {
             continue;
           }
-          if (other_state->Project(fk->child_columns) == rel_key.key) {
+          if (other_state->Project(fk.child_columns) == rel_key.key) {
             return Status::ConstraintViolation(
                 "deleting key " + rel_key.key.ToString() + " of " +
                 rel_key.relation + " orphans pending " +
-                other_state->ToString() + " in " + fk->child_relation);
+                other_state->ToString() + " in " + fk.child_relation);
           }
         }
       }

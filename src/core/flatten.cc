@@ -43,36 +43,45 @@ class Flattener {
   }
 
   std::vector<Update> Finish() {
-    std::vector<Update> out;
+    // Each output with its touched key, derived once.
+    std::vector<std::pair<db::Tuple, Update>> keyed;
+    const auto emit = [&](Update u) {
+      const db::RelationSchema& schema =
+          *catalog_.GetRelation(u.relation()).value();
+      db::Tuple key = schema.KeyOf(u.is_delete() ? u.old_tuple()
+                                                 : u.new_tuple());
+      keyed.emplace_back(std::move(key), std::move(u));
+    };
     for (const ChainRec& c : chains_) {
       if (c.dead) continue;
       switch (c.net) {
         case Chain::Net::kInsert:
-          out.push_back(
-              Update::Insert(c.relation, c.current, c.last_writer));
+          emit(Update::Insert(c.relation, c.current, c.last_writer));
           break;
         case Chain::Net::kModify:
           if (c.original != c.current) {
-            out.push_back(Update::Modify(c.relation, c.original, c.current,
-                                         c.last_writer));
+            emit(Update::Modify(c.relation, c.original, c.current,
+                                c.last_writer));
           }
           break;
         case Chain::Net::kDelete:
-          out.push_back(
-              Update::Delete(c.relation, c.original, c.last_writer));
+          emit(Update::Delete(c.relation, c.original, c.last_writer));
           break;
       }
     }
     // Deterministic output order: relation, then the touched key, then
     // kind (so a delete/insert pair on one key orders delete first).
-    std::sort(out.begin(), out.end(), [this](const Update& a,
-                                             const Update& b) {
-      if (a.relation() != b.relation()) return a.relation() < b.relation();
-      const db::Tuple ka = SortKey(a);
-      const db::Tuple kb = SortKey(b);
-      if (ka != kb) return ka < kb;
-      return static_cast<int>(a.kind()) > static_cast<int>(b.kind());
+    // No two outputs tie, so the unstable sort has one result.
+    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+      const Update& ua = a.second;
+      const Update& ub = b.second;
+      if (ua.relation() != ub.relation()) return ua.relation() < ub.relation();
+      if (a.first != b.first) return a.first < b.first;
+      return static_cast<int>(ua.kind()) > static_cast<int>(ub.kind());
     });
+    std::vector<Update> out;
+    out.reserve(keyed.size());
+    for (auto& [key, u] : keyed) out.push_back(std::move(u));
     return out;
   }
 
@@ -80,12 +89,6 @@ class Flattener {
   struct ChainRec : Chain {
     std::string relation;
   };
-
-  db::Tuple SortKey(const Update& u) const {
-    const db::RelationSchema& schema = *catalog_.GetRelation(u.relation()).value();
-    return u.is_delete() ? schema.KeyOf(u.old_tuple())
-                         : schema.KeyOf(u.new_tuple());
-  }
 
   Status AddInsert(const db::RelationSchema& schema, const Update& u) {
     RelKey key{u.relation(), schema.KeyOf(u.new_tuple())};

@@ -98,14 +98,13 @@ Result<std::unique_ptr<Participant>> Participant::FromBundle(
     ORCH_ASSIGN_OR_RETURN(std::vector<Update> flattened,
                           Flatten(*catalog, txn.updates));
     ORCH_RETURN_IF_ERROR(ApplyFlattened(&participant->instance_, flattened));
-    participant->applied_.insert(txn.id);
     applied_ids.push_back(txn.id);
     if (txn.id.origin == id && txn.id.seq >= participant->next_seq_) {
       participant->next_seq_ = txn.id.seq + 1;
     }
     participant->txn_cache_.Put(std::move(txn));
   }
-  participant->UpdateVersionMap(applied_ids);
+  participant->CommitApplied(applied_ids);
   for (const TransactionId& rejected_id : bundle.rejected) {
     participant->rejected_.insert(rejected_id);
   }
@@ -115,7 +114,7 @@ Result<std::unique_ptr<Participant>> Participant::FromBundle(
   // dirty-value set and the open conflict groups. No verdict is carried
   // yet, so the run analyses the whole backlog.
   for (Transaction& txn : bundle.closure) {
-    participant->txn_cache_.Put(std::move(txn));
+    participant->CacheBody(std::move(txn));
   }
   for (const auto& [txn_id, priority] : bundle.undecided) {
     participant->deferred_[txn_id] = DeferredInfo{priority, std::nullopt};
@@ -200,8 +199,9 @@ Result<TransactionId> Participant::ExecuteTransaction(
   txn.id = txn_id;
   txn.updates = std::move(stamped);
   txn.antecedents = std::move(antecedents);
-  publish_queue_.push_back(txn);
-  txn_cache_.Put(txn);
+  // Applied already, so no extension reaches it: only the publish queue
+  // holds the body.
+  publish_queue_.push_back(std::move(txn));
   applied_.insert(txn_id);
   for (const Update& u : flattened) own_delta_.push_back(u);
   return txn_id;
@@ -237,9 +237,7 @@ Result<ReconcileReport> Participant::Reconcile(UpdateStore* store) {
   {
     TraceSpan fold_span("reconcile.fold_cache", sim_trace_.get());
     ORCH_RETURN_IF_ERROR(CheckAgainstCatalog(*catalog_, fetch.transactions));
-    for (Transaction& txn : fetch.transactions) {
-      txn_cache_.Put(std::move(txn));
-    }
+    for (Transaction& txn : fetch.transactions) CacheBody(std::move(txn));
   }
 
   std::vector<TrustedTxn> txns;
@@ -582,10 +580,7 @@ Result<ReconcileReport> Participant::RunAndCommit(
     outcome.provenance = std::move(provenance);
 
     // Fold the outcome into durable and soft state.
-    UpdateVersionMap(outcome.applied_txns);
-    for (const TransactionId& txn_id : outcome.applied_txns) {
-      applied_.insert(txn_id);
-    }
+    CommitApplied(outcome.applied_txns);
     for (const TransactionId& txn_id : outcome.rejected_roots) {
       rejected_.insert(txn_id);
     }
@@ -709,7 +704,7 @@ Result<ReconcileReport> Participant::RunAndCommit(
   return report;
 }
 
-void Participant::UpdateVersionMap(
+void Participant::CommitApplied(
     const std::vector<TransactionId>& applied_txns) {
   // Publication order so the last writer wins.
   std::vector<const Transaction*> txns;
@@ -724,6 +719,14 @@ void Participant::UpdateVersionMap(
               return a->id < b->id;
             });
   for (const Transaction* txn : txns) AdvanceVersions(txn->updates, txn->id);
+  for (const TransactionId& id : applied_txns) {
+    applied_.insert(id);
+    txn_cache_.Erase(id);
+  }
+}
+
+void Participant::CacheBody(Transaction txn) {
+  if (applied_.count(txn.id) == 0) txn_cache_.Put(std::move(txn));
 }
 
 void Participant::AdvanceVersions(const std::vector<Update>& updates,
@@ -781,7 +784,7 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
     ORCH_RETURN_IF_ERROR(
         CheckAgainstCatalog(*catalog_, fetch.base.transactions));
     for (Transaction& txn : fetch.base.transactions) {
-      txn_cache_.Put(std::move(txn));
+      CacheBody(std::move(txn));
     }
   }
   // If the store resent something we already know, the shipped analysis
@@ -807,6 +810,18 @@ Result<ReconcileReport> Participant::ReconcileNetworkCentric(
     if (deferred_.count(t.id) != 0) {
       analysis_valid = false;  // the deferred backlog covers it
       continue;
+    }
+    // The store stops an extension only at what it knows this peer
+    // applied. A decision it has not recorded yet leaves an applied
+    // member inside, whose body is no longer cached: recompute the
+    // extension here, where Definition 3 stops at that member.
+    if (std::any_of(t.extension.begin(), t.extension.end(),
+                    [&](const TransactionId& member) {
+                      return applied_.count(member) != 0;
+                    })) {
+      analysis_valid = false;
+      ORCH_ASSIGN_OR_RETURN(t.extension,
+                            ComputeExtension(txn_cache_, t.id, applied_));
     }
     txns.push_back(std::move(t));
   }

@@ -274,9 +274,14 @@ class Participant {
       const std::vector<TransactionId>& catch_up_applied = {},
       const std::vector<TransactionId>& catch_up_rejected = {});
 
-  /// Applies the version-map effects of applied transactions, in
-  /// publication order, so future antecedent computation is correct.
-  void UpdateVersionMap(const std::vector<TransactionId>& applied_txns);
+  /// Folds newly applied transactions into the state: advances the
+  /// version map over them in publication order, so future antecedent
+  /// computation is correct, marks them applied and drops their bodies
+  /// from the transaction cache.
+  void CommitApplied(const std::vector<TransactionId>& applied_txns);
+  /// Caches a body the store shipped, unless it is already applied here
+  /// (a catch-up resend): no extension reaches an applied transaction.
+  void CacheBody(Transaction txn);
   /// Advances the version and tombstone maps over `updates`, written by
   /// `txn_id`: a read key loses its version (a delete leaves a
   /// tombstone), a write key takes `txn_id` as its version and clears
@@ -305,6 +310,12 @@ class Participant {
   std::vector<Update> own_delta_;
 
   /// Soft state (reconstructible from the store).
+  /// Bodies of undecided and rejected transactions only. Definition 3
+  /// stops every extension at an applied transaction, so an applied
+  /// body is never read again: CommitApplied drops it, CacheBody never
+  /// admits it, and own transactions (applied when executed) live only
+  /// in publish_queue_. A rejected body stays, since a later
+  /// extension can contain it.
   TransactionMap txn_cache_;
   TxnIdSet applied_;
   TxnIdSet rejected_;

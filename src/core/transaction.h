@@ -90,6 +90,9 @@ class TransactionMap : public TransactionProvider {
   /// Adds or overwrites a transaction.
   void Put(Transaction txn) { txns_[txn.id] = std::move(txn); }
 
+  /// Drops the transaction, if present.
+  void Erase(const TransactionId& id) { txns_.erase(id); }
+
   bool Contains(const TransactionId& id) const {
     return txns_.count(id) != 0;
   }

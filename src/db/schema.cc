@@ -136,6 +136,8 @@ Status Catalog::AddForeignKey(ForeignKey fk) {
                                      fk.child_relation);
     }
   }
+  by_child_[fk.child_relation].push_back(fk);
+  by_parent_[fk.parent_relation].push_back(fk);
   foreign_keys_.push_back(std::move(fk));
   return Status::OK();
 }
@@ -154,22 +156,21 @@ bool Catalog::HasRelation(std::string_view name) const {
   return relations_.find(name) != relations_.end();
 }
 
-std::vector<const ForeignKey*> Catalog::ForeignKeysOf(
-    std::string_view relation) const {
-  std::vector<const ForeignKey*> out;
-  for (const ForeignKey& fk : foreign_keys_) {
-    if (fk.child_relation == relation) out.push_back(&fk);
-  }
-  return out;
+const std::vector<ForeignKey>& Catalog::ListOf(const ForeignKeyLists& lists,
+                                               std::string_view relation) {
+  static const std::vector<ForeignKey> kNone;
+  auto it = lists.find(relation);
+  return it == lists.end() ? kNone : it->second;
 }
 
-std::vector<const ForeignKey*> Catalog::ForeignKeysReferencing(
+const std::vector<ForeignKey>& Catalog::ForeignKeysOf(
     std::string_view relation) const {
-  std::vector<const ForeignKey*> out;
-  for (const ForeignKey& fk : foreign_keys_) {
-    if (fk.parent_relation == relation) out.push_back(&fk);
-  }
-  return out;
+  return ListOf(by_child_, relation);
+}
+
+const std::vector<ForeignKey>& Catalog::ForeignKeysReferencing(
+    std::string_view relation) const {
+  return ListOf(by_parent_, relation);
 }
 
 }  // namespace orchestra::db

@@ -88,16 +88,26 @@ class Catalog {
   }
   const std::vector<ForeignKey>& foreign_keys() const { return foreign_keys_; }
 
-  /// Foreign keys whose child is `relation`.
-  std::vector<const ForeignKey*> ForeignKeysOf(std::string_view relation) const;
+  /// Foreign keys whose child is `relation`, in declaration order.
+  const std::vector<ForeignKey>& ForeignKeysOf(
+      std::string_view relation) const;
 
-  /// Foreign keys whose parent is `relation`.
-  std::vector<const ForeignKey*> ForeignKeysReferencing(
+  /// Foreign keys whose parent is `relation`, in declaration order.
+  const std::vector<ForeignKey>& ForeignKeysReferencing(
       std::string_view relation) const;
 
  private:
+  using ForeignKeyLists =
+      std::map<std::string, std::vector<ForeignKey>, std::less<>>;
+  static const std::vector<ForeignKey>& ListOf(const ForeignKeyLists& lists,
+                                               std::string_view relation);
+
   std::map<std::string, RelationSchema, std::less<>> relations_;
   std::vector<ForeignKey> foreign_keys_;
+  /// Per-relation copies of foreign_keys_, filled by AddForeignKey; held
+  /// by value so that a copied catalog points into nothing of its source.
+  ForeignKeyLists by_child_;
+  ForeignKeyLists by_parent_;
 };
 
 }  // namespace orchestra::db

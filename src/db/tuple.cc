@@ -15,9 +15,22 @@ Tuple Tuple::Project(const std::vector<size_t>& indices) const {
   return Tuple(std::move(out));
 }
 
+namespace {
+constexpr uint64_t kHashSeed = 0xcbf29ce484222325ULL;
+}  // namespace
+
 uint64_t Tuple::Hash() const {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kHashSeed;
   for (const Value& v : values_) h = HashCombine(h, v.Hash());
+  return h;
+}
+
+uint64_t Tuple::HashOf(const std::vector<size_t>& indices) const {
+  uint64_t h = kHashSeed;
+  for (size_t i : indices) {
+    ORCH_CHECK_LT(i, values_.size(), "projection index out of range");
+    h = HashCombine(h, values_[i].Hash());
+  }
   return h;
 }
 

@@ -36,6 +36,10 @@ class Tuple {
   /// Stable 64-bit hash over all values.
   uint64_t Hash() const;
 
+  /// Project(indices).Hash(), without building the projection. Indices
+  /// must be in range.
+  uint64_t HashOf(const std::vector<size_t>& indices) const;
+
   /// Renders as "(v1, v2, ...)".
   std::string ToString() const;
 

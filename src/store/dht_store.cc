@@ -113,11 +113,14 @@ std::string WireOf(const Transaction& txn) {
   return wire;
 }
 
-/// Strict verify-and-decode of a stored or delivered wire blob.
-Result<Transaction> DecodeWire(std::string_view wire) {
+/// Strict verify-and-decode of a stored or delivered wire blob. The
+/// envelope's payload is the encoded body, so its length is the size
+/// every shipment of the body is charged.
+Result<core::SizedTxn> DecodeWire(std::string_view wire) {
   ORCH_ASSIGN_OR_RETURN(std::string_view body, db::UnwrapEnvelope(wire));
   size_t pos = 0;
-  return core::DecodeTransaction(body, &pos);
+  ORCH_ASSIGN_OR_RETURN(Transaction txn, core::DecodeTransaction(body, &pos));
+  return core::SizedTxn{std::move(txn), static_cast<int64_t>(body.size())};
 }
 
 Counter& CorruptReplicaReads() {
@@ -212,7 +215,7 @@ Result<DhtStore::TxnRead> DhtStore::ReadTxnVerified(
   return Status::DataLoss("transaction controller lost " + id.ToString());
 }
 
-Result<Transaction> DhtStore::ReadLocalOrRepair(
+Result<core::SizedTxn> DhtStore::ReadLocalOrRepair(
     ParticipantId peer, size_t node, const TransactionId& id) const {
   const NodeState& n = nodes_[node];
   auto it = n.txns.find(id);
@@ -229,7 +232,7 @@ Result<Transaction> DhtStore::ReadLocalOrRepair(
     nodes_[node].txns.at(id).wire = read.wire;
     ReadRepairs().Increment();
   }
-  return std::move(read.txn);
+  return std::move(read.sized);
 }
 
 Result<std::string> DhtStore::ShipPayload(ParticipantId peer,
@@ -444,11 +447,12 @@ Result<Epoch> DhtStore::Publish(ParticipantId peer,
 }
 
 Result<ReconcileFetch> DhtStore::BeginReconciliation(ParticipantId peer) {
-  return Fetch(peer, /*held=*/nullptr);
+  return Fetch(peer, /*held=*/nullptr, /*shipped_bytes=*/nullptr);
 }
 
 Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer,
-                                       std::vector<TransactionId>* held) {
+                                       std::vector<TransactionId>* held,
+                                       ShippedBytes* shipped_bytes) {
   Stopwatch cpu;
   ORCH_ASSIGN_OR_RETURN(const core::TrustPolicy* policy,
                         core::RegisteredPolicy(policies_, peer));
@@ -654,8 +658,10 @@ Result<ReconcileFetch> DhtStore::Fetch(ParticipantId peer,
       ORCH_ASSIGN_OR_RETURN(
           const bool shipped,
           level.Judge(i, VerdictAt(nodes_[read.holder], id, peer),
-                      [&] { return std::move(read.txn); }));
-      if (shipped) b.payload.append(read.wire);
+                      [&] { return std::move(read.sized.txn); }));
+      if (!shipped) continue;
+      b.payload.append(read.wire);
+      if (shipped_bytes != nullptr) (*shipped_bytes)[id] = read.sized.bytes;
     }
     for (size_t owner : owner_order) {
       const OwnerBatch& b = batch[owner];
@@ -899,10 +905,10 @@ Result<core::RecoveryBundle> DhtStore::FetchRecoveryState(
           ++witnessed;
         }
         if (peer_it->second.verdict == 'A') {
-          ORCH_ASSIGN_OR_RETURN(Transaction txn,
+          ORCH_ASSIGN_OR_RETURN(core::SizedTxn txn,
                                 ReadLocalOrRepair(peer, node, id));
-          bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-          bundle.applied.push_back(std::move(txn));
+          bytes += txn.bytes;
+          bundle.applied.push_back(std::move(txn.txn));
         } else {
           bundle.rejected.push_back(id);
           bytes += 16;
@@ -987,13 +993,12 @@ Status DhtStore::ReadUndecided(ParticipantId peer,
               ORCH_ASSIGN_OR_RETURN(TxnRead read,
                                     ReadTxnVerified(peer, level.id(i)));
               const auto route = ring_.Route(my_node, ring_.IdOf(read.holder));
-              const auto size =
-                  static_cast<int64_t>(core::EncodedTransactionSize(read.txn));
               ORCH_ASSIGN_OR_RETURN(
                   const bool shipped,
                   level.Judge(i, core::RecordedVerdict::kNone,
-                              [&] { return std::move(read.txn); }));
-              network_->Charge(peer, route.hops + 1, shipped ? size + 8 : 24);
+                              [&] { return std::move(read.sized.txn); }));
+              network_->Charge(peer, route.hops + 1,
+                               shipped ? read.sized.bytes + 8 : 24);
             }
             return Status::OK();
           }));
@@ -1011,7 +1016,8 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
   }
   core::NetworkCentricFetch fetch;
   std::vector<TransactionId> held;
-  ORCH_ASSIGN_OR_RETURN(fetch.base, Fetch(peer, &held));
+  ShippedBytes shipped_bytes;
+  ORCH_ASSIGN_OR_RETURN(fetch.base, Fetch(peer, &held, &shipped_bytes));
 
   Stopwatch cpu;
   const size_t my_node = NodeOfPeer(peer);
@@ -1038,11 +1044,12 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
                 if (it == nodes_[node].txns.end()) continue;
                 auto txn = DecodeWire(it->second.wire);
                 if (!txn.ok()) continue;
-                ORCH_RETURN_IF_ERROR(
-                    level
-                        .Judge(i, VerdictAt(nodes_[node], id, peer),
-                               [&] { return std::move(txn); })
-                        .status());
+                const int64_t bytes = txn->bytes;
+                ORCH_ASSIGN_OR_RETURN(
+                    const bool shipped,
+                    level.Judge(i, VerdictAt(nodes_[node], id, peer),
+                                [&] { return std::move(txn->txn); }));
+                if (shipped) shipped_bytes[id] = bytes;
                 break;
               }
             }
@@ -1068,11 +1075,9 @@ Result<core::NetworkCentricFetch> DhtStore::BeginNetworkCentricReconciliation(
         queries.Lane(edge++);
         const auto route =
             ring_.Route(controller, net::KeyHash("txn:" + member.ToString()));
-        int64_t sz = 64;
-        if (auto txn = bundle.Get(member); txn.ok()) {
-          sz = static_cast<int64_t>(core::EncodedTransactionSize(**txn));
-        }
-        network_->Charge(peer, route.hops + 1, sz);
+        auto shipped = shipped_bytes.find(member);
+        network_->Charge(peer, route.hops + 1,
+                         shipped == shipped_bytes.end() ? 64 : shipped->second);
       }
       fetch.trusted_txns.push_back(std::move(t));
     }
@@ -1176,10 +1181,10 @@ Result<core::RecoveryBundle> DhtStore::Bootstrap(ParticipantId new_peer,
         decisions[new_peer] = Decision{'A', 0};
         if (!adopted.insert(id).second) continue;
         ORCH_CHECK(nodes_[node].txns.count(id) != 0);
-        ORCH_ASSIGN_OR_RETURN(Transaction txn,
+        ORCH_ASSIGN_OR_RETURN(core::SizedTxn txn,
                               ReadLocalOrRepair(new_peer, node, id));
-        bytes += static_cast<int64_t>(core::EncodedTransactionSize(txn));
-        bundle.applied.push_back(std::move(txn));
+        bytes += txn.bytes;
+        bundle.applied.push_back(std::move(txn.txn));
       }
       const auto route = ring_.Route(my_node, ring_.IdOf(node));
       network_->Charge(new_peer, route.hops, 16);

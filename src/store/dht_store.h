@@ -326,11 +326,12 @@ class DhtStore : public core::UpdateStore,
   Status TryReplicatedSend(core::ParticipantId peer, size_t from_node,
                            const std::string& key, int64_t bytes);
 
-  /// One verified group read of a transaction: the decoded value, the
-  /// node whose copy checked out (its decision log is read alongside),
-  /// and the verified wire blob for shipping onward.
+  /// One verified group read of a transaction: the decoded value with
+  /// its encoded length (the envelope's payload length), the node whose
+  /// copy checked out (its decision log is read alongside), and the
+  /// verified wire blob for shipping onward.
   struct TxnRead {
-    core::Transaction txn;
+    core::SizedTxn sized;
     size_t holder = 0;
     std::string wire;
   };
@@ -348,7 +349,7 @@ class DhtStore : public core::UpdateStore,
   /// Bulk-sweep variant: reads `node`'s own copy of `id` (recovery and
   /// bootstrap walk every node), escalating to a verified group read
   /// when the local copy fails its checksum.
-  Result<core::Transaction> ReadLocalOrRepair(
+  Result<core::SizedTxn> ReadLocalOrRepair(
       core::ParticipantId peer, size_t node,
       const core::TransactionId& id) const;
   /// Installs a transaction's wire blob on one replica,
@@ -364,10 +365,16 @@ class DhtStore : public core::UpdateStore,
   /// threshold counts integrity.quarantined_nodes once.
   void ScoreCorruptServe(size_t node) const;
 
+  /// Encoded length of each shipped body, by id.
+  using ShippedBytes =
+      std::unordered_map<core::TransactionId, int64_t,
+                         core::TransactionIdHash>;
   /// BeginReconciliation, also reporting in `held` (when non-null) each
-  /// antecedent the closure walk skipped through the decided overlay.
+  /// antecedent the closure walk skipped through the decided overlay,
+  /// and in `shipped_bytes` (when non-null) each shipped body's length.
   Result<core::ReconcileFetch> Fetch(core::ParticipantId peer,
-                                     std::vector<core::TransactionId>* held);
+                                     std::vector<core::TransactionId>* held,
+                                     ShippedBytes* shipped_bytes);
   /// `peer`'s recorded verdict on `id` in `node`'s decision log.
   static core::RecordedVerdict VerdictAt(const NodeState& node,
                                          const core::TransactionId& id,

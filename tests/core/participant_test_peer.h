@@ -2,6 +2,7 @@
 #define ORCHESTRA_TESTS_CORE_PARTICIPANT_TEST_PEER_H_
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,10 +11,27 @@
 namespace orchestra::core {
 
 /// Test-only access to a participant's soft state: the carry set behind
-/// incremental reconsideration, the dirty values and the deferred
-/// backlog with its priorities.
+/// incremental reconsideration, the dirty values, the deferred backlog
+/// with its priorities and the transaction cache's retention rule.
 class ParticipantTestPeer {
  public:
+  /// Empty when the transaction cache keeps its retention rule: no
+  /// applied transaction's body is cached, and every deferred one's
+  /// is. Otherwise the first breach found.
+  static std::string CacheRetentionBreach(const Participant& p) {
+    for (const TransactionId& id : p.applied_) {
+      if (p.txn_cache_.Contains(id)) {
+        return "applied " + id.ToString() + " is still cached";
+      }
+    }
+    for (const auto& [id, info] : p.deferred_) {
+      if (!p.txn_cache_.Contains(id)) {
+        return "deferred " + id.ToString() + " is not cached";
+      }
+    }
+    return "";
+  }
+
   /// Drops every carried verdict, so the next run analyses the whole
   /// backlog — the reference that carrying runs are diffed against.
   static void ForgetCarriedVerdicts(Participant& p) {

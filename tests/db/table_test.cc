@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
+
+#include "common/random.h"
+#include "db/instance.h"
+
 namespace orchestra::db {
 namespace {
 
@@ -129,6 +137,178 @@ TEST(TableTest, EqualityComparesContents) {
   EXPECT_FALSE(a == b);
   ASSERT_TRUE(b.Insert(Row("rat", "p1", "x")).ok());
   EXPECT_TRUE(a == b);
+}
+
+TEST(TableTest, KeyAndRowLookupsSeeOneStoredRow) {
+  Table table(MakeF());
+  ASSERT_TRUE(table.Insert(Row("rat", "p1", "immune")).ok());
+  ASSERT_TRUE(table.Insert(Row("rat", "p2", "metab")).ok());
+  const Tuple* by_key = table.Find(Key("rat", "p2"));
+  ASSERT_NE(by_key, nullptr);
+  EXPECT_EQ(*by_key, Row("rat", "p2", "metab"));
+  // The probe by key and the view of every row reach the same storage.
+  bool seen = false;
+  for (const Tuple& row : table.Rows()) seen |= &row == by_key;
+  EXPECT_TRUE(seen);
+  EXPECT_EQ(*table.GetByKey(Key("rat", "p1")), Row("rat", "p1", "immune"));
+  EXPECT_TRUE(table.ContainsTuple(Row("rat", "p2", "metab")));
+  EXPECT_FALSE(table.ContainsTuple(Row("rat", "p3", "metab")));
+  // A probe of another arity names no row.
+  EXPECT_FALSE(table.ContainsKey(Tuple{Value("rat")}));
+  EXPECT_FALSE(table.ContainsKey(Row("rat", "p1", "immune")));
+}
+
+TEST(TableTest, SameKeyReplaceRewritesTheRowInPlace) {
+  Table table(MakeF());
+  for (const char* protein : {"p1", "p2", "p3", "p4", "p5"}) {
+    ASSERT_TRUE(table.Insert(Row("rat", protein, "x")).ok());
+  }
+  const Tuple* before = table.Find(Key("rat", "p3"));
+  std::vector<Tuple> order(table.Rows().begin(), table.Rows().end());
+  ASSERT_TRUE(
+      table.Replace(Row("rat", "p3", "x"), Row("rat", "p3", "y")).ok());
+  EXPECT_EQ(table.Find(Key("rat", "p3")), before);
+  for (Tuple& row : order) {
+    if (row == Row("rat", "p3", "x")) row = Row("rat", "p3", "y");
+  }
+  EXPECT_EQ(std::vector<Tuple>(table.Rows().begin(), table.Rows().end()),
+            order);
+}
+
+TEST(TableTest, KeyMovingReplaceLeavesOneRow) {
+  Table table(MakeF());
+  ASSERT_TRUE(table.Insert(Row("rat", "p1", "a")).ok());
+  ASSERT_TRUE(table.Insert(Row("rat", "p3", "c")).ok());
+  ASSERT_TRUE(
+      table.Replace(Row("rat", "p1", "a"), Row("rat", "p2", "b")).ok());
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.Find(Key("rat", "p1")), nullptr);
+  EXPECT_EQ(*table.Find(Key("rat", "p2")), Row("rat", "p2", "b"));
+  // The old pre-image names nothing now; the moved row can move back.
+  EXPECT_TRUE(table.Replace(Row("rat", "p1", "a"), Row("rat", "p1", "a"))
+                  .IsNotFound());
+  ASSERT_TRUE(
+      table.Replace(Row("rat", "p2", "b"), Row("rat", "p1", "a")).ok());
+  EXPECT_EQ(table.ScanSorted(),
+            (std::vector<Tuple>{Row("rat", "p1", "a"), Row("rat", "p3", "c")}));
+}
+
+TEST(TableTest, ErrorMessagesNameTheKey) {
+  Table table(MakeF());
+  ASSERT_TRUE(table.Insert(Row("rat", "p1", "a")).ok());
+  ASSERT_TRUE(table.Insert(Row("rat", "p2", "b")).ok());
+  EXPECT_EQ(table.Insert(Row("rat", "p1", "z")).message(),
+            "key ('rat', 'p1') already present in F");
+  EXPECT_EQ(table.DeleteByKey(Key("rat", "p9")).message(),
+            "key ('rat', 'p9') not present in F");
+  EXPECT_EQ(table.GetByKey(Key("rat", "p9")).status().message(),
+            "key ('rat', 'p9') not present in F");
+  EXPECT_EQ(table.Replace(Row("rat", "p9", "a"), Row("rat", "p9", "b"))
+                .message(),
+            "key ('rat', 'p9') not present in F");
+  EXPECT_EQ(table.Replace(Row("rat", "p1", "a"), Row("rat", "p2", "a"))
+                .message(),
+            "replacement key ('rat', 'p2') collides in F");
+}
+
+TEST(TableTest, CopiesAndMovesOutliveTheirSource) {
+  Table copied(MakeF());
+  Table moved(MakeF());
+  {
+    auto source = std::make_unique<Table>(MakeF());
+    for (const char* protein : {"p1", "p2", "p3"}) {
+      ASSERT_TRUE(source->Insert(Row("rat", protein, "x")).ok());
+    }
+    copied = *source;
+    auto doomed = std::make_unique<Table>(*source);
+    moved = std::move(*doomed);
+  }
+  // Lookups hash and compare through the functors each table owns.
+  for (Table* table : {&copied, &moved}) {
+    ASSERT_TRUE(table->Insert(Row("rat", "p4", "y")).ok());
+    EXPECT_TRUE(table->ContainsKey(Key("rat", "p2")));
+    ASSERT_TRUE(
+        table->Replace(Row("rat", "p1", "x"), Row("rat", "p5", "x")).ok());
+    EXPECT_TRUE(table->DeleteByKey(Key("rat", "p3")).ok());
+    EXPECT_EQ(table->size(), 3u);
+  }
+  EXPECT_TRUE(copied == moved);
+}
+
+TEST(TableTest, InstanceCopiesAndMovesOutliveTheirSource) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddRelation(MakeF()).ok());
+  std::unique_ptr<Instance> copied;
+  std::unique_ptr<Instance> moved;
+  {
+    auto source = std::make_unique<Instance>(&catalog);
+    ASSERT_TRUE((*source->GetTable("F"))->Insert(Row("rat", "p1", "x")).ok());
+    copied = std::make_unique<Instance>(*source);
+    moved = std::make_unique<Instance>(std::move(*source));
+  }
+  for (Instance* instance : {copied.get(), moved.get()}) {
+    Table* table = *instance->GetTable("F");
+    EXPECT_TRUE(table->ContainsKey(Key("rat", "p1")));
+    ASSERT_TRUE(table->Insert(Row("rat", "p2", "y")).ok());
+    ASSERT_TRUE(
+        table->Replace(Row("rat", "p1", "x"), Row("rat", "p1", "z")).ok());
+  }
+  EXPECT_TRUE(*copied == *moved);
+}
+
+// Rows() visits rows in the order a map from projected key to row
+// visits its values when fed the same operations: the generator's
+// victim picks and the first foreign-key violation reported depend on
+// that order.
+TEST(TableTest, RowsOrderMatchesAKeyToRowMap) {
+  const RelationSchema schema = MakeF();
+  Table table(schema);
+  std::unordered_map<Tuple, Tuple, TupleHash> reference;
+  Rng rng(17);
+  const auto pick = [&](uint64_t bound) {
+    return "p" + std::to_string(rng.NextBounded(bound));
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const std::string protein = pick(600);
+    const Tuple key{Value("rat"), Value(protein)};
+    const auto it = reference.find(key);
+    const uint64_t op = rng.NextBounded(4);
+    if (it == reference.end()) {
+      const Tuple row{Value("rat"), Value(protein), Value(pick(5))};
+      ASSERT_TRUE(table.Insert(row).ok());
+      reference.emplace(key, row);
+    } else if (op == 0) {
+      ASSERT_TRUE(table.DeleteByKey(key).ok());
+      reference.erase(it);
+    } else if (op == 1) {
+      const Tuple row{Value("rat"), Value(protein), Value(pick(5))};
+      ASSERT_TRUE(table.Replace(it->second, row).ok());
+      it->second = row;
+    } else {
+      const std::string target = pick(600);
+      const Tuple moved_key{Value("rat"), Value(target)};
+      const Tuple row{Value("rat"), Value(target), Value(pick(5))};
+      const Status replaced = table.Replace(it->second, row);
+      if (moved_key != key && reference.count(moved_key) != 0) {
+        ASSERT_EQ(replaced.code(), StatusCode::kAlreadyExists);
+        continue;
+      }
+      ASSERT_TRUE(replaced.ok()) << replaced.ToString();
+      if (moved_key == key) {
+        it->second = row;
+      } else {
+        reference.erase(it);
+        reference.emplace(moved_key, row);
+      }
+    }
+    if (step % 97 == 0 || step == 3999) {
+      std::vector<Tuple> expected;
+      for (const auto& [unused, row] : reference) expected.push_back(row);
+      ASSERT_EQ(std::vector<Tuple>(table.Rows().begin(), table.Rows().end()),
+                expected)
+          << "step " << step;
+    }
+  }
 }
 
 }  // namespace

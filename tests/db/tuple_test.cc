@@ -57,6 +57,14 @@ TEST(TupleTest, HashConsistentWithEquality) {
   EXPECT_NE(Make({"x"}).Hash(), Tuple().Hash());
 }
 
+TEST(TupleTest, HashOfMatchesTheProjectionsHash) {
+  const Tuple t = Make({"rat", "p1", "immune"});
+  for (const std::vector<size_t>& columns :
+       {std::vector<size_t>{}, {0}, {0, 1}, {2, 0}, {0, 1, 2}}) {
+    EXPECT_EQ(t.HashOf(columns), t.Project(columns).Hash());
+  }
+}
+
 TEST(TupleTest, WorksInUnorderedContainers) {
   std::unordered_set<Tuple, TupleHash> set;
   set.insert(Make({"a", "1"}));

@@ -4,7 +4,8 @@
 // before each turn and so analyse their whole deferred backlog. Randomized
 // schedules cover both stores, uniform and tiered trust, deletions (and
 // with them foreign-key parents), user resolutions, network-centric mode,
-// injected faults and DHT membership churn.
+// injected faults and DHT membership churn. Every turn also checks the
+// transaction cache's retention rule on both twins.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -141,6 +142,8 @@ size_t RunTwins(const Schedule& s) {
           << where;
       EXPECT_EQ(pa.applied_count(), pb.applied_count()) << where;
       EXPECT_EQ(pa.rejected_count(), pb.rejected_count()) << where;
+      EXPECT_EQ(ParticipantTestPeer::CacheRetentionBreach(pa), "") << where;
+      EXPECT_EQ(ParticipantTestPeer::CacheRetentionBreach(pb), "") << where;
 
       // A user resolution between turns: the same choice on both twins.
       if (s.resolve && (round + i) % 3 == 2 &&
@@ -158,6 +161,8 @@ size_t RunTwins(const Schedule& s) {
               << where << " (resolve)";
           EXPECT_EQ(xa->deferred, xb->deferred) << where << " (resolve)";
         }
+        EXPECT_EQ(ParticipantTestPeer::CacheRetentionBreach(pa), "")
+            << where << " (resolve)";
       }
     }
   }
